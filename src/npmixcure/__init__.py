@@ -13,7 +13,6 @@ from .bootstrap import (
     log_grid,
     mise_star,
     pilot_bandwidth,
-    resample,
     select_bandwidth,
 )
 from .cure import (
@@ -41,19 +40,16 @@ from .experiments import (
     true_mise_two_bw,
 )
 from .io_utils import DatasetSchema, IngestReport, format_float, ingest
-from .kernels import EPANECHNIKOV, Kernel, WeightVector, kernel_eval, nw_weights
+from .kernels import EPANECHNIKOV, Kernel, WeightVector, nw_weights
 from .models import (
     COVARIATE_WINDOW,
     ExponentialCensoring,
     ModelSpec,
     NoCensoring,
-    TrialBatch,
     UniformCovariate,
     generate,
-    generate_batch,
     model1,
     model2,
-    true_latency,
 )
 from .oracle import (
     AmseReport,
@@ -65,7 +61,6 @@ from .oracle import (
     h_amise,
     phi,
     phi1,
-    phi2,
     phi2_terms,
     phi_y_derivatives,
     population_from_model,
@@ -74,7 +69,6 @@ from .survival import (
     CensoredSample,
     StepSurvivalCurve,
     beran,
-    curve_eval,
     kaplan_meier,
 )
 
@@ -88,7 +82,6 @@ __all__ = [
     "log_grid",
     "mise_star",
     "pilot_bandwidth",
-    "resample",
     "select_bandwidth",
     "CureFit",
     "incidence_estimate",
@@ -115,19 +108,15 @@ __all__ = [
     "EPANECHNIKOV",
     "Kernel",
     "WeightVector",
-    "kernel_eval",
     "nw_weights",
     "COVARIATE_WINDOW",
     "ExponentialCensoring",
     "ModelSpec",
     "NoCensoring",
-    "TrialBatch",
     "UniformCovariate",
     "generate",
-    "generate_batch",
     "model1",
     "model2",
-    "true_latency",
     "AmseReport",
     "BiasVarianceTerms",
     "PhiDerivatives",
@@ -137,13 +126,11 @@ __all__ = [
     "h_amise",
     "phi",
     "phi1",
-    "phi2",
     "phi2_terms",
     "phi_y_derivatives",
     "population_from_model",
     "CensoredSample",
     "StepSurvivalCurve",
     "beran",
-    "curve_eval",
     "kaplan_meier",
 ]

@@ -29,7 +29,6 @@ __all__ = [
     "MiseCurve",
     "log_grid",
     "pilot_bandwidth",
-    "resample",
     "mise_star",
     "select_bandwidth",
 ]
@@ -240,28 +239,18 @@ class _ResamplingKit:
         return y, c
 
     def draw(self, rng: np.random.Generator) -> CensoredSample:
+        """One bootstrap resample from the pilot-smoothed cure model.
+
+        Covariates are kept fixed.  Censoring times are drawn from the
+        Kaplan-Meier estimate of the censoring distribution (with any
+        leftover mass placed at the largest observed time, so draws are
+        always finite); survival times are infinite with the pilot cure
+        probability and otherwise drawn from the pilot latency jumps.
+        """
         y, c = self.draw_latent(rng)
         t = np.minimum(y, c)
         delta = (y <= c).astype(np.int64)
         return CensoredSample(self.xs, t, delta)
-
-
-def resample(
-    sample: CensoredSample,
-    g: float,
-    rng: np.random.Generator,
-    kernel: Kernel = EPANECHNIKOV,
-) -> CensoredSample:
-    """Draw one bootstrap resample from the pilot-smoothed cure model.
-
-    Covariates are kept fixed.  Censoring times are drawn from the
-    Kaplan-Meier estimate of the censoring distribution (with any
-    leftover mass placed at the largest observed time, so draws are
-    always finite); survival times are infinite with the pilot cure
-    probability and otherwise drawn from the pilot latency jumps.
-    """
-    kit = _ResamplingKit.build(sample, g, kernel)
-    return kit.draw(rng)
 
 
 def _resample_streams(seed: int, count: int):

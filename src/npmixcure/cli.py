@@ -6,6 +6,11 @@ the package version, and a run summary.  The sidecar contains nothing
 volatile, so rerunning a subcommand with the same configuration and
 seed produces byte-identical files.
 
+Each option is declared once, in ``_OPTIONS``.  Its flag, the key a
+``--config`` file may give it, and the value the sidecar records all
+come from that declaration: a flag string and a JSON config value go
+through the same converter.
+
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 estimation failure, 1 anything unexpected.
 """
@@ -14,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -36,58 +43,12 @@ EXIT_DATA = 3
 EXIT_ESTIMATION = 4
 
 _OUTDIR_ENV = "NPMIXCURE_OUTDIR"
+_MODELS = {1: model1, 2: model2}
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
-
-def _load_config(path):
-    """Flat JSON object whose keys mirror the long flag names."""
-    if path is None:
-        return {}
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a flat JSON object")
-    for key, value in raw.items():
-        if isinstance(value, dict):
-            raise ConfigError(f"config field {key!r}: nested objects not allowed")
-    return raw
-
-
-def _check_config_keys(config, allowed, command):
-    unknown = sorted(set(config) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"config field(s) not understood by {command}: {', '.join(unknown)}"
-        )
-
-
-def _pick(args, config, name, default=None):
-    """Effective value: explicit flag, then config file, then default."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, default)
-    return value
-
-
-def _flag(args, config, name):
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, False)
-    return bool(value)
-
-
-def _require(value, flag):
-    if value is None:
-        raise ConfigError(f"missing required setting {flag}")
-    return value
-
+# converters: ``(value, flag) -> resolved value``, for a flag string and a
+# JSON config value alike
 
 def _as_int(value, flag):
     if isinstance(value, bool):
@@ -110,69 +71,214 @@ def _as_float(value, flag):
         raise ConfigError(f"{flag} must be a number, got {value!r}") from None
 
 
-def _float_list(args, config, name, flag):
-    value = _pick(args, config, name)
-    if value is None:
-        return None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
-    try:
-        return [_as_float(v, flag) for v in value]
-    except TypeError:
-        raise ConfigError(f"{flag} must be a number or list of numbers") from None
+def _at_least(low):
+    """Converter to an integer no smaller than ``low``."""
+    def convert(value, flag):
+        out = _as_int(value, flag)
+        if out < low:
+            raise ConfigError(f"{flag} must be at least {low}, got {out}")
+        return out
+    return convert
 
 
-def _str_list(args, config, name):
-    value = _pick(args, config, name)
-    if value is None:
-        return None
-    if isinstance(value, (str, int, float)):
-        return [str(value)]
-    return [str(v) for v in value]
+def _positive(value, flag):
+    out = _as_float(value, flag)
+    if not 0.0 < out < math.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {out}")
+    return out
 
 
-def _parse_grid(value, flag):
-    """A bandwidth grid given as ``lo:hi:count`` (log spaced)."""
-    if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{flag} must look like lo:hi:count, got {value!r}")
-        lo_s, hi_s, count_s = parts
-    elif isinstance(value, (list, tuple)) and len(value) == 3:
-        lo_s, hi_s, count_s = value
-    else:
+def _text(value, flag):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{flag} must be a string, got {value!r}")
+    return str(value)
+
+
+def _switch(value, flag):
+    """On/off option: a bare flag, or a JSON boolean in a config file."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{flag} must be true or false, got {value!r}")
+    return value
+
+
+def _model_id(value, flag):
+    mid = _as_int(value, flag)
+    if mid not in _MODELS:
+        raise ConfigError(f"{flag} must be 1 or 2, got {value!r}")
+    return mid
+
+
+def _bandwidth(value, flag):
+    """A positive bandwidth, or ``auto`` for the bootstrap selector."""
+    if isinstance(value, str) and value.lower() == "auto":
+        return "auto"
+    return _positive(value, flag)
+
+
+def _grid_spec(value, flag):
+    """A log-spaced bandwidth grid ``lo:hi:count``, checked, as that string.
+
+    A config file may also give the three parts as a JSON list.
+    """
+    parts = value.split(":") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != 3:
         raise ConfigError(f"{flag} must look like lo:hi:count, got {value!r}")
-    lo = _as_float(lo_s, flag)
-    hi = _as_float(hi_s, flag)
-    count = _as_int(count_s, flag)
+    lo = _as_float(parts[0], flag)
+    hi = _as_float(parts[1], flag)
+    count = _as_int(parts[2], flag)
     try:
-        return log_grid(lo, hi, count)
+        log_grid(lo, hi, count)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
+    return value if isinstance(value, str) else f"{lo!r}:{hi!r}:{count}"
 
 
-def _model_spec(mid):
-    if mid == 1:
-        return model1()
-    if mid == 2:
-        return model2()
-    raise ConfigError(f"--model must be 1 or 2, got {mid!r}")
+def _log_grid(spec):
+    lo, hi, count = spec.split(":")
+    return log_grid(float(lo), float(hi), int(count))
 
 
-def _format(args, config):
-    fmt = _pick(args, config, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"--format must be csv or json, got {fmt!r}")
-    return fmt
+# ---------------------------------------------------------------------------
+# options
+
+class _Option(NamedTuple):
+    """One option: its flag, converter, default and help text.
+
+    The config-file key is the flag without its dashes, with ``_`` for
+    ``-``.  A repeatable option resolves to a list; in a config file it
+    takes a list or a single value.
+    """
+
+    flag: str
+    convert: Callable[[Any, str], Any]
+    default: Any = None
+    help: str = ""
+    repeat: bool = False
+    choices: tuple | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def resolve(self, value):
+        if self.repeat:
+            items = value if isinstance(value, list) else [value]
+            return [self.convert(item, self.flag) for item in items]
+        out = self.convert(value, self.flag)
+        if self.choices is not None and out not in self.choices:
+            raise ConfigError(
+                f"{self.flag} must be one of {', '.join(self.choices)}, "
+                f"got {out!r}"
+            )
+        return out
 
 
-def _out_path(args, config, default_name):
-    out = _pick(args, config, "out")
-    base = Path(os.environ.get(_OUTDIR_ENV, "."))
-    if out is None:
-        return base / default_name
-    out = Path(out)
-    return out if out.is_absolute() else base / out
+_OPTIONS = {option.key: option for option in (
+    _Option("--data", _text, help="delimited data file to ingest"),
+    _Option("--covariate-col", _text, "age",
+            "covariate column (default: age)"),
+    _Option("--time-col", _text, "time", "time column (default: time)"),
+    _Option("--delta-col", _text, "delta",
+            "event indicator column (default: delta)"),
+    _Option("--group-col", _text, help="grouping column used by --group"),
+    _Option("--delimiter", _text, ",", "field delimiter (default: comma)"),
+    _Option("--no-header", _switch, False,
+            "file has no header; address columns by index"),
+    _Option("--group", _text, help="keep only rows with this group label "
+            "(repeatable)", repeat=True),
+    _Option("--model", _model_id, help="model 1 or 2 (estimate, selectbw: "
+            "generate the sample from it instead of reading --data)"),
+    _Option("--n", _at_least(1), help="sample size (mise: per trial; "
+            "oracle: in the variance term)"),
+    _Option("--m", _at_least(1), help="number of trials"),
+    _Option("--x", _as_float, help="covariate value (repeatable)",
+            repeat=True),
+    _Option("--t", _as_float, help="time point (repeatable)", repeat=True),
+    _Option("--h", _bandwidth, "auto", "bandwidth (estimate: or 'auto', "
+            "the default, for the bootstrap selector)"),
+    _Option("--h2", _positive,
+            help="separate incidence bandwidth (fixed --h only)"),
+    _Option("--clamp", _switch, False,
+            "clip two-bandwidth latency into [0, 1], monotone"),
+    _Option("--grid", _grid_spec,
+            help="bandwidth grid lo:hi:count (log spaced)"),
+    _Option("--grid2", _grid_spec, help="second grid for the two-bandwidth "
+            "surface (defaults to --grid)"),
+    _Option("--surface", _switch, False,
+            "compute the two-bandwidth MISE surface"),
+    _Option("--B", _at_least(1), 100, "bootstrap resamples (default 100)"),
+    _Option("--pilot-c", _positive, 0.75,
+            "pilot bandwidth constant (default 0.75)"),
+    _Option("--time-points", _at_least(2), 200,
+            "curve export grid size (default 200)"),
+    _Option("--weight-upper", _positive,
+            help="upper end of the MISE integration window"),
+    _Option("--time-grid-size", _at_least(2), 100,
+            "integration grid size (default 100)"),
+    _Option("--seed", _as_int, 1, "master random seed (default 1)"),
+    _Option("--out", _text, help="output file (relative paths resolve "
+            f"against ${_OUTDIR_ENV} or the working directory)"),
+    _Option("--format", _text, "csv", "table format (default csv)",
+            choices=("csv", "json")),
+    _Option("--config", _text, help="flat JSON file with defaults for any "
+            "flag of this subcommand (explicit flags win)"),
+)}
+
+# how estimate and selectbw get their sample; recorded as "source"
+_SOURCE = (
+    "data", "covariate_col", "time_col", "delta_col", "group_col",
+    "delimiter", "no_header", "group", "model", "n",
+)
+_OUTPUT = ("out", "format")
+
+
+def _load_config(path):
+    """Flat JSON object whose keys mirror the long flag names."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a flat JSON object")
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            raise ConfigError(f"config field {key!r}: nested objects not allowed")
+    return raw
+
+
+def _resolve(name, args):
+    """Each option of subcommand ``name``: flag, else config file, else default."""
+    keys = _COMMANDS[name].keys
+    config = _load_config(args.config)
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"config field(s) not understood by {name}: {', '.join(unknown)}"
+        )
+    opts = {}
+    for key in keys:
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key)
+        option = _OPTIONS[key]
+        opts[key] = option.default if value is None else option.resolve(value)
+    return opts
+
+
+def _require(opts, key):
+    value = opts[key]
+    if value is None or value == []:
+        raise ConfigError(f"missing required setting {_OPTIONS[key].flag}")
+    return value
+
+
+def _model(opts):
+    return _MODELS[_require(opts, "model")]()
 
 
 def _covariate_seed(seed: int, index: int) -> int:
@@ -181,196 +287,164 @@ def _covariate_seed(seed: int, index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _emit(out_path: Path, fmt, columns, rows, command, config_used, summary):
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_table(out_path, fmt, columns, rows)
+def _emit(command, opts, stem, columns, rows, summary, **recorded):
+    """Write the table and its sidecar; return the table's path.
+
+    The sidecar's ``config`` holds the command's resolved options,
+    updated with ``recorded``.
+    """
+    out = Path(os.environ.get(_OUTDIR_ENV, ".")) / (
+        opts["out"] or f"{stem}.{opts['format']}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_table(out, opts["format"], columns, rows)
+    config = {key: opts[key] for key in _COMMANDS[command].options}
+    config.update(recorded, out=str(out))
     meta = {
         "command": command,
-        "config": config_used,
+        "config": config,
         "summary": summary,
         "version": __version__,
     }
-    write_meta(Path(str(out_path) + ".meta.json"), meta)
+    write_meta(Path(str(out) + ".meta.json"), meta)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # data sources
 
-_SCHEMA_KEYS = (
-    "data", "covariate_col", "time_col", "delta_col", "group_col",
-    "delimiter", "no_header", "group",
-)
-_SOURCE_KEYS = _SCHEMA_KEYS + ("model", "n", "seed")
-
-
-def _resolve_sample(args, config):
-    """Sample from ``--data`` (ingested file) or ``--model`` (generated)."""
-    data = _pick(args, config, "data")
-    if data is not None:
-        schema = DatasetSchema(
-            covariate=str(_pick(args, config, "covariate_col", "age")),
-            time=str(_pick(args, config, "time_col", "time")),
-            delta=str(_pick(args, config, "delta_col", "delta")),
-            group=_pick(args, config, "group_col"),
-            delimiter=str(_pick(args, config, "delimiter", ",")),
-            header=not _flag(args, config, "no_header"),
-        )
-        groups = _str_list(args, config, "group")
-        report = ingest(data, schema, groups)
-        source = {
-            "data": str(data),
-            "group": groups,
-            "rows_read": report.rows_read,
-            "rows_kept": report.rows_kept,
-            "n_censored": report.n_censored,
-            "censoring_fraction": report.censoring_fraction,
-        }
-        return report.sample, source
-
-    mid = _pick(args, config, "model")
-    if mid is None:
-        raise ConfigError("need a data source: --data FILE or --model {1,2}")
-    spec = _model_spec(_as_int(mid, "--model"))
-    n = _as_int(_require(_pick(args, config, "n"), "--n"), "--n")
-    if n < 1:
-        raise ConfigError("--n must be positive")
-    seed = _as_int(_pick(args, config, "seed", 1), "--seed")
-    sample = generate(spec, n, trial_rng(seed, 0))
+def _generate(opts):
+    """``--n`` rows drawn from ``--model`` at ``--seed``, and their record."""
+    spec = _model(opts)
+    n = _require(opts, "n")
+    sample = generate(spec, n, trial_rng(opts["seed"], 0))
     source = {
         "model": spec.model_id,
         "n": n,
-        "seed": seed,
+        "seed": opts["seed"],
         "n_censored": int(np.sum(sample.delta == 0)),
     }
     return sample, source
 
 
+def _resolve_sample(opts):
+    """Sample from ``--data`` (ingested file) or ``--model`` (generated)."""
+    if opts["data"] is None:
+        if opts["model"] is None:
+            raise ConfigError("need a data source: --data FILE or --model {1,2}")
+        return _generate(opts)
+    schema = DatasetSchema(
+        covariate=opts["covariate_col"],
+        time=opts["time_col"],
+        delta=opts["delta_col"],
+        group=opts["group_col"],
+        delimiter=opts["delimiter"],
+        header=not opts["no_header"],
+    )
+    report = ingest(opts["data"], schema, opts["group"])
+    source = {
+        "data": opts["data"],
+        "group": opts["group"],
+        "rows_read": report.rows_read,
+        "rows_kept": report.rows_kept,
+        "n_censored": report.n_censored,
+        "censoring_fraction": report.censoring_fraction,
+    }
+    return report.sample, source
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
-_SIMULATE_KEYS = ("model", "n", "seed", "out", "format")
+def _mise_star_at(sample, opts, index, xv):
+    """Bootstrap MISE* curve at the ``index``-th ``--x``, on its own seed."""
+    config = BootstrapConfig(
+        B=opts["B"], grid=_log_grid(opts["grid"]),
+        seed=_covariate_seed(opts["seed"], index), pilot_c=opts["pilot_c"],
+    )
+    return mise_star(sample, xv, config)
 
 
-def _cmd_simulate(args, config):
-    _check_config_keys(config, _SIMULATE_KEYS, "simulate")
-    mid = _as_int(_require(_pick(args, config, "model"), "--model"), "--model")
-    spec = _model_spec(mid)
-    n = _as_int(_require(_pick(args, config, "n"), "--n"), "--n")
-    if n < 1:
-        raise ConfigError("--n must be positive")
-    seed = _as_int(_pick(args, config, "seed", 1), "--seed")
-    fmt = _format(args, config)
+def _each_x(xs, rows_at, what):
+    """Rows of ``rows_at(index, x)`` over every ``--x``, and the failures.
 
-    sample = generate(spec, n, trial_rng(seed, 0))
-    n_censored = int(np.sum(sample.delta == 0))
-    out = _out_path(args, config, f"simulate_model{mid}.{fmt}")
-    config_used = {
-        "model": mid, "n": n, "seed": seed, "format": fmt, "out": str(out),
-    }
+    An estimation failure at one covariate value is recorded and the
+    rest go on; failing at all of them is fatal.
+    """
+    rows = []
+    failures = []
+    for i, xv in enumerate(xs):
+        try:
+            rows.extend(rows_at(i, xv))
+        except EstimationError as exc:
+            failures.append({"x": xv, "error": str(exc)})
+    if not rows:
+        raise EstimationError(
+            f"{what} failed at every covariate value: "
+            + "; ".join(f"x={f['x']}: {f['error']}" for f in failures)
+        )
+    return rows, failures
+
+
+def _cmd_simulate(opts):
+    sample, source = _generate(opts)
+    n, n_censored = source["n"], source["n_censored"]
     summary = {
         "n": n,
         "n_censored": n_censored,
         "censoring_fraction": n_censored / n,
     }
     rows = zip(sample.x, sample.t, sample.delta)
-    _emit(out, fmt, ("x", "t", "delta"), rows, "simulate", config_used, summary)
+    out = _emit("simulate", opts, f"simulate_model{opts['model']}",
+                ("x", "t", "delta"), rows, summary)
     print(f"wrote {out}: {n} rows, {n_censored} censored")
     return EXIT_OK
 
 
-_ESTIMATE_KEYS = _SOURCE_KEYS + (
-    "x", "h", "h2", "clamp", "grid", "B", "pilot_c", "time_points",
-    "out", "format",
-)
-
-
-def _cmd_estimate(args, config):
-    _check_config_keys(config, _ESTIMATE_KEYS, "estimate")
-    sample, source = _resolve_sample(args, config)
-    xs = _float_list(args, config, "x", "--x")
-    if not xs:
-        raise ConfigError("missing required setting --x")
-    fmt = _format(args, config)
-    h_raw = _pick(args, config, "h", "auto")
-    h2_raw = _pick(args, config, "h2")
-    clamp = _flag(args, config, "clamp")
-    time_points = _as_int(_pick(args, config, "time_points", 200), "--time-points")
-    if time_points < 2:
-        raise ConfigError("--time-points must be at least 2")
-
-    auto = isinstance(h_raw, str) and h_raw.lower() == "auto"
-    grid = bootstrap_b = pilot_c = seed = h_fixed = None
+def _cmd_estimate(opts):
+    sample, source = _resolve_sample(opts)
+    xs = _require(opts, "x")
+    h, h2 = opts["h"], opts["h2"]
+    auto = h == "auto"
     if auto:
-        if h2_raw is not None:
+        if h2 is not None:
             raise ConfigError("--h2 requires a fixed --h, not auto selection")
-        grid = _parse_grid(
-            _require(_pick(args, config, "grid"), "--grid (required with --h auto)"),
-            "--grid",
-        )
-        bootstrap_b = _as_int(_pick(args, config, "B", 100), "--B")
-        pilot_c = _as_float(_pick(args, config, "pilot_c", 0.75), "--pilot-c")
-        seed = _as_int(_pick(args, config, "seed", 1), "--seed")
-    else:
-        h_fixed = _as_float(h_raw, "--h")
-        if h_fixed <= 0.0:
-            raise ConfigError("--h must be positive")
-        if h2_raw is not None and _as_float(h2_raw, "--h2") <= 0.0:
-            raise ConfigError("--h2 must be positive")
+        if opts["grid"] is None:
+            raise ConfigError("missing required setting --grid "
+                              "(required with --h auto)")
 
-    rows = []
-    failures = []
     selections = []
-    for i, xv in enumerate(xs):
-        try:
-            if auto:
-                bcfg = BootstrapConfig(
-                    B=bootstrap_b, grid=grid,
-                    seed=_covariate_seed(seed, i), pilot_c=pilot_c,
-                )
-                curve = mise_star(sample, xv, bcfg)
-                h_used = curve.selected
-                selections.append({
-                    "x": xv,
-                    "h_star": h_used,
-                    "pilot_bandwidth": curve.pilot_bandwidth,
-                    "resample_failures": int(curve.failures.sum()),
-                })
-            else:
-                h_used = h_fixed
-            if h2_raw is not None:
-                fit = latency_estimate_two_bw(
-                    sample, xv, h_used, _as_float(h2_raw, "--h2"), clamp=clamp,
-                )
-            else:
-                fit = latency_estimate(sample, xv, h_used)
-            tgrid = np.linspace(0.0, fit.t_max_uncensored, time_points)
-            latency = fit.latency.evaluate(tgrid)
-            h2_used = fit.h2 if fit.h2 is not None else h_used
-            rows.extend(
-                (xv, h_used, h2_used, fit.incidence, tv, lv)
-                for tv, lv in zip(tgrid, latency)
-            )
-        except EstimationError as exc:
-            failures.append({"x": xv, "error": str(exc)})
-    if not rows:
-        raise EstimationError(
-            "estimation failed at every covariate value: "
-            + "; ".join(f"x={f['x']}: {f['error']}" for f in failures)
-        )
 
-    out = _out_path(args, config, f"estimate.{fmt}")
-    config_used = {
-        "x": xs, "h": h_raw, "h2": h2_raw, "clamp": clamp,
-        "grid": None if grid is None else str(
-            _pick(args, config, "grid")),
-        "B": bootstrap_b, "pilot_c": pilot_c, "seed": seed,
-        "time_points": time_points, "format": fmt, "out": str(out),
-        "source": source,
-    }
-    summary = {"failures": failures, "selections": selections}
-    _emit(
-        out, fmt, ("x", "h", "h2", "incidence", "t", "latency"), rows,
-        "estimate", config_used, summary,
+    def rows_at(i, xv):
+        h_used = h
+        if auto:
+            curve = _mise_star_at(sample, opts, i, xv)
+            h_used = curve.selected
+            selections.append({
+                "x": xv,
+                "h_star": h_used,
+                "pilot_bandwidth": curve.pilot_bandwidth,
+                "resample_failures": int(curve.failures.sum()),
+            })
+        if h2 is not None:
+            fit = latency_estimate_two_bw(
+                sample, xv, h_used, h2, clamp=opts["clamp"])
+        else:
+            fit = latency_estimate(sample, xv, h_used)
+        tgrid = np.linspace(0.0, fit.t_max_uncensored, opts["time_points"])
+        latency = fit.latency.evaluate(tgrid)
+        h2_used = fit.h2 if fit.h2 is not None else h_used
+        return [(xv, h_used, h2_used, fit.incidence, tv, lv)
+                for tv, lv in zip(tgrid, latency)]
+
+    rows, failures = _each_x(xs, rows_at, "estimation")
+    # a fixed bandwidth runs no bootstrap: its settings are recorded as
+    # null (a generated sample's seed is in source)
+    unused = {} if auto else dict.fromkeys(("grid", "B", "pilot_c", "seed"))
+    out = _emit(
+        "estimate", opts, "estimate",
+        ("x", "h", "h2", "incidence", "t", "latency"), rows,
+        {"failures": failures, "selections": selections},
+        source=source, **unused,
     )
     print(
         f"wrote {out}: {len(xs) - len(failures)} of {len(xs)} covariate values"
@@ -378,102 +452,45 @@ def _cmd_estimate(args, config):
     return EXIT_OK
 
 
-_SELECTBW_KEYS = _SOURCE_KEYS + (
-    "x", "grid", "B", "pilot_c", "out", "format",
-)
-
-
-def _cmd_selectbw(args, config):
-    _check_config_keys(config, _SELECTBW_KEYS, "selectbw")
-    sample, source = _resolve_sample(args, config)
-    xs = _float_list(args, config, "x", "--x")
-    if not xs:
-        raise ConfigError("missing required setting --x")
-    fmt = _format(args, config)
-    grid = _parse_grid(_require(_pick(args, config, "grid"), "--grid"), "--grid")
-    bootstrap_b = _as_int(_pick(args, config, "B", 100), "--B")
-    pilot_c = _as_float(_pick(args, config, "pilot_c", 0.75), "--pilot-c")
-    seed = _as_int(_pick(args, config, "seed", 1), "--seed")
-
-    rows = []
-    failures = []
+def _cmd_selectbw(opts):
+    sample, source = _resolve_sample(opts)
+    xs = _require(opts, "x")
+    _require(opts, "grid")
     selections = []
-    for i, xv in enumerate(xs):
-        try:
-            bcfg = BootstrapConfig(
-                B=bootstrap_b, grid=grid,
-                seed=_covariate_seed(seed, i), pilot_c=pilot_c,
-            )
-            curve = mise_star(sample, xv, bcfg)
-        except EstimationError as exc:
-            failures.append({"x": xv, "error": str(exc)})
-            continue
+
+    def rows_at(i, xv):
+        curve = _mise_star_at(sample, opts, i, xv)
         selections.append({
             "x": xv,
             "h_star": curve.selected,
             "pilot_bandwidth": curve.pilot_bandwidth,
             "weight_upper": curve.weight_upper,
         })
-        rows.extend(
-            (xv, h, v, int(f))
-            for h, v, f in zip(grid.values, curve.values, curve.failures)
-        )
-    if not rows:
-        raise EstimationError(
-            "selection failed at every covariate value: "
-            + "; ".join(f"x={f['x']}: {f['error']}" for f in failures)
-        )
+        return [(xv, h, v, int(f)) for h, v, f in
+                zip(curve.grid.values, curve.values, curve.failures)]
 
-    out = _out_path(args, config, f"selectbw.{fmt}")
-    config_used = {
-        "x": xs, "grid": str(_pick(args, config, "grid")), "B": bootstrap_b,
-        "pilot_c": pilot_c, "seed": seed, "format": fmt, "out": str(out),
-        "source": source,
-    }
-    summary = {"failures": failures, "selections": selections}
-    _emit(
-        out, fmt, ("x", "h", "mise_star", "failures"), rows,
-        "selectbw", config_used, summary,
+    rows, failures = _each_x(xs, rows_at, "selection")
+    out = _emit(
+        "selectbw", opts, "selectbw", ("x", "h", "mise_star", "failures"),
+        rows, {"failures": failures, "selections": selections}, source=source,
     )
     for sel in selections:
         print(f"x={sel['x']}: h_star={sel['h_star']}")
     return EXIT_OK
 
 
-_MISE_KEYS = (
-    "model", "n", "m", "x", "grid", "grid2", "surface", "seed",
-    "weight_upper", "time_grid_size", "out", "format",
-)
-
-
-def _cmd_mise(args, config):
-    _check_config_keys(config, _MISE_KEYS, "mise")
-    mid = _as_int(_require(_pick(args, config, "model"), "--model"), "--model")
-    spec = _model_spec(mid)
-    n = _as_int(_require(_pick(args, config, "n"), "--n"), "--n")
-    m = _as_int(_require(_pick(args, config, "m"), "--m"), "--m")
-    if n < 1 or m < 1:
-        raise ConfigError("--n and --m must be positive")
-    xs = _float_list(args, config, "x", "--x")
-    if not xs:
-        raise ConfigError("missing required setting --x")
-    grid = _parse_grid(_require(_pick(args, config, "grid"), "--grid"), "--grid")
-    grid2_raw = _pick(args, config, "grid2")
-    surface = _flag(args, config, "surface") or grid2_raw is not None
-    grid2 = grid if grid2_raw is None else _parse_grid(grid2_raw, "--grid2")
-    seed = _as_int(_pick(args, config, "seed", 1), "--seed")
-    weight_upper = _pick(args, config, "weight_upper")
-    if weight_upper is not None:
-        weight_upper = _as_float(weight_upper, "--weight-upper")
-    time_grid_size = _as_int(
-        _pick(args, config, "time_grid_size", 100), "--time-grid-size")
-    fmt = _format(args, config)
-    try:
-        ecfg = ExperimentConfig(
-            seed=seed, weight_upper=weight_upper, time_grid_size=time_grid_size,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _cmd_mise(opts):
+    spec = _model(opts)
+    n = _require(opts, "n")
+    m = _require(opts, "m")
+    xs = _require(opts, "x")
+    grid = _log_grid(_require(opts, "grid"))
+    surface = opts["surface"] or opts["grid2"] is not None
+    grid2 = grid if opts["grid2"] is None else _log_grid(opts["grid2"])
+    ecfg = ExperimentConfig(
+        seed=opts["seed"], weight_upper=opts["weight_upper"],
+        time_grid_size=opts["time_grid_size"],
+    )
 
     rows = []
     minima = []
@@ -502,35 +519,20 @@ def _cmd_mise(args, config):
             )
         columns = ("x", "h", "mise", "trials_used")
 
-    out = _out_path(args, config, f"mise_model{mid}.{fmt}")
-    config_used = {
-        "model": mid, "n": n, "m": m, "x": xs,
-        "grid": str(_pick(args, config, "grid")),
-        "grid2": None if grid2_raw is None else str(grid2_raw),
-        "surface": surface, "seed": seed, "weight_upper": weight_upper,
-        "time_grid_size": time_grid_size, "format": fmt, "out": str(out),
-    }
-    _emit(out, fmt, columns, rows, "mise", config_used, {"minima": minima})
+    out = _emit("mise", opts, f"mise_model{opts['model']}", columns, rows,
+                {"minima": minima}, surface=surface)
     print(f"wrote {out}: {len(rows)} rows")
     return EXIT_OK
 
 
-_ORACLE_KEYS = ("model", "t", "x", "h", "n", "out", "format")
-
-
-def _cmd_oracle(args, config):
-    _check_config_keys(config, _ORACLE_KEYS, "oracle")
-    mid = _as_int(_require(_pick(args, config, "model"), "--model"), "--model")
-    spec = _model_spec(mid)
-    ts = _float_list(args, config, "t", "--t")
-    xs = _float_list(args, config, "x", "--x")
-    if not ts or not xs:
-        raise ConfigError("missing required setting --t / --x")
-    h = _as_float(_require(_pick(args, config, "h"), "--h"), "--h")
-    n = _as_int(_require(_pick(args, config, "n"), "--n"), "--n")
-    if h <= 0.0 or n < 1:
-        raise ConfigError("--h must be positive and --n at least 1")
-    fmt = _format(args, config)
+def _cmd_oracle(opts):
+    spec = _model(opts)
+    ts = _require(opts, "t")
+    xs = _require(opts, "x")
+    h = opts["h"]
+    if h == "auto":
+        raise ConfigError("oracle needs a numeric --h")
+    n = _require(opts, "n")
 
     pop = population_from_model(spec)
     rows = []
@@ -556,21 +558,15 @@ def _cmd_oracle(args, config):
             )
         )
 
-    out = _out_path(args, config, f"oracle_model{mid}.{fmt}")
-    config_used = {
-        "model": mid, "t": ts, "x": xs, "h": h, "n": n,
-        "format": fmt, "out": str(out),
-    }
     columns = (
         "t", "x", "h", "n", "b1", "b2", "v1", "v2", "v3",
         "bias_term", "variance_term", "amse",
     )
-    _emit(out, fmt, columns, rows, "oracle", config_used, {"failures": failures})
+    out = _emit("oracle", opts, f"oracle_model{opts['model']}", columns, rows,
+                {"failures": failures})
     print(f"wrote {out}: {len(rows)} rows")
     return EXIT_OK
 
-
-_SYNTH_KEYS = ("seed", "out", "format")
 
 _SYNTH_STAGES = (1, 2, 3, 4)
 _SYNTH_TOTALS = (62, 167, 133, 52)
@@ -578,17 +574,14 @@ _SYNTH_CENSORED = (44, 92, 53, 16)
 _SYNTH_TIME_SCALE = {1: 60.0, 2: 45.0, 3: 25.0, 4: 12.0}
 
 
-def _cmd_synth_data(args, config):
+def _cmd_synth_data(opts):
     """A synthetic clinical-shaped file with fixed per-group marginals.
 
     Row counts and censored counts per group are fixed by construction
     (414 rows, 205 censored overall); ages and times vary with the
     seed.  Times are in months, later groups having worse prognosis.
     """
-    _check_config_keys(config, _SYNTH_KEYS, "synth-data")
-    seed = _as_int(_pick(args, config, "seed", 1), "--seed")
-    fmt = _format(args, config)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(opts["seed"])
 
     rows = []
     for stage, total, censored in zip(
@@ -612,8 +605,6 @@ def _cmd_synth_data(args, config):
 
     total_rows = sum(_SYNTH_TOTALS)
     total_censored = sum(_SYNTH_CENSORED)
-    out = _out_path(args, config, f"synthetic_cancer.{fmt}")
-    config_used = {"seed": seed, "format": fmt, "out": str(out)}
     summary = {
         "rows": total_rows,
         "n_censored": total_censored,
@@ -623,10 +614,8 @@ def _cmd_synth_data(args, config):
             for s, t, c in zip(_SYNTH_STAGES, _SYNTH_TOTALS, _SYNTH_CENSORED)
         ],
     }
-    _emit(
-        out, fmt, ("stage", "age", "time", "delta"), rows,
-        "synth-data", config_used, summary,
-    )
+    out = _emit("synth-data", opts, "synthetic_cancer",
+                ("stage", "age", "time", "delta"), rows, summary)
     print(
         f"wrote {out}: {total_rows} rows, {total_censored} censored "
         f"({100.0 * total_censored / total_rows:.2f}%)"
@@ -635,37 +624,57 @@ def _cmd_synth_data(args, config):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# subcommand table and parser
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, help="master random seed")
-    sub.add_argument("--out", help="output file (relative paths resolve "
-                     f"against ${_OUTDIR_ENV} or the working directory)")
-    sub.add_argument("--format", choices=("csv", "json"),
-                     help="table format (default csv)")
-    sub.add_argument("--config", help="flat JSON file with defaults for any "
-                     "flag of this subcommand (explicit flags win)")
+class _Command(NamedTuple):
+    """A subcommand: what it runs and the options it takes.
+
+    The sidecar records ``options``; a command that reads a sample also
+    takes the ``_SOURCE`` options and records them as ``source``.  Every
+    command takes ``--config``, whose keys are the command's ``keys``.
+    """
+
+    run: Callable[[dict], int]
+    help: str
+    options: tuple
+    reads_sample: bool = False
+
+    @property
+    def keys(self) -> tuple:
+        return (_SOURCE if self.reads_sample else ()) + self.options
 
 
-def _add_source(sub):
-    sub.add_argument("--data", help="delimited data file to ingest")
-    sub.add_argument("--covariate-col", dest="covariate_col",
-                     help="covariate column (default: age)")
-    sub.add_argument("--time-col", dest="time_col",
-                     help="time column (default: time)")
-    sub.add_argument("--delta-col", dest="delta_col",
-                     help="event indicator column (default: delta)")
-    sub.add_argument("--group-col", dest="group_col",
-                     help="grouping column used by --group")
-    sub.add_argument("--delimiter", help="field delimiter (default: comma)")
-    sub.add_argument("--no-header", dest="no_header", action="store_true",
-                     default=None,
-                     help="file has no header; address columns by index")
-    sub.add_argument("--group", action="append",
-                     help="keep only rows with this group label (repeatable)")
-    sub.add_argument("--model", type=int, help="generate from model 1 or 2 "
-                     "instead of reading a file")
-    sub.add_argument("--n", type=int, help="generated sample size")
+_COMMANDS = {
+    "estimate": _Command(
+        _cmd_estimate, "incidence and latency curves at covariate values",
+        ("x", "h", "h2", "clamp", "grid", "B", "pilot_c", "time_points",
+         "seed") + _OUTPUT,
+        reads_sample=True,
+    ),
+    "simulate": _Command(
+        _cmd_simulate, "draw one sample from a model",
+        ("model", "n", "seed") + _OUTPUT,
+    ),
+    "selectbw": _Command(
+        _cmd_selectbw, "bootstrap MISE curve and selected bandwidth",
+        ("x", "grid", "B", "pilot_c", "seed") + _OUTPUT,
+        reads_sample=True,
+    ),
+    "mise": _Command(
+        _cmd_mise, "Monte Carlo MISE of the latency estimate over a grid",
+        ("model", "n", "m", "x", "grid", "grid2", "surface", "weight_upper",
+         "time_grid_size", "seed") + _OUTPUT,
+    ),
+    "oracle": _Command(
+        _cmd_oracle, "asymptotic bias/variance components and AMSE",
+        ("model", "t", "x", "h", "n") + _OUTPUT,
+    ),
+    "synth-data": _Command(
+        _cmd_synth_data, "write a synthetic clinical-shaped data file with "
+        "fixed group marginals",
+        ("seed",) + _OUTPUT,
+    ),
+}
 
 
 def _build_parser():
@@ -677,101 +686,30 @@ def _build_parser():
         "bias/variance oracle.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    est = sub.add_parser(
-        "estimate",
-        help="incidence and latency curves at covariate values",
-    )
-    _add_source(est)
-    est.add_argument("--x", action="append", type=float,
-                     help="covariate value to estimate at (repeatable)")
-    est.add_argument("--h", help="bandwidth, or 'auto' for the bootstrap "
-                     "selector (default auto)")
-    est.add_argument("--h2", type=float,
-                     help="separate incidence bandwidth (fixed --h only)")
-    est.add_argument("--clamp", action="store_true", default=None,
-                     help="clip two-bandwidth latency into [0, 1], monotone")
-    est.add_argument("--grid", help="bandwidth grid lo:hi:count (log spaced)")
-    est.add_argument("--B", type=int, help="bootstrap resamples (default 100)")
-    est.add_argument("--pilot-c", dest="pilot_c", type=float,
-                     help="pilot bandwidth constant (default 0.75)")
-    est.add_argument("--time-points", dest="time_points", type=int,
-                     help="curve export grid size (default 200)")
-    _add_common(est)
-    est.set_defaults(func=_cmd_estimate)
-
-    sim = sub.add_parser("simulate", help="draw one sample from a model")
-    sim.add_argument("--model", type=int, help="model 1 or 2")
-    sim.add_argument("--n", type=int, help="sample size")
-    _add_common(sim)
-    sim.set_defaults(func=_cmd_simulate)
-
-    sel = sub.add_parser(
-        "selectbw", help="bootstrap MISE curve and selected bandwidth",
-    )
-    _add_source(sel)
-    sel.add_argument("--x", action="append", type=float,
-                     help="covariate value (repeatable)")
-    sel.add_argument("--grid", help="bandwidth grid lo:hi:count (log spaced)")
-    sel.add_argument("--B", type=int, help="bootstrap resamples (default 100)")
-    sel.add_argument("--pilot-c", dest="pilot_c", type=float,
-                     help="pilot bandwidth constant (default 0.75)")
-    _add_common(sel)
-    sel.set_defaults(func=_cmd_selectbw)
-
-    mise = sub.add_parser(
-        "mise", help="Monte Carlo MISE of the latency estimate over a grid",
-    )
-    mise.add_argument("--model", type=int, help="model 1 or 2")
-    mise.add_argument("--n", type=int, help="sample size per trial")
-    mise.add_argument("--m", type=int, help="number of trials")
-    mise.add_argument("--x", action="append", type=float,
-                      help="covariate value (repeatable)")
-    mise.add_argument("--grid", help="bandwidth grid lo:hi:count (log spaced)")
-    mise.add_argument("--grid2", help="second grid for the two-bandwidth "
-                      "surface (defaults to --grid)")
-    mise.add_argument("--surface", action="store_true", default=None,
-                      help="compute the two-bandwidth MISE surface")
-    mise.add_argument("--weight-upper", dest="weight_upper", type=float,
-                      help="upper end of the MISE integration window")
-    mise.add_argument("--time-grid-size", dest="time_grid_size", type=int,
-                      help="integration grid size (default 100)")
-    _add_common(mise)
-    mise.set_defaults(func=_cmd_mise)
-
-    orc = sub.add_parser(
-        "oracle", help="asymptotic bias/variance components and AMSE",
-    )
-    orc.add_argument("--model", type=int, help="model 1 or 2")
-    orc.add_argument("--t", action="append", type=float,
-                     help="time point (repeatable)")
-    orc.add_argument("--x", action="append", type=float,
-                     help="covariate value (repeatable)")
-    orc.add_argument("--h", type=float, help="bandwidth")
-    orc.add_argument("--n", type=int, help="sample size in the variance term")
-    _add_common(orc)
-    orc.set_defaults(func=_cmd_oracle)
-
-    synth = sub.add_parser(
-        "synth-data",
-        help="write a synthetic clinical-shaped data file with fixed "
-        "group marginals",
-    )
-    _add_common(synth)
-    synth.set_defaults(func=_cmd_synth_data)
-
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for key in (*command.keys, "config"):
+            option = _OPTIONS[key]
+            # every value stays a string until _resolve converts it;
+            # None means the flag was not given
+            if option.repeat:
+                extra = {"action": "append"}
+            elif option.convert is _switch:
+                extra = {"action": "store_true", "default": None}
+            else:
+                extra = {"choices": option.choices}
+            cmd.add_argument(option.flag, dest=key, help=option.help, **extra)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        return _COMMANDS[args.command].run(_resolve(args.command, args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

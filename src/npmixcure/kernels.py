@@ -16,7 +16,6 @@ __all__ = [
     "Kernel",
     "EPANECHNIKOV",
     "WeightVector",
-    "kernel_eval",
     "nw_weights",
 ]
 
@@ -62,11 +61,6 @@ class WeightVector(NamedTuple):
 
     weights: np.ndarray
     empty: bool
-
-
-def kernel_eval(kernel: Kernel, u) -> np.ndarray:
-    """Evaluate the kernel density at (an array of) points."""
-    return kernel.density(np.asarray(u, dtype=float))
 
 
 def nw_weights(kernel: Kernel, x: float, xs: np.ndarray, h: float) -> WeightVector:

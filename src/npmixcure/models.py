@@ -22,12 +22,9 @@ __all__ = [
     "ExponentialCensoring",
     "NoCensoring",
     "ModelSpec",
-    "TrialBatch",
     "model1",
     "model2",
     "generate",
-    "generate_batch",
-    "true_latency",
     "COVARIATE_WINDOW",
 ]
 
@@ -119,25 +116,6 @@ class ModelSpec:
     latency_density: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     s0_upper: Callable[[float], float] | None = None
     params: dict = field(default_factory=dict)
-
-
-@dataclass
-class TrialBatch:
-    """Samples for a Monte Carlo experiment plus how to regenerate them.
-
-    Trial ``j`` was generated with the stream spawned from
-    ``(master_seed, j)``, so the batch can be rebuilt bit-for-bit from
-    the metadata alone.
-    """
-
-    model_id: str
-    master_seed: int
-    n: int
-    samples: list
-
-    @property
-    def m(self) -> int:
-        return len(self.samples)
 
 
 def _logistic(z):
@@ -319,15 +297,3 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
     )
-
-
-def generate_batch(spec: ModelSpec, n: int, m: int, master_seed: int) -> TrialBatch:
-    """Generate ``m`` independent samples with per-trial spawned streams."""
-    samples = [generate(spec, n, trial_rng(master_seed, j)) for j in range(m)]
-    return TrialBatch(model_id=spec.model_id, master_seed=master_seed, n=n,
-                      samples=samples)
-
-
-def true_latency(spec: ModelSpec, t, x):
-    """The population latency survival ``s0(t|x)``."""
-    return spec.s0(t, x)

@@ -41,7 +41,6 @@ __all__ = [
     "population_from_model",
     "phi",
     "phi1",
-    "phi2",
     "phi2_terms",
     "phi_y_derivatives",
     "bias_variance_terms",
@@ -202,11 +201,6 @@ def phi1(pop: PopulationFunctions, t: float, x: float) -> float:
         return float(pop.h1_density(v, x)) / (r * r)
 
     return adaptive_simpson(integrand, 0.0, upper, _TOL)
-
-
-def phi2(pop: PopulationFunctions, t: float, x: float) -> float:
-    """Diagonal covariance transform; coincides with :func:`phi1`."""
-    return phi1(pop, t, x)
 
 
 def phi2_terms(pop: PopulationFunctions, t: float, x: float):
@@ -423,7 +417,7 @@ def bias_variance_terms(
         dinf1, dinf2, phi1_inf = _inf_pieces
         b2 = -cured * (1.0 - s) / (p * p * m) * (dinf2 * m + 2.0 * dinf1 * m_prime)
         v2 = (cured * (1.0 - s) / (p * p)) ** 2 * phi1_inf / m
-        v3 = -cured * s * (1.0 - s) / (p**3 * m) * phi2(pop, t, x)
+        v3 = -cured * s * (1.0 - s) / (p**3 * m) * phi1(pop, t, x)
     return BiasVarianceTerms(t=t, x=x, b1=b1, b2=b2, v1=v1, v2=v2, v3=v3)
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "StepSurvivalCurve",
     "kaplan_meier",
     "beran",
-    "curve_eval",
 ]
 
 
@@ -119,11 +118,6 @@ class StepSurvivalCurve:
             return np.zeros(0)
         previous = np.concatenate(([self.initial_value], self.values[:-1]))
         return previous - self.values
-
-
-def curve_eval(curve: StepSurvivalCurve, t):
-    """Functional form of :meth:`StepSurvivalCurve.evaluate`."""
-    return curve.evaluate(t)
 
 
 def _product_limit(t_sorted, delta_sorted, weights) -> StepSurvivalCurve:

@@ -28,7 +28,6 @@ from npmixcure import (
     bootstrap_vs_optimal,
     generate,
     kaplan_meier,
-    kernel_eval,
     latency_estimate,
     latency_estimate_two_bw,
     log_grid,
@@ -84,7 +83,7 @@ def test_criterion_02_product_limit_reductions():
         assert np.max(np.abs(conditional.values - unconditional.values)) <= 1e-12
 
     # tiny samples against the direct product over sorted observations
-    kernel_density = lambda u: kernel_eval(EPANECHNIKOV, u)
+    kernel_density = EPANECHNIKOV.density
     checked = 0
     while checked < 100:
         n = int(rng.integers(1, 6))

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from npmixcure import (
+    EPANECHNIKOV,
     BootstrapConfig,
     CensoredSample,
     EstimationError,
@@ -13,10 +14,14 @@ from npmixcure import (
     mise_star,
     model1,
     pilot_bandwidth,
-    resample,
     select_bandwidth,
 )
-from npmixcure.bootstrap import BandwidthGrid, MiseCurve, _JumpDistribution
+from npmixcure.bootstrap import (
+    BandwidthGrid,
+    MiseCurve,
+    _JumpDistribution,
+    _ResamplingKit,
+)
 from npmixcure.models import trial_rng
 from npmixcure.survival import StepSurvivalCurve
 
@@ -123,22 +128,27 @@ class TestJumpDistribution:
             _JumpDistribution.from_curve(empty)
 
 
+def _resample(sample, g, rng):
+    # a fresh kit per resample, so kit building is checked too
+    return _ResamplingKit.build(sample, g, EPANECHNIKOV).draw(rng)
+
+
 class TestResample:
     def test_covariates_fixed_and_deterministic(self):
         sample = generate(model1(), 60, trial_rng(404, 0))
-        a = resample(sample, 5.0, np.random.default_rng(12))
-        b = resample(sample, 5.0, np.random.default_rng(12))
+        a = _resample(sample, 5.0, np.random.default_rng(12))
+        b = _resample(sample, 5.0, np.random.default_rng(12))
         assert np.array_equal(a.x, sample.x)
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.delta, b.delta)
-        c = resample(sample, 5.0, np.random.default_rng(13))
+        c = _resample(sample, 5.0, np.random.default_rng(13))
         assert not np.array_equal(a.t, c.t)
 
     def test_times_live_on_observed_support(self):
         # latency jumps sit at original event times and censoring atoms
         # at original times, so resampled times are observed times
         sample = generate(model1(), 60, trial_rng(404, 1))
-        star = resample(sample, 5.0, np.random.default_rng(3))
+        star = _resample(sample, 5.0, np.random.default_rng(3))
         observed = np.unique(sample.t)
         assert np.all(np.isin(star.t, observed))
         assert np.all(np.isfinite(star.t))

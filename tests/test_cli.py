@@ -52,6 +52,51 @@ def _sample_csv(tmp_path, n=60, seed=77):
     return path, sample
 
 
+def _written(outdir, name):
+    """Table bytes and sidecar text of one run, ``config.out`` masked."""
+    meta = _read_meta(outdir / name)
+    meta["config"]["out"] = "<out>"
+    return (outdir / name).read_bytes(), json.dumps(meta, sort_keys=True)
+
+
+# one run per subcommand, as flags and as a config file holding the same
+# settings in their natural JSON types; "DATA" stands for a sample file
+_EQUIVALENT_RUNS = {
+    "simulate": (
+        ["--model", "1", "--n", "20", "--seed", "6"],
+        {"model": 1, "n": 20, "seed": 6},
+    ),
+    "estimate": (
+        ["--model", "1", "--n", "50", "--seed", "5", "--x", "5", "--x", "8",
+         "--h", "15", "--h2", "40", "--clamp", "--time-points", "30"],
+        {"model": 1, "n": 50, "seed": 5, "x": [5, 8], "h": 15, "h2": 40,
+         "clamp": True, "time_points": 30},
+    ),
+    "selectbw": (
+        ["--data", "DATA", "--covariate-col", "age", "--x", "5",
+         "--grid", "8:60:3", "--B", "8", "--seed", "3"],
+        {"data": "DATA", "covariate_col": "age", "x": 5, "grid": "8:60:3",
+         "B": 8, "seed": 3},
+    ),
+    "mise": (
+        ["--model", "1", "--n", "40", "--m", "2", "--x", "5",
+         "--grid", "10:40:3", "--grid2", "15:50:2", "--weight-upper", "3",
+         "--time-grid-size", "50", "--seed", "21"],
+        {"model": 1, "n": 40, "m": 2, "x": 5, "grid": "10:40:3",
+         "grid2": "15:50:2", "weight_upper": 3, "time_grid_size": 50,
+         "seed": 21},
+    ),
+    "oracle": (
+        ["--model", "1", "--t", "0.5", "--x", "5", "--h", "12", "--n", "200"],
+        {"model": 1, "t": 0.5, "x": 5, "h": 12, "n": 200},
+    ),
+    "synth-data": (
+        ["--seed", "5", "--format", "json"],
+        {"seed": 5, "format": "json"},
+    ),
+}
+
+
 class TestSimulate:
     def test_matches_library_generation(self, _outdir, capsys):
         rc = main(["simulate", "--model", "1", "--n", "25", "--seed", "9",
@@ -271,15 +316,71 @@ class TestSynthData:
 
 
 class TestConfigAndErrors:
-    def test_config_file_equivalent_to_flags(self, _outdir, capsys, tmp_path):
+    @pytest.mark.parametrize("command", list(_EQUIVALENT_RUNS))
+    def test_config_file_equivalent_to_flags(self, _outdir, capsys, tmp_path,
+                                             command):
+        flags, settings = _EQUIVALENT_RUNS[command]
+        data, _ = _sample_csv(tmp_path, n=40)
+        flags = [str(data) if a == "DATA" else a for a in flags]
+        settings = {k: str(data) if v == "DATA" else v
+                    for k, v in settings.items()}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"model": 1, "n": 20, "seed": 6, "out": "a.csv"}
-        ))
-        assert main(["simulate", "--config", str(cfg)]) == 0
-        assert main(["simulate", "--model", "1", "--n", "20", "--seed", "6",
-                     "--out", "b.csv"]) == 0
-        assert (_outdir / "a.csv").read_bytes() == (_outdir / "b.csv").read_bytes()
+        cfg.write_text(json.dumps(settings))
+        assert main([command, *flags, "--out", "flags.out"]) == 0
+        assert main([command, "--config", str(cfg), "--out", "config.out"]) == 0
+        assert _written(_outdir, "flags.out") == _written(_outdir, "config.out")
+
+    @pytest.mark.parametrize("value", ["12", "-5"])
+    def test_scalar_string_for_repeatable_option(self, _outdir, capsys,
+                                                 tmp_path, value):
+        # a lone string converts like one --x flag, not character by
+        # character
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": 1, "n": 50, "seed": 5, "x": value,
+                                   "h": 15, "time_points": 5}))
+        assert main(["estimate", "--config", str(cfg), "--out", "c.csv"]) == 0
+        assert main(["estimate", "--model", "1", "--n", "50", "--seed", "5",
+                     "--x", value, "--h", "15", "--time-points", "5",
+                     "--out", "f.csv"]) == 0
+        assert _written(_outdir, "c.csv") == _written(_outdir, "f.csv")
+        assert _read_meta(_outdir / "c.csv")["config"]["x"] == [float(value)]
+
+    @pytest.mark.parametrize("command, switch, settings", [
+        ("mise", "surface", {"model": 1, "n": 40, "m": 2, "x": 5,
+                             "grid": "10:40:3"}),
+        ("estimate", "clamp", {"model": 1, "n": 50, "x": 5, "h": 10,
+                               "h2": 40}),
+        ("estimate", "no_header", {"data": "DATA", "x": 5, "h": 15}),
+    ], ids=["surface", "clamp", "no_header"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_switch_takes_only_json_booleans(self, _outdir, capsys, tmp_path,
+                                             command, switch, settings, value):
+        data, _ = _sample_csv(tmp_path)
+        settings = {k: str(data) if v == "DATA" else v
+                    for k, v in settings.items()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, switch: value}))
+        expect = 0 if value is None else 2
+        assert main([command, "--config", str(cfg), "--out", "s.csv"]) == expect
+
+    def test_json_false_leaves_switch_off(self, _outdir, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": 1, "n": 40, "m": 2, "x": 5,
+                                   "grid": "10:40:3", "surface": False}))
+        assert main(["mise", "--config", str(cfg), "--out", "m.csv"]) == 0
+        header, _rows = _read_csv(_outdir / "m.csv")
+        assert header == ["x", "h", "mise", "trials_used"]
+        assert _read_meta(_outdir / "m.csv")["config"]["surface"] is False
+
+    def test_oracle_takes_no_seed(self, _outdir, capsys, tmp_path):
+        argv = ["oracle", "--model", "1", "--t", "0.5", "--x", "5",
+                "--h", "12", "--n", "200"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "3"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        assert main([*argv, "--config", str(cfg)]) == 2
 
     def test_explicit_flag_beats_config(self, _outdir, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -319,6 +420,11 @@ class TestConfigAndErrors:
         path, _ = _sample_csv(tmp_path)
         assert main(["estimate", "--data", str(path), "--x", "5",
                      "--h", "0"]) == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_bandwidth(self, _outdir, capsys, value):
+        assert main(["estimate", "--model", "1", "--n", "50", "--x", "5",
+                     "--h", value]) == 2
 
     def test_missing_data_file_is_exit_3(self, _outdir, capsys):
         assert main(["estimate", "--data", "/definitely/not/here.csv",

@@ -4,29 +4,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from npmixcure import EPANECHNIKOV, kernel_eval, nw_weights
+from npmixcure import EPANECHNIKOV, nw_weights
 
 
 class TestEpanechnikov:
     def test_pointwise_values(self):
         # 0.75 (1 - u^2) on [-1, 1]: K(0) = 0.75, K(0.5) = 0.75 * 0.75
-        assert kernel_eval(EPANECHNIKOV, 0.0) == 0.75
-        assert kernel_eval(EPANECHNIKOV, 0.5) == 0.5625
-        assert kernel_eval(EPANECHNIKOV, 1.0) == 0.0
-        assert kernel_eval(EPANECHNIKOV, -1.0) == 0.0
-        assert kernel_eval(EPANECHNIKOV, 3.7) == 0.0
+        assert EPANECHNIKOV.density(0.0) == 0.75
+        assert EPANECHNIKOV.density(0.5) == 0.5625
+        assert EPANECHNIKOV.density(1.0) == 0.0
+        assert EPANECHNIKOV.density(-1.0) == 0.0
+        assert EPANECHNIKOV.density(3.7) == 0.0
 
     def test_symmetry(self):
         u = np.linspace(0.0, 1.5, 40)
         assert_allclose(
-            kernel_eval(EPANECHNIKOV, u), kernel_eval(EPANECHNIKOV, -u)
+            EPANECHNIKOV.density(u), EPANECHNIKOV.density(-u)
         )
 
     def test_moments_match_quadrature(self):
         # trapezoid on a fine grid: mass 1, second moment 0.2, square
         # integral 0.6
         u = np.linspace(-1.0, 1.0, 200001)
-        k = kernel_eval(EPANECHNIKOV, u)
+        k = EPANECHNIKOV.density(u)
         assert_allclose(np.trapezoid(k, u), 1.0, atol=1e-9)
         assert_allclose(
             np.trapezoid(u * u * k, u), EPANECHNIKOV.second_moment, atol=1e-9

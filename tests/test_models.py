@@ -12,10 +12,8 @@ from npmixcure import (
     NoCensoring,
     UniformCovariate,
     generate,
-    generate_batch,
     model1,
     model2,
-    true_latency,
 )
 from npmixcure.models import MODEL1_TAU0, trial_rng
 
@@ -190,23 +188,6 @@ class TestGeneration:
         spec = replace(model1(), censoring=NoCensoring())
         with pytest.raises(ValueError):
             generate(spec, 400, trial_rng(2, 0))
-
-    def test_batch_regeneration(self):
-        spec = model2()
-        batch = generate_batch(spec, 50, 4, master_seed=99)
-        assert batch.m == 4
-        assert batch.model_id == spec.model_id
-        again = generate_batch(spec, 50, 4, master_seed=99)
-        for s, s2 in zip(batch.samples, again.samples):
-            assert np.array_equal(s.t, s2.t)
-        # trial j is exactly generate() under the spawned stream
-        direct = generate(spec, 50, trial_rng(99, 2))
-        assert np.array_equal(batch.samples[2].t, direct.t)
-
-    def test_true_latency_delegates(self):
-        spec = model1()
-        t = np.linspace(0.0, 4.0, 9)
-        assert_allclose(true_latency(spec, t, 3.0), spec.s0(t, 3.0), atol=0)
 
     def test_conditional_draw_helper_tracks_population(self):
         # sanity for the test helper itself: at x=5 the uncured

@@ -16,7 +16,6 @@ from npmixcure.oracle import (
     h_amise,
     phi,
     phi1,
-    phi2,
     phi2_terms,
     phi_y_derivatives,
     population_from_model,
@@ -96,10 +95,6 @@ class TestPhiTransforms:
         left = phi(pop, 4.0, 1.0, 5.0)
         right = phi(pop, 6.0, 1.0, 5.0)
         assert left * right < 0.0
-
-    def test_phi2_equals_phi1_on_diagonal(self):
-        pop = _pop1()
-        assert phi2(pop, 1.0, 5.0) == phi1(pop, 1.0, 5.0)
 
     def test_decomposition_recombines_to_phi1(self):
         # the deliberately independent nested-quadrature route must

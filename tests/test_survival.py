@@ -11,9 +11,7 @@ from npmixcure import (
     NoUncensoredError,
     StepSurvivalCurve,
     beran,
-    curve_eval,
     kaplan_meier,
-    kernel_eval,
 )
 
 from helpers import beran_brute, km_grouped, random_censored_sample
@@ -62,7 +60,7 @@ class TestStepSurvivalCurve:
             c.evaluate(np.array([0.0, 1.0, 3.0])), [1.0, 0.5, 0.25]
         )
         assert_allclose(
-            curve_eval(c, np.array([0.0, 2.5])), [1.0, 0.25]
+            c.evaluate(np.array([0.0, 2.5])), [1.0, 0.25]
         )
 
     def test_empty_curve_is_constant(self):
@@ -167,7 +165,7 @@ class TestBeran:
             assert_allclose(conditional.values, unconditional.values, atol=1e-12)
 
     def test_matches_brute_force_products_on_small_samples(self):
-        kernel_density = lambda u: kernel_eval(EPANECHNIKOV, u)
+        kernel_density = EPANECHNIKOV.density
         rng = np.random.default_rng(2718)
         checked = 0
         while checked < 200:
