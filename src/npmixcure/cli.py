@@ -34,7 +34,13 @@ from .exceptions import ConfigError, DataError, EstimationError
 from .experiments import ExperimentConfig, true_mise, true_mise_two_bw
 from .io_utils import DatasetSchema, ingest, write_meta, write_table
 from .models import generate, model1, model2, trial_rng
-from .oracle import amse, population_from_model
+from .oracle import (
+    _guard,
+    _infinity_pieces,
+    amse,
+    bias_variance_terms,
+    population_from_model,
+)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -328,6 +334,13 @@ def _generate(opts):
 
 def _resolve_sample(opts):
     """Sample from ``--data`` (ingested file) or ``--model`` (generated)."""
+    mixed = [_OPTIONS[key].flag for key in ("model", "n")
+             if opts[key] is not None]
+    if opts["data"] is not None and mixed:
+        raise ConfigError(
+            f"{' and '.join(mixed)} cannot be combined with --data, which "
+            "reads the sample from a file"
+        )
     if opts["data"] is None:
         if opts["model"] is None:
             raise ConfigError("need a data source: --data FILE or --model {1,2}")
@@ -538,13 +551,19 @@ def _cmd_oracle(opts):
     rows = []
     failures = []
     for xv in xs:
+        # the t-independent full-support transforms at xv, computed at
+        # the first point past its support guard and reused for the rest
+        pieces = None
         for tv in ts:
             try:
-                report = amse(pop, tv, xv, h, n)
+                if pieces is None:
+                    _guard(pop, tv, xv)
+                    pieces = _infinity_pieces(pop, xv)
+                terms = bias_variance_terms(pop, tv, xv, _inf_pieces=pieces)
             except EstimationError as exc:
                 failures.append({"t": tv, "x": xv, "error": str(exc)})
                 continue
-            terms = report.terms
+            report = amse(pop, tv, xv, h, n, terms=terms)
             rows.append((
                 tv, xv, h, n,
                 terms.b1, terms.b2, terms.v1, terms.v2, terms.v3,

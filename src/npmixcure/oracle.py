@@ -31,7 +31,7 @@ import numpy as np
 from .exceptions import SupportGuardError
 from .kernels import EPANECHNIKOV, Kernel
 from .models import ModelSpec
-from .numerics import adaptive_simpson, central_diff
+from .numerics import adaptive_simpson, central_diff, composite_simpson
 
 __all__ = [
     "PopulationFunctions",
@@ -61,7 +61,9 @@ _TOL_INNER = 1e-10
 class PopulationFunctions:
     """Closed-form population quantities of a mixture cure process.
 
-    All callables are pointwise in ``(t, x)``.  ``latency_density`` is
+    All callables are pointwise in ``(t, x)`` and take arrays of times
+    (integrands call them on whole quadrature levels at once).
+    ``latency_density`` is
     ``-d s0/dt``; ``s0_upper(x)`` an upper end of the latency support
     (beyond it the density is numerically zero); ``m``/``m_prime`` the
     covariate density and its derivative; censoring is covariate free.
@@ -96,13 +98,13 @@ class PopulationFunctions:
         """``H1(t|x)``, by quadrature of the density."""
         upper = min(float(t), self.s0_upper(x))
         return adaptive_simpson(
-            lambda v: float(self.h1_density(v, x)), 0.0, upper, _TOL
+            lambda v: self.h1_density(v, x), 0.0, upper, _TOL
         )
 
 
 def _fd_latency_density(s0):
     def density(t, x):
-        step = 1e-6 * max(1.0, abs(float(t)))
+        step = 1e-6 * np.maximum(1.0, np.abs(t))
         return (s0(t - step, x) - s0(t + step, x)) / (2.0 * step)
 
     return density
@@ -151,14 +153,33 @@ def population_from_model(spec: ModelSpec) -> PopulationFunctions:
     )
 
 
-def _guard(pop: PopulationFunctions, t: float, x: float):
-    if math.isinf(t):
+def _pow2(v):
+    """``v ** 2`` by C ``pow``, which ``**`` on Python floats calls.
+
+    ``** 2`` on an array squares instead, which can round the last bit
+    differently; the batched integrands keep the scalar code's bits.
+    """
+    return np.float_power(v, 2)
+
+
+def _guard(pop: PopulationFunctions, t, x: float):
+    """Refuse times where ``1 - H(t|x)`` is below the support floor.
+
+    ``t = inf`` is exempt.  For an array of times the first refused
+    one is reported, as a loop over the times would.
+    """
+    times = np.atleast_1d(t)
+    finite = np.flatnonzero(~np.isinf(times))
+    if not finite.size:
         return
-    floor = float(pop.one_minus_h(t, x))
-    if floor < SUPPORT_FLOOR:
+    floors = pop.one_minus_h(times[finite], x)
+    refused = np.flatnonzero(floors < SUPPORT_FLOOR)
+    if refused.size:
+        i = refused[0]
+        shown = t if np.ndim(t) == 0 else float(times[finite[i]])
         raise SupportGuardError(
-            f"1 - H(t|x) = {floor:.3e} at t={t}, x={x} is below "
-            f"the support floor {SUPPORT_FLOOR}"
+            f"1 - H(t|x) = {float(floors[i]):.3e} at t={shown}, x={x} is "
+            f"below the support floor {SUPPORT_FLOOR}"
         )
 
 
@@ -175,15 +196,11 @@ def phi(pop: PopulationFunctions, y: float, t: float, x: float) -> float:
     up2 = min(t, pop.s0_upper(x))
 
     def first(v):
-        return float(pop.h1_density(v, y)) / float(pop.one_minus_h(v, x))
+        return pop.h1_density(v, y) / pop.one_minus_h(v, x)
 
     def second(v):
-        r = float(pop.one_minus_h(v, x))
-        return (
-            float(pop.one_minus_h(v, y))
-            * float(pop.h1_density(v, x))
-            / (r * r)
-        )
+        r = pop.one_minus_h(v, x)
+        return pop.one_minus_h(v, y) * pop.h1_density(v, x) / (r * r)
 
     return (
         adaptive_simpson(first, 0.0, up1, _TOL)
@@ -191,14 +208,17 @@ def phi(pop: PopulationFunctions, y: float, t: float, x: float) -> float:
     )
 
 
-def phi1(pop: PopulationFunctions, t: float, x: float) -> float:
-    """Diagonal variance transform ``int_0^t dH1(v|x)/(1-H(v|x))^2``."""
+def phi1(pop: PopulationFunctions, t, x: float):
+    """Diagonal variance transform ``int_0^t dH1(v|x)/(1-H(v|x))^2``.
+
+    ``t`` may be an array of times, integrated in one batched call.
+    """
     _guard(pop, t, x)
-    upper = min(t, pop.s0_upper(x))
+    upper = np.minimum(t, pop.s0_upper(x))
 
     def integrand(v):
-        r = float(pop.one_minus_h(v, x))
-        return float(pop.h1_density(v, x)) / (r * r)
+        r = pop.one_minus_h(v, x)
+        return pop.h1_density(v, x) / (r * r)
 
     return adaptive_simpson(integrand, 0.0, upper, _TOL)
 
@@ -209,52 +229,48 @@ def phi2_terms(pop: PopulationFunctions, t: float, x: float):
     Returns ``(A, B, C, D)`` with ``Phi2 = A - B - C + D``.  ``B``,
     ``C`` and ``D`` are genuine nested quadratures; on the diagonal
     ``D = B + C``, so the combination must reproduce :func:`phi1`.
-    This is deliberately the expensive, independent route.
+    This is deliberately the expensive, independent route.  The inner
+    integrals of all the outer points of a quadrature level are one
+    batched call, one interval per outer point.
     """
     _guard(pop, t, x)
     upper = pop.s0_upper(x)
     t_eff = min(t, upper)
 
     def dh1(v):
-        return float(pop.h1_density(v, x))
+        return pop.h1_density(v, x)
 
     def r_of(v):
-        return float(pop.one_minus_h(v, x))
+        return pop.one_minus_h(v, x)
 
-    def a_integrand(v):
+    def ratio(v):
+        return dh1(v) / r_of(v)
+
+    def weight(v):
         r = r_of(v)
         return dh1(v) / (r * r)
 
-    term_a = adaptive_simpson(a_integrand, 0.0, t_eff, _TOL)
+    term_a = adaptive_simpson(weight, 0.0, t_eff, _TOL)
 
     def b_outer(u):
-        inner = adaptive_simpson(
-            lambda v: dh1(v) / r_of(v), u, t_eff, _TOL_INNER
-        )
-        r = r_of(u)
-        return dh1(u) / (r * r) * inner
+        return weight(u) * adaptive_simpson(ratio, u, t_eff, _TOL_INNER)
 
     term_b = adaptive_simpson(b_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
 
     def c_outer(v):
-        inner = adaptive_simpson(
-            lambda u: dh1(u) / r_of(u), v, upper, _TOL_INNER
-        )
-        r = r_of(v)
-        return dh1(v) / (r * r) * inner
+        return weight(v) * adaptive_simpson(ratio, v, upper, _TOL_INNER)
 
     term_c = adaptive_simpson(c_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
 
+    def low_integrand(u, rv):
+        return rv * dh1(u) / _pow2(r_of(u))
+
     def d_outer(v):
-        rv = r_of(v)
         # split the inner integral at its kink u = v: max(u, v) switches
-        low = adaptive_simpson(
-            lambda u: rv * dh1(u) / (r_of(u) ** 2), 0.0, v, _TOL_INNER
-        )
-        high = adaptive_simpson(
-            lambda u: dh1(u) / r_of(u), v, upper, _TOL_INNER
-        )
-        return dh1(v) / (rv * rv) * (low + high)
+        low = adaptive_simpson(low_integrand, 0.0, v, _TOL_INNER,
+                               args=(r_of(v),))
+        high = adaptive_simpson(ratio, v, upper, _TOL_INNER)
+        return weight(v) * (low + high)
 
     term_d = adaptive_simpson(d_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
 
@@ -288,7 +304,7 @@ def _phi_derivative_integrals(pop, t, x, step):
     on the integrand and a single quadrature follows.  This keeps
     quadrature noise out of the difference quotients.
     """
-    upper_t = min(
+    upper_t = np.minimum(
         t,
         max(pop.s0_upper(x - step), pop.s0_upper(x), pop.s0_upper(x + step)),
     )
@@ -296,14 +312,12 @@ def _phi_derivative_integrals(pop, t, x, step):
     def make_integrand(order):
         def integrand(v):
             d1_h1, d2_h1 = central_diff(
-                lambda yy: float(pop.h1_density(v, yy)), x, step
+                lambda yy: pop.h1_density(v, yy), x, step
             )
-            d1_s, d2_s = central_diff(
-                lambda yy: float(pop.survival(v, yy)), x, step
-            )
-            g_sf = float(pop.cens_sf(v))
-            r = float(pop.one_minus_h(v, x))
-            h1x = float(pop.h1_density(v, x))
+            d1_s, d2_s = central_diff(lambda yy: pop.survival(v, yy), x, step)
+            g_sf = pop.cens_sf(v)
+            r = pop.one_minus_h(v, x)
+            h1x = pop.h1_density(v, x)
             if order == 1:
                 dh1, dh = d1_h1, -g_sf * d1_s
             else:
@@ -328,7 +342,8 @@ def phi_y_derivatives(
 
     The base step is ``max(1e-4, 1e-4 |x|)``; reported values always
     use the halved step, and ``halving_check=True`` additionally keeps
-    the base-step values so callers can verify stability.
+    the base-step values so callers can verify stability.  ``t`` may be
+    an array of times; the fields are then arrays.
     """
     _guard(pop, t, x)
     base = _fd_step(x) if step is None else step
@@ -371,14 +386,21 @@ class BiasVarianceTerms:
         return self.v1 + self.v2 + 2.0 * self.v3
 
 
-def _infinity_pieces(pop, x, halving_check=False):
-    d_inf = phi_y_derivatives(pop, math.inf, x, halving_check=halving_check)
+def _infinity_pieces(pop, x):
+    """The full-support transforms behind ``b2``/``v2`` at ``x``.
+
+    ``(d/dy Phi, d^2/dy^2 Phi, Phi1)`` at ``t = inf``; None when ``x``
+    has no cure mass, where :func:`bias_variance_terms` skips them.
+    """
+    if 1.0 - float(pop.p(x)) <= 1e-15:
+        return None
+    d_inf = phi_y_derivatives(pop, math.inf, x, halving_check=False)
     return d_inf.first, d_inf.second, phi1(pop, math.inf, x)
 
 
 def bias_variance_terms(
     pop: PopulationFunctions,
-    t: float,
+    t,
     x: float,
     _inf_pieces=None,
 ) -> BiasVarianceTerms:
@@ -394,10 +416,14 @@ def bias_variance_terms(
 
     ``_inf_pieces`` lets bulk callers reuse the t-independent
     full-support transforms; it is filled in automatically otherwise.
+
+    ``t`` may be an array of times, whose quadratures are then batched;
+    the components are arrays equal to those of a loop over the times.
+    The first time below the support floor raises.
     """
     _guard(pop, t, x)
     p = float(pop.p(x))
-    s = float(pop.survival(t, x))
+    s = pop.survival(t, x)
     m = float(pop.m(x))
     m_prime = float(pop.m_prime(x))
     if m <= 0.0:
@@ -406,7 +432,7 @@ def bias_variance_terms(
     d_t = phi_y_derivatives(pop, t, x, halving_check=False)
     phi1_t = phi1(pop, t, x)
     b1 = s / (p * m) * (d_t.second * m + 2.0 * d_t.first * m_prime)
-    v1 = (s / p) ** 2 * phi1_t / m
+    v1 = _pow2(s / p) * phi1_t / m
 
     cured = 1.0 - p
     if cured <= 1e-15:
@@ -416,9 +442,12 @@ def bias_variance_terms(
             _inf_pieces = _infinity_pieces(pop, x)
         dinf1, dinf2, phi1_inf = _inf_pieces
         b2 = -cured * (1.0 - s) / (p * p * m) * (dinf2 * m + 2.0 * dinf1 * m_prime)
-        v2 = (cured * (1.0 - s) / (p * p)) ** 2 * phi1_inf / m
-        v3 = -cured * s * (1.0 - s) / (p**3 * m) * phi1(pop, t, x)
-    return BiasVarianceTerms(t=t, x=x, b1=b1, b2=b2, v1=v1, v2=v2, v3=v3)
+        v2 = _pow2(cured * (1.0 - s) / (p * p)) * phi1_inf / m
+        v3 = -cured * s * (1.0 - s) / (p**3 * m) * phi1_t
+    parts = (b1, b2, v1, v2, v3)
+    if np.ndim(t) == 0:
+        parts = tuple(float(part) for part in parts)
+    return BiasVarianceTerms(t, x, *parts)
 
 
 @dataclass(frozen=True)
@@ -519,26 +548,15 @@ def h_amise(
     lo, hi = t_range
     if not (0.0 <= lo < hi):
         raise ValueError("t_range must satisfy 0 <= lo < hi")
-    if panels % 2:
-        panels += 1
+    inf_pieces = _infinity_pieces(pop, x)
 
-    inf_pieces = None
-    if float(pop.p(x)) < 1.0 - 1e-15:
-        inf_pieces = _infinity_pieces(pop, x)
+    def squared_bias_and_variance(ts):
+        # one batched quadrature per transform for the whole grid
+        terms = bias_variance_terms(pop, ts, x, _inf_pieces=inf_pieces)
+        return np.stack([_pow2(terms.b), terms.v])
 
-    grid = np.linspace(lo, hi, panels + 1)
-    weights = np.ones(panels + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    b_sq = np.empty(panels + 1)
-    v_tot = np.empty(panels + 1)
-    for i, t in enumerate(grid):
-        terms = bias_variance_terms(pop, float(t), x, _inf_pieces=inf_pieces)
-        b_sq[i] = terms.b**2
-        v_tot[i] = terms.v
-    scale = (hi - lo) / (3.0 * panels)
-    int_b_sq = float(scale * (weights * b_sq).sum())
-    int_v = float(scale * (weights * v_tot).sum())
+    int_b_sq, int_v = map(float, composite_simpson(
+        squared_bias_and_variance, lo, hi, panels))
     if int_b_sq <= 0.0:
         raise ValueError("bias integral vanished; no finite optimum")
     d_k = kernel.second_moment

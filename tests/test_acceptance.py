@@ -6,19 +6,15 @@ the contract and are asserted literally.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
-from numpy.testing import assert_allclose
 
 import npmixcure
 from npmixcure import (
-    BootstrapConfig,
     CensoredSample,
     DegenerateCureError,
     EPANECHNIKOV,

@@ -426,6 +426,20 @@ class TestConfigAndErrors:
         assert main(["estimate", "--model", "1", "--n", "50", "--x", "5",
                      "--h", value]) == 2
 
+    @pytest.mark.parametrize("command", ["estimate", "selectbw"])
+    @pytest.mark.parametrize("extra", [["--model", "2"], ["--n", "5"],
+                                       ["--model", "2", "--n", "5"]],
+                             ids=["model", "n", "model-and-n"])
+    def test_data_excludes_model_and_n(self, _outdir, capsys, tmp_path,
+                                       command, extra):
+        # a generated-sample setting next to --data would be ignored
+        path, _ = _sample_csv(tmp_path)
+        own = ["--h", "15"] if command == "estimate" else ["--grid", "5:40:3"]
+        assert main([command, "--data", str(path), "--x", "5", *own,
+                     *extra]) == 2
+        assert "cannot be combined with --data" in capsys.readouterr().err
+        assert not list(_outdir.glob(f"{command}*"))
+
     def test_missing_data_file_is_exit_3(self, _outdir, capsys):
         assert main(["estimate", "--data", "/definitely/not/here.csv",
                      "--x", "5", "--h", "10"]) == 3

@@ -115,17 +115,15 @@ class TestPhiTransforms:
         rng = np.random.default_rng(616)
         T, delta = draw_conditional(spec, y, 200000, rng)
         grid = np.linspace(0.0, t_pt, 4001)
-        dens = np.array([float(pop.h1_density(v, x)) for v in grid])
-        surv = np.array([float(pop.one_minus_h(v, x)) for v in grid])
+        dens = pop.h1_density(grid, x)
+        surv = pop.one_minus_h(grid, x)
         integrand = dens / surv**2
         cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid))]
         )
         compensator = np.interp(np.minimum(T, t_pt), grid, cum)
         t_clip = np.clip(T, 0.0, t_pt)
-        at_risk = np.array(
-            [float(pop.one_minus_h(v, x)) for v in t_clip]
-        )
+        at_risk = pop.one_minus_h(t_clip, x)
         indicator = np.where((T <= t_pt) & (delta == 1), 1.0 / at_risk, 0.0)
         xi = indicator - compensator
         target = phi(pop, y, t_pt, x)
@@ -198,6 +196,29 @@ class TestBiasVarianceTerms:
     def test_time_zero_components_all_vanish(self):
         t = bias_variance_terms(_pop1(), 0.0, 5.0)
         assert (t.b1, t.b2, t.v1, t.v2, t.v3) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_array_of_times_matches_a_loop(self):
+        # h_amise batches its grid this way; each component must carry
+        # the bits of the scalar call
+        for pop, ts in [(_pop1(), np.linspace(0.05, 3.0, 7)),
+                        (_pop2(), np.linspace(0.05, 0.9, 7))]:
+            batch = bias_variance_terms(pop, ts, 5.0)
+            for i, t_pt in enumerate(ts):
+                one = bias_variance_terms(pop, float(t_pt), 5.0)
+                for name in ("b1", "b2", "v1", "v2", "v3"):
+                    assert getattr(batch, name)[i] == getattr(one, name)
+
+    def test_array_of_times_reports_first_refused_time(self):
+        with pytest.raises(SupportGuardError, match="at t=20.0,"):
+            bias_variance_terms(_pop1(), np.array([1.0, 20.0, 30.0]), 5.0)
+
+    def test_batched_square_rounds_like_python_pow(self):
+        # the scalar code squared Python floats with **, i.e. C pow,
+        # which can differ from v * v in the last bit
+        from npmixcure.oracle import _pow2
+
+        values = np.random.default_rng(3).uniform(-1e3, 1e3, 20000)
+        assert list(_pow2(values)) == [v**2 for v in values.tolist()]
 
     def test_no_cure_mass_drops_terminal_pieces(self):
         pop = _exponential_population(p_value=1.0, cens_rate=0.3)
