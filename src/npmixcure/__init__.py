@@ -40,7 +40,7 @@ from .experiments import (
     true_mise_two_bw,
 )
 from .io_utils import DatasetSchema, IngestReport, format_float, ingest
-from .kernels import EPANECHNIKOV, Kernel, WeightVector, nw_weights
+from .kernels import EPANECHNIKOV, Kernel, nw_weights
 from .models import (
     COVARIATE_WINDOW,
     ExponentialCensoring,
@@ -107,7 +107,6 @@ __all__ = [
     "true_mise_two_bw",
     "EPANECHNIKOV",
     "Kernel",
-    "WeightVector",
     "nw_weights",
     "COVARIATE_WINDOW",
     "ExponentialCensoring",

@@ -18,10 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cure import _latency_from_curve, latency_estimate
+from .cure import latency_estimate
 from .exceptions import EstimationError
-from .kernels import EPANECHNIKOV, Kernel
-from .survival import CensoredSample, StepSurvivalCurve, beran, kaplan_meier
+from .kernels import EPANECHNIKOV, Kernel, nw_weights
+from .survival import (
+    CensoredSample,
+    StepSurvivalCurve,
+    _beran_rows,
+    _product_limit,
+    kaplan_meier,
+)
 
 __all__ = [
     "BandwidthGrid",
@@ -184,57 +190,75 @@ class _JumpDistribution:
         return self.times[idx]
 
 
+# rows of pilot fits computed together; a chunk's (rows, n) weight
+# matrices stay near this size however large the sample
+_KIT_CHUNK_BYTES = 1 << 19
+
+
 class _ResamplingKit:
     """Everything needed to draw bootstrap resamples, built once.
 
     Holds the censoring-time distribution and, per observation, the
     pilot uncured probability and latency jump distribution at its
-    covariate.  Observations whose pilot fit puts all mass on cure have
-    no latency distribution; their bootstrap survival time is always
-    infinite.
+    covariate.  Every pilot latency curve jumps at the sample's distinct
+    event times ``times``; row ``i`` of ``cums`` holds the cumulative
+    masses of observation ``i``'s curve there.  Observations whose pilot
+    fit puts all mass on cure are never drawn uncured, so their bootstrap
+    survival time is always infinite (their ``cums`` row is unused).
     """
 
-    def __init__(self, xs, p_uncured, latencies, censoring):
+    def __init__(self, xs, p_uncured, times, cums, censoring):
         self.xs = xs
         self.p_uncured = p_uncured
-        self.latencies = latencies
+        self.times = times
+        self.cums = cums
         self.censoring = censoring
 
     @classmethod
     def build(cls, sample: CensoredSample, g: float, kernel: Kernel):
-        t_top = sample.t_max_uncensored()
+        sample.t_max_uncensored()  # raises: no events, no latency to draw
         censoring_km = kaplan_meier(sample, 1 - sample.delta)
         censoring = _JumpDistribution.from_curve(
             censoring_km, residual_time=float(sample.t.max())
         )
+        ordered = sample.sort_by_time()
         n = sample.n
+        rows = max(1, _KIT_CHUNK_BYTES // (8 * n))
         p_uncured = np.empty(n)
-        latencies: list = [None] * n
-        for i in range(n):
-            xi = float(sample.x[i])
+        cums = None
+        for lo in range(0, n, rows):
             try:
-                curve = beran(sample, xi, g, kernel)
+                weights = nw_weights(kernel, sample.x[lo:lo + rows],
+                                     ordered.x, g)
             except EstimationError as err:
-                raise EstimationError(
-                    f"pilot fit failed at covariate x={xi}: {err}"
-                ) from err
-            cured = curve.evaluate(t_top)
-            p_uncured[i] = 1.0 - cured
-            if p_uncured[i] > 0.0:
-                latency = _latency_from_curve(curve, cured)
-                latencies[i] = _JumpDistribution.from_curve(latency)
-        return cls(sample.x.copy(), p_uncured, latencies, censoring)
+                raise EstimationError(f"pilot fit failed: {err}") from err
+            times, values = _product_limit(ordered.t, ordered.delta, weights)
+            if cums is None:
+                cums = np.ones((n, times.size))
+            cured = values[:, -1]
+            p = 1.0 - cured
+            p_uncured[lo:lo + rows] = p
+            live = p > 0.0
+            cums[lo:lo + rows][live] = 1.0 - (
+                (values[live] - cured[live, None]) / p[live, None]
+            )
+        return cls(sample.x.copy(), p_uncured, times, cums, censoring)
 
     def draw_latent(self, rng: np.random.Generator):
-        """Latent bootstrap survival and censoring times, in draw order."""
+        """Latent bootstrap survival and censoring times, in draw order.
+
+        Observation ``i``'s survival time is the first jump whose
+        cumulative mass exceeds its uniform, found by counting the
+        masses at or below it (the inverse transform of
+        :meth:`_JumpDistribution.pick`).
+        """
         n = self.xs.size
         u_cure = rng.random(n)
         u_latency = rng.random(n)
         u_censor = rng.random(n)
-        y = np.full(n, np.inf)
-        for i in range(n):
-            if u_cure[i] < self.p_uncured[i]:
-                y[i] = self.latencies[i].pick(u_latency[i])
+        picks = np.count_nonzero(self.cums <= u_latency[:, None], axis=1)
+        picks = np.minimum(picks, self.times.size - 1)
+        y = np.where(u_cure < self.p_uncured, self.times[picks], np.inf)
         c = self.censoring.pick(u_censor)
         return y, c
 
@@ -289,16 +313,24 @@ def mise_star(
     pilot_values = pilot_fit.latency.evaluate(tgrid)
 
     kit = _ResamplingKit.build(sample, g, kernel)
+    # covariates stay fixed across resamples, so the kernel values at x
+    # are computed once and only their columns follow each time order
+    raw = kernel.density((x - sample.x) / grid[:, None])
     ise = np.full((config.B, grid.size), np.nan)
     for j, child in enumerate(_resample_streams(config.seed, config.B)):
         star = kit.draw(np.random.default_rng(child))
-        for l, h in enumerate(grid):
-            try:
-                fit = latency_estimate(star, x, float(h), kernel)
-            except EstimationError:
-                continue
-            diff = fit.latency.evaluate(tgrid) - pilot_values
-            ise[j, l] = np.trapezoid(diff * diff, tgrid)
+        if not np.any(star.delta == 1):
+            continue
+        order = np.lexsort((-star.delta, star.t))
+        on_grid, cured, fitted = _beran_rows(
+            star.t[order], star.delta[order], raw.take(order, axis=1), tgrid
+        )
+        p_hat = 1.0 - cured
+        proper = p_hat > 0.0
+        diff = (on_grid[proper] - cured[proper, None]) / p_hat[proper, None]
+        diff -= pilot_values
+        ise[j, np.flatnonzero(fitted)[proper]] = np.trapezoid(
+            diff * diff, tgrid)
 
     succeeded = np.sum(~np.isnan(ise), axis=0)
     if np.any(succeeded == 0):

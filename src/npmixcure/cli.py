@@ -231,10 +231,11 @@ _OPTIONS = {option.key: option for option in (
 )}
 
 # how estimate and selectbw get their sample; recorded as "source"
-_SOURCE = (
-    "data", "covariate_col", "time_col", "delta_col", "group_col",
-    "delimiter", "no_header", "group", "model", "n",
+_FILE_OPTIONS = (
+    "covariate_col", "time_col", "delta_col", "group_col", "delimiter",
+    "no_header", "group",
 )
+_SOURCE = ("data", *_FILE_OPTIONS, "model", "n")
 _OUTPUT = ("out", "format")
 
 
@@ -258,7 +259,10 @@ def _load_config(path):
 
 
 def _resolve(name, args):
-    """Each option of subcommand ``name``: flag, else config file, else default."""
+    """Each option of subcommand ``name``: flag, else config file, else default.
+
+    ``given`` holds the keys set by a flag or the config file.
+    """
     keys = _COMMANDS[name].keys
     config = _load_config(args.config)
     unknown = sorted(set(config) - set(keys))
@@ -266,13 +270,15 @@ def _resolve(name, args):
         raise ConfigError(
             f"config field(s) not understood by {name}: {', '.join(unknown)}"
         )
-    opts = {}
+    opts = {"given": set()}
     for key in keys:
         value = getattr(args, key)
         if value is None:
             value = config.get(key)
         option = _OPTIONS[key]
         opts[key] = option.default if value is None else option.resolve(value)
+        if value is not None:
+            opts["given"].add(key)
     return opts
 
 
@@ -333,17 +339,24 @@ def _generate(opts):
 
 
 def _resolve_sample(opts):
-    """Sample from ``--data`` (ingested file) or ``--model`` (generated)."""
-    mixed = [_OPTIONS[key].flag for key in ("model", "n")
-             if opts[key] is not None]
-    if opts["data"] is not None and mixed:
+    """Sample from ``--data`` (ingested file) or ``--model`` (generated).
+
+    Options of the other source would be ignored, so giving any is an
+    error.
+    """
+    if opts["data"] is None and opts["model"] is None:
+        raise ConfigError("need a data source: --data FILE or --model {1,2}")
+    if opts["data"] is None:
+        others, source = _FILE_OPTIONS, "--model, which generates the sample"
+    else:
+        others = ("model", "n")
+        source = "--data, which reads the sample from a file"
+    mixed = [_OPTIONS[key].flag for key in others if key in opts["given"]]
+    if mixed:
         raise ConfigError(
-            f"{' and '.join(mixed)} cannot be combined with --data, which "
-            "reads the sample from a file"
+            f"{' and '.join(mixed)} cannot be combined with {source}"
         )
     if opts["data"] is None:
-        if opts["model"] is None:
-            raise ConfigError("need a data source: --data FILE or --model {1,2}")
         return _generate(opts)
     schema = DatasetSchema(
         covariate=opts["covariate_col"],

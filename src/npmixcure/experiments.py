@@ -16,7 +16,7 @@ from .bootstrap import BandwidthGrid, BootstrapConfig, MiseCurve, mise_star
 from .exceptions import EstimationError
 from .kernels import EPANECHNIKOV, Kernel
 from .models import ModelSpec, generate, trial_rng
-from .survival import CensoredSample, beran
+from .survival import CensoredSample, _beran_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -73,39 +73,55 @@ class MiseSurface:
 
 
 class _TrialFits:
-    """Per-trial cache of conditional survival fits at several bandwidths.
+    """Per-trial conditional survival fits at several bandwidths.
 
     Fitting the survival curve once per bandwidth lets a two-bandwidth
-    lattice be assembled from ``L`` fits instead of ``L^2``.  The
-    combination reproduces the public estimators bit-for-bit (checked in
-    the test suite).
+    lattice be assembled from ``L`` fits instead of ``L^2``.  Row ``l``
+    of ``on_grid`` is the curve at ``bandwidths[l]`` on the time grid and
+    ``cured[l]`` its final plateau; ``fitted[l]`` is False (and the row
+    NaN) where the curve could not be fitted.  The combination
+    reproduces the public estimators bit-for-bit (checked in the test
+    suite).
     """
 
     def __init__(self, sample: CensoredSample, x: float, bandwidths,
                  tgrid: np.ndarray, kernel: Kernel):
-        self.on_grid: dict = {}
-        self.cured: dict = {}
-        try:
-            t_top = sample.t_max_uncensored()
-        except EstimationError:
+        hs = np.asarray(bandwidths, dtype=float)
+        self.fitted = np.zeros(hs.size, dtype=bool)
+        self.on_grid = np.full((hs.size, tgrid.size), np.nan)
+        self.cured = np.full(hs.size, np.nan)
+        if not np.any(sample.delta == 1):
             return
-        for h in bandwidths:
-            try:
-                curve = beran(sample, x, float(h), kernel)
-            except EstimationError:
-                continue
-            self.cured[h] = curve.evaluate(t_top)
-            self.on_grid[h] = curve.evaluate(tgrid)
+        order = np.lexsort((-sample.delta, sample.t))
+        raw = kernel.density((x - sample.x[order]) / hs[:, None])
+        on_grid, cured, self.fitted = _beran_rows(
+            sample.t[order], sample.delta[order], raw, tgrid
+        )
+        self.on_grid[self.fitted] = on_grid
+        self.cured[self.fitted] = cured
 
-    def latency_values(self, h1, h2):
-        """Latency estimate on the time grid, or None if not fittable."""
-        if h1 not in self.on_grid or h2 not in self.cured:
-            return None
-        cured = self.cured[h2]
+    def latency_values(self, rows1, rows2):
+        """Latency estimates on the time grid at pairs of bandwidths.
+
+        Pair ``k`` combines the survival curve at ``bandwidths[rows1[k]]``
+        with the incidence at ``bandwidths[rows2[k]]``.  Returns the
+        estimates of the fittable pairs, one row each, and the boolean
+        mask of those pairs.
+        """
+        cured = self.cured[rows2]
         p_hat = 1.0 - cured
-        if p_hat <= 0.0:
-            return None
-        return (self.on_grid[h1] - cured) / p_hat
+        ok = self.fitted[rows1] & (p_hat > 0.0)
+        values = self.on_grid[rows1[ok]]
+        values -= cured[ok, None]
+        values /= p_hat[ok, None]
+        return values, ok
+
+
+def _ise(values, truth, tgrid):
+    """Integrated squared error of each row of ``values``, in place."""
+    values -= truth
+    values *= values
+    return np.trapezoid(values, tgrid)
 
 
 def _time_grid(sample: CensoredSample, config: ExperimentConfig):
@@ -137,31 +153,28 @@ def true_mise(
     when given; it exists so the experiment harness itself can be
     validated against a known curve.
     """
-    hs = list(grid.values)
-    sums = np.zeros(len(hs))
-    used = np.zeros(len(hs), dtype=np.int64)
+    hs = grid.values
+    rows = np.arange(hs.size)
+    sums = np.zeros(hs.size)
+    used = np.zeros(hs.size, dtype=np.int64)
     for j in range(m):
         sample = generate(spec, n, trial_rng(config.seed, j))
         try:
             tgrid = _time_grid(sample, config)
         except EstimationError:
             continue
-        s0_true = spec.s0(tgrid, x)
-        fits = None
         if latency_override is None:
             fits = _TrialFits(sample, x, hs, tgrid, kernel)
-        for l, h in enumerate(hs):
-            if latency_override is not None:
-                values = latency_override(sample, x, h, tgrid)
-            else:
-                values = fits.latency_values(h, h)
-            if values is None:
-                continue
-            diff = values - s0_true
-            sums[l] += np.trapezoid(diff * diff, tgrid)
-            used[l] += 1
+            values, ok = fits.latency_values(rows, rows)
+        else:
+            curves = [latency_override(sample, x, h, tgrid) for h in hs]
+            ok = np.array([c is not None for c in curves])
+            values = np.reshape([c for c in curves if c is not None],
+                                (-1, tgrid.size))
+        sums[ok] += _ise(values, spec.s0(tgrid, x), tgrid)
+        used[ok] += 1
     if np.any(used == 0):
-        bad = np.asarray(hs)[used == 0]
+        bad = hs[used == 0]
         raise EstimationError(
             f"every trial failed at bandwidth(s) {bad.tolist()}"
         )
@@ -195,26 +208,26 @@ def true_mise_two_bw(
     :func:`true_mise` exactly: trials see identical samples and the
     diagonal combination is the one-bandwidth estimator.
     """
-    hs = sorted(set(grid1.values).union(grid2.values))
+    # np.union1d would import numpy.ma, about 0.7 MiB, for two short grids
+    hs = np.array(sorted(set(grid1.values).union(grid2.values)))
+    rows1, rows2 = (rows.ravel() for rows in np.meshgrid(
+        np.searchsorted(hs, grid1.values), np.searchsorted(hs, grid2.values),
+        indexing="ij"))
     shape = (len(grid1), len(grid2))
-    sums = np.zeros(shape)
-    used = np.zeros(shape, dtype=np.int64)
+    sums = np.zeros(rows1.size)
+    used = np.zeros(rows1.size, dtype=np.int64)
     for j in range(m):
         sample = generate(spec, n, trial_rng(config.seed, j))
         try:
             tgrid = _time_grid(sample, config)
         except EstimationError:
             continue
-        s0_true = spec.s0(tgrid, x)
         fits = _TrialFits(sample, x, hs, tgrid, kernel)
-        for i1, h1 in enumerate(grid1.values):
-            for i2, h2 in enumerate(grid2.values):
-                values = fits.latency_values(h1, h2)
-                if values is None:
-                    continue
-                diff = values - s0_true
-                sums[i1, i2] += np.trapezoid(diff * diff, tgrid)
-                used[i1, i2] += 1
+        values, ok = fits.latency_values(rows1, rows2)
+        sums[ok] += _ise(values, spec.s0(tgrid, x), tgrid)
+        used[ok] += 1
+    sums = sums.reshape(shape)
+    used = used.reshape(shape)
     if np.any(used == 0):
         raise EstimationError("every trial failed at some bandwidth pair")
     return MiseSurface(

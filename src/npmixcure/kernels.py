@@ -8,14 +8,15 @@ container as long as they integrate to one on their support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
+
+from .exceptions import EmptyNeighborhoodError
 
 __all__ = [
     "Kernel",
     "EPANECHNIKOV",
-    "WeightVector",
     "nw_weights",
 ]
 
@@ -51,45 +52,48 @@ class Kernel:
 EPANECHNIKOV = Kernel("epanechnikov", _epanechnikov, 0.2, 0.6)
 
 
-class WeightVector(NamedTuple):
-    """Nadaraya-Watson weights at one evaluation point.
-
-    ``empty`` is True when every kernel weight vanished, in which case
-    ``weights`` is the all-zero vector.  Callers decide whether an empty
-    neighborhood is fatal.
-    """
-
-    weights: np.ndarray
-    empty: bool
-
-
-def nw_weights(kernel: Kernel, x: float, xs: np.ndarray, h: float) -> WeightVector:
+def nw_weights(kernel: Kernel, x, xs: np.ndarray, h) -> np.ndarray:
     """Nadaraya-Watson weights of a sample of covariates at a point.
 
     Parameters
     ----------
     kernel : Kernel
-    x : float
-        Evaluation point.
+    x : float or array_like
+        Evaluation point, or K evaluation points.
     xs : array_like
         Observed covariates, nonempty.
-    h : float
-        Bandwidth, must be positive.
+    h : float or array_like
+        Bandwidth, or K bandwidths; each must be positive.
 
     Returns
     -------
-    WeightVector
-        Weights summing to one, or the all-zero vector with the
-        ``empty`` flag set when no observation falls within bandwidth
-        distance of ``x``.
+    numpy.ndarray
+        Weights summing to one.  With scalar ``x`` and ``h`` a 1-d array
+        over ``xs``; otherwise ``x`` and ``h`` broadcast to K pairs and
+        the result is a C-contiguous (K, n) matrix, one row per pair.
+
+    Raises
+    ------
+    EmptyNeighborhoodError
+        If no observation falls within bandwidth distance of an
+        evaluation point; the message names the first such pair.
     """
-    if not np.isfinite(h) or h <= 0.0:
+    hs = np.asarray(h, dtype=float)
+    if not (np.isfinite(hs) & (hs > 0.0)).all():
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         raise ValueError("xs must be nonempty")
-    raw = kernel.density((x - xs) / h)
-    total = raw.sum()
-    if total <= 0.0:
-        return WeightVector(np.zeros_like(raw), True)
-    return WeightVector(raw / total, False)
+    points = np.asarray(x, dtype=float)
+    raw = kernel.density((points[..., None] - xs) / hs[..., None])
+    total = raw.sum(axis=-1, keepdims=True)
+    empty = total[..., 0] <= 0.0
+    if empty.any():
+        if raw.ndim > 1:
+            k = int(np.argmax(empty))
+            x = float(np.broadcast_to(points, empty.shape)[k])
+            h = float(np.broadcast_to(hs, empty.shape)[k])
+        raise EmptyNeighborhoodError(
+            f"no observation within bandwidth {h} of x={x}"
+        )
+    return raw / total

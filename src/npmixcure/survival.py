@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EmptyNeighborhoodError, NoUncensoredError
+from .exceptions import NoUncensoredError
 from .kernels import EPANECHNIKOV, Kernel, nw_weights
 
 __all__ = [
@@ -120,28 +120,52 @@ class StepSurvivalCurve:
         return previous - self.values
 
 
-def _product_limit(t_sorted, delta_sorted, weights) -> StepSurvivalCurve:
-    """Sequential product-limit curve from time-ordered arrays.
+def _product_limit(t_sorted, delta_sorted, weights):
+    """Product-limit curves of the rows of a weight matrix.
 
-    ``weights`` must sum to one (or be all zero, which yields the
-    constant curve).  A zero remaining-weight denominator contributes a
-    factor of one, as does any censored observation.
+    ``weights`` is a (K, n) matrix whose columns follow the shared time
+    order of ``t_sorted`` and ``delta_sorted``; each row sums to one (or
+    is all zero, which yields the constant curve).  A zero
+    remaining-weight denominator contributes a factor of one, as does
+    any censored observation.
+
+    Returns the distinct event times, shape (E,), and the curves' values
+    there, a C-contiguous (K, E) matrix.  Tied event times are
+    collapsed, keeping the last (fully accumulated) value.
     """
-    remaining = np.cumsum(weights[::-1])[::-1]
-    factors = np.ones_like(weights)
+    remaining = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]
     active = (delta_sorted == 1) & (weights > 0.0) & (remaining > 0.0)
-    factors[active] = 1.0 - weights[active] / remaining[active]
-    survival = np.cumprod(factors)
+    with np.errstate(invalid="ignore"):  # 0/0 past a row's last weight
+        factors = np.where(active, 1.0 - weights / remaining, 1.0)
+    survival = np.cumprod(factors, axis=1)
 
-    event = delta_sorted == 1
-    if not np.any(event):
-        return StepSurvivalCurve(np.zeros(0), np.zeros(0))
-    times = t_sorted[event]
-    values = survival[event]
-    # collapse tied event times, keeping the last (fully accumulated) value
+    events = np.flatnonzero(delta_sorted == 1)
+    times = t_sorted[events]
     keep = np.ones(times.size, dtype=bool)
     keep[:-1] = times[1:] > times[:-1]
-    return StepSurvivalCurve(times[keep], values[keep])
+    return times[keep], survival.take(events[keep], axis=1)
+
+
+def _beran_rows(t_sorted, delta_sorted, raw, tgrid):
+    """Conditional product-limit curves on a time grid, one per kernel row.
+
+    ``raw`` holds nonnegative kernel values, a (K, n) matrix in the time
+    order of ``t_sorted``; each row is scaled to sum to one as in
+    :func:`nw_weights`.  The sample must have an uncensored observation.
+
+    Returns the curves of the rows with positive weight on ``tgrid``
+    (a C-contiguous matrix), their values at the largest uncensored
+    time, and the boolean mask of those rows.
+    """
+    raw = np.ascontiguousarray(raw)
+    total = raw.sum(axis=1)
+    fitted = total > 0.0
+    times, values = _product_limit(
+        t_sorted, delta_sorted, raw[fitted] / total[fitted, None]
+    )
+    idx = np.searchsorted(times, tgrid, side="right") - 1
+    on_grid = np.where(idx < 0, 1.0, values.take(np.maximum(idx, 0), axis=1))
+    return on_grid, values[:, -1], fitted
 
 
 def kaplan_meier(sample: CensoredSample, event_flags=None) -> StepSurvivalCurve:
@@ -170,9 +194,10 @@ def kaplan_meier(sample: CensoredSample, event_flags=None) -> StepSurvivalCurve:
         raise ValueError("event_flags must contain only 0 and 1")
     order = np.lexsort((-event_flags, sample.t))
     n = sample.n
-    return _product_limit(
-        sample.t[order], event_flags[order], np.full(n, 1.0 / n)
+    times, values = _product_limit(
+        sample.t[order], event_flags[order], np.full((1, n), 1.0 / n)
     )
+    return StepSurvivalCurve(times, values[0])
 
 
 def beran(
@@ -197,9 +222,6 @@ def beran(
         If every kernel weight vanishes at ``x``.
     """
     ordered = sample.sort_by_time()
-    wv = nw_weights(kernel, x, ordered.x, h)
-    if wv.empty:
-        raise EmptyNeighborhoodError(
-            f"no observation within bandwidth {h} of x={x}"
-        )
-    return _product_limit(ordered.t, ordered.delta, wv.weights)
+    weights = nw_weights(kernel, x, ordered.x, h)
+    times, values = _product_limit(ordered.t, ordered.delta, weights[None, :])
+    return StepSurvivalCurve(times, values[0])

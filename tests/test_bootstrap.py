@@ -9,7 +9,10 @@ from npmixcure import (
     BootstrapConfig,
     CensoredSample,
     EstimationError,
+    beran,
     generate,
+    kaplan_meier,
+    latency_estimate,
     log_grid,
     mise_star,
     model1,
@@ -22,8 +25,21 @@ from npmixcure.bootstrap import (
     _JumpDistribution,
     _ResamplingKit,
 )
+from npmixcure.cure import _latency_from_curve
 from npmixcure.models import trial_rng
 from npmixcure.survival import StepSurvivalCurve
+
+
+def _sparse_event_sample():
+    # the x=10 pair is censored with no event within the pilot bandwidth
+    # 0.75 * 10 * 5^(-1/9) = 6.27, so its pilot uncured probability is 0;
+    # the x=0 triple is uncured, and about one resample in six draws
+    # censoring before every event
+    return CensoredSample(
+        np.array([0.0, 0.0, 0.0, 10.0, 10.0]),
+        np.array([1.0, 3.0, 5.0, 2.0, 4.0]),
+        np.array([0, 1, 1, 0, 0]),
+    )
 
 
 def _rigged_two_group_sample():
@@ -251,3 +267,149 @@ class TestMiseStar:
         )
         assert curve.argmin_index == 1
         assert curve.selected == grid.values[1]
+
+
+def _mise_star_loop(sample, x, config):
+    """Reference: one fit per (resample, bandwidth), each evaluated alone.
+
+    Returns the curve's values and failures, or raises like mise_star.
+    """
+    grid = config.grid.values
+    g = pilot_bandwidth(sample.x, config.pilot_c)
+    tgrid = np.linspace(0.0, sample.t_max_uncensored(), config.time_grid_size)
+    pilot_values = latency_estimate(sample, x, g).latency.evaluate(tgrid)
+    kit = _ResamplingKit.build(sample, g, EPANECHNIKOV)
+    ise = np.full((config.B, grid.size), np.nan)
+    children = np.random.SeedSequence(config.seed).spawn(config.B)
+    for j, child in enumerate(children):
+        star = kit.draw(np.random.default_rng(child))
+        for l, h in enumerate(grid):
+            try:
+                fit = latency_estimate(star, x, float(h))
+            except EstimationError:
+                continue
+            diff = fit.latency.evaluate(tgrid) - pilot_values
+            ise[j, l] = np.trapezoid(diff * diff, tgrid)
+    succeeded = np.sum(~np.isnan(ise), axis=0)
+    if np.any(succeeded == 0):
+        bad = grid[succeeded == 0]
+        raise EstimationError(
+            f"every resample failed at bandwidth(s) {bad.tolist()}"
+        )
+    return np.nansum(ise, axis=0) / succeeded, config.B - succeeded
+
+
+class TestBatchedGridFits:
+    """mise_star fits each resample at every bandwidth in one batch."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_per_bandwidth_loop(self, seed):
+        sample = generate(model1(), 40, trial_rng(808, seed))
+        # the second grid starts below the smallest covariate spacing, so
+        # at an observed covariate its first neighborhoods hold one point
+        assert np.diff(np.sort(sample.x)).min() > 0.01
+        at_event = float(sample.x[np.argmax(sample.delta == 1)])
+        cases = [(5.0, log_grid(3.0, 40.0, 6)),
+                 (at_event, log_grid(0.01, 30.0, 8))]
+        for x, grid in cases:
+            cfg = BootstrapConfig(B=12, grid=grid, seed=seed)
+            values, failures = _mise_star_loop(sample, x, cfg)
+            curve = mise_star(sample, x, cfg)
+            assert np.array_equal(curve.values, values)
+            assert np.array_equal(curve.failures, failures)
+        assert failures[0] > 0
+
+    def test_empty_neighborhood_fails_like_the_loop(self):
+        sample = generate(model1(), 40, trial_rng(808, 0))
+        cfg = BootstrapConfig(B=6, grid=log_grid(1e-3, 30.0, 5), seed=4)
+        with pytest.raises(EstimationError) as looped:
+            _mise_star_loop(sample, 5.0, cfg)
+        with pytest.raises(EstimationError) as batched:
+            mise_star(sample, 5.0, cfg)
+        assert str(batched.value) == str(looped.value)
+        assert "bandwidth(s) [0.001, " in str(batched.value)
+
+    def test_resamples_without_events_fail_everywhere(self):
+        sample = _sparse_event_sample()
+        cfg = BootstrapConfig(
+            B=40, grid=BandwidthGrid(np.array([1.0, 20.0])), seed=0
+        )
+        kit = _ResamplingKit.build(
+            sample, pilot_bandwidth(sample.x), EPANECHNIKOV)
+        eventless = sum(
+            not kit.draw(np.random.default_rng(child)).delta.any()
+            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)
+        )
+        assert eventless > 0
+        values, failures = _mise_star_loop(sample, 0.0, cfg)
+        curve = mise_star(sample, 0.0, cfg)
+        assert np.array_equal(curve.values, values)
+        assert np.array_equal(curve.failures, failures)
+        assert curve.failures.tolist() == [eventless, eventless]
+
+
+class _Uniforms:
+    """Stands in for a Generator, handing out preset uniforms in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, n):
+        out = self.draws.pop(0)
+        assert out.shape == (n,)
+        return out
+
+
+def _pick_loop_latent(sample, g, u_cure, u_latency, u_censor):
+    """Reference draw: a pilot fit and a jump distribution per observation.
+
+    Returns the latent times and the pilot uncured probabilities.
+    """
+    t_top = sample.t_max_uncensored()
+    censoring = _JumpDistribution.from_curve(
+        kaplan_meier(sample, 1 - sample.delta),
+        residual_time=float(sample.t.max()),
+    )
+    p_uncured = np.empty(sample.n)
+    y = np.full(sample.n, np.inf)
+    for i in range(sample.n):
+        curve = beran(sample, float(sample.x[i]), g)
+        cured = curve.evaluate(t_top)
+        p_uncured[i] = 1.0 - cured
+        if u_cure[i] < p_uncured[i]:
+            latency = _latency_from_curve(curve, cured)
+            y[i] = _JumpDistribution.from_curve(latency).pick(u_latency[i])
+    return y, censoring.pick(u_censor), p_uncured
+
+
+class TestVectorisedDraw:
+    """draw_latent counts cumulative masses instead of picking per row."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: CensoredSample(np.array([3.0]), np.array([2.0]),
+                               np.array([1])),
+        lambda: generate(model1(), 40, trial_rng(909, 0)),
+        lambda: generate(model1(), 1600, trial_rng(909, 1)),
+        _sparse_event_sample,
+    ], ids=["n1", "n40", "n1600", "uncured-zero"])
+    def test_bitwise_equal_to_pick_loop(self, make):
+        sample = make()
+        g = 6.0
+        kit = _ResamplingKit.build(sample, g, EPANECHNIKOV)
+        rng = np.random.default_rng(sample.n)
+        u_cure, u_latency, u_censor = rng.random((3, sample.n))
+        # every third uniform sits exactly on a cumulative mass, which
+        # belongs to the next atom
+        on_mass = np.arange(0, sample.n, 3)
+        picks = rng.integers(0, kit.times.size, on_mass.size)
+        u_latency[on_mass] = kit.cums[on_mass, picks]
+        u_censor[on_mass] = kit.censoring.cum[
+            rng.integers(0, kit.censoring.cum.size, on_mass.size)]
+        y, c = kit.draw_latent(_Uniforms(u_cure, u_latency, u_censor))
+        y_ref, c_ref, p_ref = _pick_loop_latent(
+            sample, g, u_cure, u_latency, u_censor)
+        assert np.array_equal(kit.p_uncured, p_ref)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(c, c_ref)
+        if make is _sparse_event_sample:
+            assert np.any(kit.p_uncured == 0.0)

@@ -440,6 +440,24 @@ class TestConfigAndErrors:
         assert "cannot be combined with --data" in capsys.readouterr().err
         assert not list(_outdir.glob(f"{command}*"))
 
+    @pytest.mark.parametrize("command,extra", [
+        ("estimate", ["--h", "15", "--covariate-col", "nosuch",
+                      "--group", "stage9"]),
+        ("selectbw", ["--grid", "5:40:3", "--B", "2", "--delimiter", ";"]),
+    ], ids=["estimate", "selectbw"])
+    def test_model_excludes_file_options(self, _outdir, capsys, tmp_path,
+                                         command, extra):
+        # options that only shape how --data is read would be ignored
+        assert main([command, "--model", "1", "--n", "50", "--x", "5",
+                     *extra]) == 2
+        assert "cannot be combined with --model" in capsys.readouterr().err
+        assert not list(_outdir.glob(f"{command}*"))
+        config = tmp_path / "file_options.json"
+        config.write_text(json.dumps({"time_col": "time"}))
+        assert main([command, "--model", "1", "--n", "50", "--x", "5",
+                     *extra[:2], "--config", str(config)]) == 2
+        assert "--time-col cannot be combined" in capsys.readouterr().err
+
     def test_missing_data_file_is_exit_3(self, _outdir, capsys):
         assert main(["estimate", "--data", "/definitely/not/here.csv",
                      "--x", "5", "--h", "10"]) == 3

@@ -26,20 +26,24 @@ class TestTrialFitsCache:
         tgrid = np.linspace(0.0, sample.t_max_uncensored(), 50)
         hs = [8.0, 15.0, 30.0]
         fits = _TrialFits(sample, 5.0, hs, tgrid, EPANECHNIKOV)
-        for h1 in hs:
-            for h2 in hs:
-                cached = fits.latency_values(h1, h2)
-                if h1 == h2:
-                    direct = latency_estimate(sample, 5.0, h1)
-                else:
-                    direct = latency_estimate_two_bw(sample, 5.0, h1, h2)
-                assert np.array_equal(cached, direct.latency.evaluate(tgrid))
+        rows1, rows2 = np.divmod(np.arange(9), 3)
+        cached, ok = fits.latency_values(rows1, rows2)
+        assert ok.all()
+        for k, (i1, i2) in enumerate(zip(rows1, rows2)):
+            h1, h2 = hs[i1], hs[i2]
+            if h1 == h2:
+                direct = latency_estimate(sample, 5.0, h1)
+            else:
+                direct = latency_estimate_two_bw(sample, 5.0, h1, h2)
+            assert np.array_equal(cached[k], direct.latency.evaluate(tgrid))
 
     def test_unfittable_bandwidth_reports_none(self):
         sample = generate(model1(), 60, trial_rng(2020, 1))
         tgrid = np.linspace(0.0, 2.0, 10)
         fits = _TrialFits(sample, 1e6, [5.0], tgrid, EPANECHNIKOV)
-        assert fits.latency_values(5.0, 5.0) is None
+        values, ok = fits.latency_values(np.array([0]), np.array([0]))
+        assert not ok.any()
+        assert values.shape == (0, 10)
 
 
 class TestTrueMise:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from npmixcure import EPANECHNIKOV, nw_weights
+from npmixcure import EPANECHNIKOV, EmptyNeighborhoodError, nw_weights
 
 
 class TestEpanechnikov:
@@ -44,25 +44,27 @@ class TestNwWeights:
     def test_hand_computed_weights(self):
         # x=0, h=2, points [0, 1, 10]: raw kernel values
         # K(0)=0.75, K(0.5)=0.5625, K(5)=0 -> normalized 4/7, 3/7, 0
-        wv = nw_weights(EPANECHNIKOV, 0.0, np.array([0.0, 1.0, 10.0]), 2.0)
-        assert not wv.empty
-        assert_allclose(wv.weights, [4.0 / 7.0, 3.0 / 7.0, 0.0], atol=1e-15)
+        weights = nw_weights(EPANECHNIKOV, 0.0, np.array([0.0, 1.0, 10.0]), 2.0)
+        assert_allclose(weights, [4.0 / 7.0, 3.0 / 7.0, 0.0], atol=1e-15)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             xs = rng.uniform(-5.0, 5.0, size=rng.integers(2, 30))
-            wv = nw_weights(EPANECHNIKOV, 0.0, xs, 6.0)
-            assert not wv.empty
-            assert_allclose(wv.weights.sum(), 1.0, atol=1e-12)
+            weights = nw_weights(EPANECHNIKOV, 0.0, xs, 6.0)
+            assert_allclose(weights.sum(), 1.0, atol=1e-12)
 
     def test_empty_neighborhood_flag(self):
-        wv = nw_weights(EPANECHNIKOV, 100.0, np.array([0.0, 1.0]), 2.0)
-        assert wv.empty
-        assert_allclose(wv.weights, 0.0)
+        with pytest.raises(EmptyNeighborhoodError,
+                           match="bandwidth 2.0 of x=100.0"):
+            nw_weights(EPANECHNIKOV, 100.0, np.array([0.0, 1.0]), 2.0)
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             nw_weights(EPANECHNIKOV, 0.0, np.array([0.0]), 0.0)
         with pytest.raises(ValueError):
             nw_weights(EPANECHNIKOV, 0.0, np.array([0.0]), -1.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                nw_weights(EPANECHNIKOV, 0.0, np.array([0.0]),
+                           np.array([1.0, bad]))

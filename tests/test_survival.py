@@ -12,7 +12,9 @@ from npmixcure import (
     StepSurvivalCurve,
     beran,
     kaplan_meier,
+    nw_weights,
 )
+from npmixcure.survival import _beran_rows, _product_limit
 
 from helpers import beran_brute, km_grouped, random_censored_sample
 
@@ -204,3 +206,66 @@ class TestBeran:
         assert_allclose(curve.jump_times, [1.0])
         assert_allclose(curve.values, [0.5])
         assert curve.evaluate(9.5) == 0.5
+
+
+class TestBatchedProductLimit:
+    """One (K, n) weight matrix gives K curves over a shared time order."""
+
+    def _tied_sample(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        # four distinct times for 80 records: heavy ties, events and
+        # censorings mixed within each, the last time included
+        ts = rng.integers(1, 5, n).astype(float)
+        deltas = (rng.random(n) < 0.6).astype(int)
+        return CensoredSample(rng.uniform(-2.0, 2.0, n), ts, deltas)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_beran_with_ties_and_fortran_order(self, seed):
+        sample = self._tied_sample(seed)
+        ordered = sample.sort_by_time()
+        x = float(sample.x[0])
+        hs = np.array([0.05, 0.3, 1.0, 2.5, 40.0])
+        weights = np.asfortranarray(nw_weights(EPANECHNIKOV, x, ordered.x, hs))
+        assert not weights.flags.c_contiguous
+        times, values = _product_limit(ordered.t, ordered.delta, weights)
+        tgrid = np.linspace(0.0, 5.0, 23)
+        raw = np.asfortranarray(EPANECHNIKOV.density((x - ordered.x) / hs[:, None]))
+        on_grid, final, fitted = _beran_rows(
+            ordered.t, ordered.delta, raw, tgrid)
+        assert fitted.all()
+        for k, h in enumerate(hs):
+            curve = beran(sample, x, h)
+            assert np.array_equal(times, curve.jump_times)
+            assert np.array_equal(values[k], curve.values)
+            assert np.array_equal(on_grid[k], curve.evaluate(tgrid))
+            assert final[k] == curve.evaluate(sample.t_max_uncensored())
+
+    def test_rows_without_weight_are_not_fitted(self):
+        sample = self._tied_sample(3)
+        ordered = sample.sort_by_time()
+        hs = np.array([0.5, 1e-3, 3.0])
+        raw = EPANECHNIKOV.density((10.0 - ordered.x) / hs[:, None])
+        raw[0] = EPANECHNIKOV.density((0.0 - ordered.x) / hs[0])
+        on_grid, final, fitted = _beran_rows(
+            ordered.t, ordered.delta, raw, np.array([0.0, 2.0]))
+        assert fitted.tolist() == [True, False, False]
+        assert on_grid.shape == (1, 2) and final.shape == (1,)
+        assert np.array_equal(on_grid[0], beran(sample, 0.0, 0.5).evaluate(
+            np.array([0.0, 2.0])))
+
+    def test_weight_rows_equal_single_point_weights(self):
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-3.0, 3.0, 300)
+        points = np.array([-1.0, 0.0, 2.5])
+        hs = np.array([0.4, 1.0, 3.0])
+        rows = nw_weights(EPANECHNIKOV, points, xs, hs)
+        assert rows.flags.c_contiguous
+        for row, x, h in zip(rows, points, hs):
+            assert np.array_equal(row, nw_weights(EPANECHNIKOV, x, xs, h))
+
+    def test_batch_names_first_empty_pair(self):
+        xs = np.array([0.0, 1.0])
+        with pytest.raises(EmptyNeighborhoodError,
+                           match=r"bandwidth 0\.5 of x=9\.0$"):
+            nw_weights(EPANECHNIKOV, np.array([0.0, 9.0, 20.0]), xs, 0.5)
