@@ -138,9 +138,18 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, kernel, visit=None):
 
 
 def _covariates(x):
-    """The covariate values of a call, and whether ``x`` was one value."""
+    """The covariate values of a call, and whether ``x`` was one value.
+
+    Raises
+    ------
+    ValueError
+        If ``x`` is an empty sequence, before any trial is drawn.
+    """
     single = np.ndim(x) == 0
-    return ([x] if single else list(x)), single
+    xs = [x] if single else list(x)
+    if not xs:
+        raise ValueError("need at least one covariate value")
+    return xs, single
 
 
 def _mise_curve(grid, sums, used, m, config):
@@ -178,7 +187,7 @@ def true_mise(
     and counted in ``failures``.
 
     ``x`` is one covariate value, giving one :class:`MiseCurve`, or a
-    sequence of them, giving a list of curves in the same order.
+    nonempty sequence of them, giving a list of curves in the same order.
     """
     xs, single = _covariates(x)
     rows = np.arange(len(grid))
@@ -207,7 +216,7 @@ def true_mise_two_bw(
     diagonal combination is the one-bandwidth estimator.
 
     ``x`` is one covariate value, giving one :class:`MiseSurface`, or a
-    sequence of them, giving a list of surfaces in the same order.
+    nonempty sequence of them, giving a list of surfaces in the same order.
     """
     xs, single = _covariates(x)
     # np.union1d would import numpy.ma, about 0.7 MiB, for two short grids

@@ -120,25 +120,35 @@ class StepSurvivalCurve:
         return previous - self.values
 
 
-def _product_limit(t_sorted, delta_sorted, weights):
-    """Product-limit curves of the rows of a weight matrix.
+def _product_limit(delta_sorted, weights):
+    """Product-limit curves of the rows of a weight array.
 
-    ``weights`` is a (K, n) matrix whose columns follow the shared time
-    order of ``t_sorted`` and ``delta_sorted``; each row sums to one (or
-    is all zero, which yields the constant curve).  A zero
-    remaining-weight denominator contributes a factor of one, as does
-    any censored observation.
+    ``weights`` is a (..., n) array whose last axis follows the time
+    order of ``delta_sorted``, which broadcasts against it; each row
+    sums to one (or is all zero, which yields the constant curve).  A
+    zero remaining-weight denominator contributes a factor of exactly
+    one, as does any censored observation.
 
-    Returns the distinct event times, shape (E,), and the curves' values
-    there, a C-contiguous (K, E) matrix.  Tied event times are
-    collapsed, keeping the last (fully accumulated) value.
+    Returns each curve's value after every column, an array of the
+    shape of ``weights``.  A column's value holds until the next event
+    column, so the value after the last column with time at most ``t``
+    is the curve at ``t`` and the last column holds its plateau.
     """
-    remaining = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]
+    remaining = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
     active = (delta_sorted == 1) & (weights > 0.0) & (remaining > 0.0)
     with np.errstate(invalid="ignore"):  # 0/0 past a row's last weight
         factors = np.where(active, 1.0 - weights / remaining, 1.0)
-    survival = np.cumprod(factors, axis=1)
+    return np.cumprod(factors, axis=-1)
 
+
+def _at_event_times(t_sorted, delta_sorted, survival):
+    """Distinct event times and the curves' values there.
+
+    ``survival`` holds (K, n) curves after every column of a shared time
+    order, as :func:`_product_limit` returns them.  Returns the times,
+    shape (E,), and a C-contiguous (K, E) matrix; tied event times are
+    collapsed, keeping the last (fully accumulated) value.
+    """
     events = np.flatnonzero(delta_sorted == 1)
     times = t_sorted[events]
     keep = np.ones(times.size, dtype=bool)
@@ -149,23 +159,31 @@ def _product_limit(t_sorted, delta_sorted, weights):
 def _beran_rows(t_sorted, delta_sorted, raw, tgrid):
     """Conditional product-limit curves on a time grid, one per kernel row.
 
-    ``raw`` holds nonnegative kernel values, a (K, n) matrix in the time
-    order of ``t_sorted``; each row is scaled to sum to one as in
-    :func:`nw_weights`.  The sample must have an uncensored observation.
+    ``raw`` holds nonnegative kernel values, either a (K, n) matrix in
+    the time order of ``t_sorted`` and ``delta_sorted`` (shape (n,)),
+    or a (b, K, n) stack whose sample ``r`` has its own order, given by
+    row ``r`` of the (b, n) ``t_sorted`` and ``delta_sorted``.  Each
+    kernel row is scaled to sum to one as in :func:`nw_weights`.  Every
+    sample must have an uncensored observation.
 
-    Returns the curves of the rows with positive weight on ``tgrid``
-    (a C-contiguous matrix), their values at the largest uncensored
-    time, and the boolean mask of those rows.
+    Returns the curves of the rows with positive weight on ``tgrid`` (a
+    C-contiguous matrix, rows in C order of ``raw``'s leading axes),
+    their values at the largest uncensored time, and the boolean mask
+    of those rows, of shape ``raw.shape[:-1]``.
     """
     raw = np.ascontiguousarray(raw)
-    total = raw.sum(axis=1)
+    total = raw.sum(axis=-1)
     fitted = total > 0.0
-    times, values = _product_limit(
-        t_sorted, delta_sorted, raw[fitted] / total[fitted, None]
-    )
-    idx = np.searchsorted(times, tgrid, side="right") - 1
-    on_grid = np.where(idx < 0, 1.0, values.take(np.maximum(idx, 0), axis=1))
-    return on_grid, values[:, -1], fitted
+    weights = raw / np.where(fitted, total, 1.0)[..., None]
+    survival = _product_limit(delta_sorted[..., None, :], weights)
+    # each sample's last column at or before every grid point
+    last = np.array([np.searchsorted(row, tgrid, side="right")
+                     for row in t_sorted.reshape(-1, t_sorted.shape[-1])])
+    last = (last - 1).reshape(t_sorted.shape[:-1] + (1, tgrid.size))
+    on_grid = np.where(
+        last < 0, 1.0,
+        np.take_along_axis(survival, np.maximum(last, 0), axis=-1))
+    return on_grid[fitted], survival[..., -1][fitted], fitted
 
 
 def kaplan_meier(sample: CensoredSample, event_flags=None) -> StepSurvivalCurve:
@@ -194,9 +212,9 @@ def kaplan_meier(sample: CensoredSample, event_flags=None) -> StepSurvivalCurve:
         raise ValueError("event_flags must contain only 0 and 1")
     order = np.lexsort((-event_flags, sample.t))
     n = sample.n
-    times, values = _product_limit(
-        sample.t[order], event_flags[order], np.full((1, n), 1.0 / n)
-    )
+    t_sorted, flags_sorted = sample.t[order], event_flags[order]
+    times, values = _at_event_times(t_sorted, flags_sorted, _product_limit(
+        flags_sorted, np.full((1, n), 1.0 / n)))
     return StepSurvivalCurve(times, values[0])
 
 
@@ -223,5 +241,6 @@ def beran(
     """
     ordered = sample.sort_by_time()
     weights = nw_weights(kernel, x, ordered.x, h)
-    times, values = _product_limit(ordered.t, ordered.delta, weights[None, :])
+    times, values = _at_event_times(ordered.t, ordered.delta, _product_limit(
+        ordered.delta, weights[None, :]))
     return StepSurvivalCurve(times, values[0])

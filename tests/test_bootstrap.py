@@ -19,6 +19,7 @@ from npmixcure import (
     pilot_bandwidth,
     select_bandwidth,
 )
+from npmixcure import bootstrap
 from npmixcure.bootstrap import (
     BandwidthGrid,
     MiseCurve,
@@ -38,6 +39,15 @@ def _sparse_event_sample():
     return CensoredSample(
         np.array([0.0, 0.0, 0.0, 10.0, 10.0]),
         np.array([1.0, 3.0, 5.0, 2.0, 4.0]),
+        np.array([0, 1, 1, 0, 0]),
+    )
+
+
+def _one_event_time_sample():
+    # both events share one time, so every pilot latency has one jump
+    return CensoredSample(
+        np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+        np.array([1.0, 2.0, 2.0, 3.0, 4.0]),
         np.array([0, 1, 1, 0, 0]),
     )
 
@@ -137,7 +147,8 @@ class TestJumpDistribution:
 
 def _resample(sample, g, rng):
     # a fresh kit per resample, so kit building is checked too
-    return _ResamplingKit.build(sample, g, EPANECHNIKOV).draw(rng)
+    kit = _ResamplingKit.build(sample, g, EPANECHNIKOV)
+    return CensoredSample(kit.xs, *kit.draw(rng))
 
 
 class TestResample:
@@ -176,6 +187,23 @@ class TestResample:
         expect = np.mean(1.0 - kit.p_uncured)
         se = np.sqrt(np.mean(kit.p_uncured * (1.0 - kit.p_uncured)) / total)
         assert abs(cured / total - expect) < 4.0 * se
+
+    @pytest.mark.parametrize("n", [1, 40, 1600])
+    def test_draws_are_valid_observations(self, n):
+        # draws skip the CensoredSample validation, so every draw must
+        # already pass it
+        if n == 1:
+            sample = CensoredSample(np.array([3.0]), np.array([2.0]),
+                                    np.array([1]))
+        else:
+            sample = generate(model1(), n, trial_rng(505, n))
+        kit = _ResamplingKit.build(sample, 6.0, EPANECHNIKOV)
+        for seed in range(6):
+            t, delta = kit.draw(np.random.default_rng(seed))
+            assert t.shape == delta.shape == (n,)
+            assert delta.dtype == np.int64
+            assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
+            assert np.all((delta == 0) | (delta == 1))
 
 
 class TestMiseStar:
@@ -273,7 +301,7 @@ def _mise_star_loop(sample, x, config):
     ise = np.full((config.B, grid.size), np.nan)
     children = np.random.SeedSequence(config.seed).spawn(config.B)
     for j, child in enumerate(children):
-        star = kit.draw(np.random.default_rng(child))
+        star = CensoredSample(kit.xs, *kit.draw(np.random.default_rng(child)))
         for l, h in enumerate(grid):
             try:
                 fit = latency_estimate(star, x, float(h))
@@ -310,6 +338,51 @@ class TestBatchedGridFits:
             assert np.array_equal(curve.failures, failures)
         assert failures[0] > 0
 
+    @pytest.mark.parametrize("chunk", [1, 5, 7])
+    def test_chunks_not_dividing_B(self, monkeypatch, chunk):
+        sample = generate(model1(), 40, trial_rng(808, 3))
+        at_event = float(sample.x[np.argmax(sample.delta == 1)])
+        cfg = BootstrapConfig(B=12, grid=log_grid(0.01, 30.0, 6), seed=3)
+        monkeypatch.setattr(bootstrap, "_RESAMPLE_CHUNK_BYTES",
+                            chunk * 8 * 6 * sample.n)
+        values, failures = _mise_star_loop(sample, at_event, cfg)
+        curve = mise_star(sample, at_event, cfg)
+        assert np.array_equal(curve.values, values)
+        assert np.array_equal(curve.failures, failures)
+        assert failures[0] > 0
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_chunks_without_events_are_skipped(self, monkeypatch, chunk):
+        # at seed 2, resamples 32 and 33 both draw no event, so with one
+        # or two resamples per chunk some chunk has nothing to fit
+        sample = _sparse_event_sample()
+        cfg = BootstrapConfig(
+            B=40, grid=BandwidthGrid(np.array([1.0, 20.0])), seed=2
+        )
+        monkeypatch.setattr(bootstrap, "_RESAMPLE_CHUNK_BYTES",
+                            chunk * 8 * 2 * sample.n)
+        kit = _ResamplingKit.build(
+            sample, pilot_bandwidth(sample.x), EPANECHNIKOV)
+        with_events = np.array([
+            kit.draw(np.random.default_rng(child))[1].any()
+            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)
+        ])
+        assert not with_events[32:34].any()
+        values, failures = _mise_star_loop(sample, 0.0, cfg)
+        curve = mise_star(sample, 0.0, cfg)
+        assert np.array_equal(curve.values, values)
+        assert np.array_equal(curve.failures, failures)
+        assert curve.failures.tolist() == [6, 6]
+
+    def test_one_resample_per_chunk_at_n1600(self):
+        sample = generate(model1(), 1600, trial_rng(808, 4))
+        cfg = BootstrapConfig(B=3, grid=log_grid(1.0, 12.0, 12), seed=4)
+        assert bootstrap._RESAMPLE_CHUNK_BYTES // (8 * 12 * 1600) <= 1
+        values, failures = _mise_star_loop(sample, 4.0, cfg)
+        curve = mise_star(sample, 4.0, cfg)
+        assert np.array_equal(curve.values, values)
+        assert np.array_equal(curve.failures, failures)
+
     def test_empty_neighborhood_fails_like_the_loop(self):
         sample = generate(model1(), 40, trial_rng(808, 0))
         cfg = BootstrapConfig(B=6, grid=log_grid(1e-3, 30.0, 5), seed=4)
@@ -328,7 +401,7 @@ class TestBatchedGridFits:
         kit = _ResamplingKit.build(
             sample, pilot_bandwidth(sample.x), EPANECHNIKOV)
         eventless = sum(
-            not kit.draw(np.random.default_rng(child)).delta.any()
+            not kit.draw(np.random.default_rng(child))[1].any()
             for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)
         )
         assert eventless > 0
@@ -406,3 +479,54 @@ class TestVectorisedDraw:
         assert np.array_equal(c, c_ref)
         if make is _sparse_event_sample:
             assert np.any(kit.p_uncured == 0.0)
+
+    @staticmethod
+    def _on_and_below_masses(sample, g, kit, on_mass):
+        # uniforms alternately on the given masses and just below them;
+        # every row with positive uncured probability is drawn uncured
+        n = sample.n
+        u_latency = np.where(np.arange(n) % 2 == 0, on_mass,
+                             np.nextafter(on_mass, -np.inf))
+        u_cure = np.zeros(n)
+        u_censor = np.random.default_rng(n).random(n)
+        y, c = kit.draw_latent(_Uniforms(u_cure, u_latency, u_censor))
+        y_ref, c_ref, _ = _pick_loop_latent(
+            sample, g, u_cure, u_latency, u_censor)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(c, c_ref)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate(model1(), 40, trial_rng(909, 2)),
+        lambda: generate(model1(), 1600, trial_rng(909, 3)),
+        _one_event_time_sample,
+    ], ids=["n40", "n1600", "E1"])
+    def test_uniforms_on_block_boundaries(self, make):
+        # the search's coarse pass compares at columns s-1, 2s-1, ...,
+        # and the last column ends the last block
+        sample = make()
+        kit = _ResamplingKit.build(sample, 6.0, EPANECHNIKOV)
+        size, s = kit.times.size, kit.step
+        columns = np.append(np.arange(s - 1, size, s), size - 1)
+        rows = np.arange(sample.n)
+        self._on_and_below_masses(
+            sample, 6.0, kit, kit.cums[rows, columns[rows % columns.size]])
+        if make is _one_event_time_sample:
+            assert size == 1
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_every_number_of_jump_times(self, size):
+        # blocks of one to four columns, the last one whole or not
+        rng = np.random.default_rng(size)
+        n = 3 * size + 4
+        sample = CensoredSample(
+            rng.uniform(0.0, 4.0, n),
+            np.concatenate([np.arange(1.0, size + 1.0),
+                            rng.uniform(0.5, size + 1.0, n - size)]),
+            np.concatenate([np.ones(size, dtype=int),
+                            np.zeros(n - size, dtype=int)]),
+        )
+        kit = _ResamplingKit.build(sample, 6.0, EPANECHNIKOV)
+        assert kit.times.size == size
+        rows = np.arange(n)
+        self._on_and_below_masses(sample, 6.0, kit,
+                                  kit.cums[rows, rows % size])

@@ -267,3 +267,13 @@ class TestTrialsGeneratedOnce:
         bootstrap_vs_optimal(model1(), 40, 3, 5.0, log_grid(10.0, 50.0, 3),
                              B=4, config=ExperimentConfig(seed=55))
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("front", ["curve", "surface"])
+    def test_no_covariate_draws_no_trial(self, calls, front):
+        grid, cfg = log_grid(10.0, 50.0, 3), ExperimentConfig(seed=55)
+        with pytest.raises(ValueError, match="at least one covariate"):
+            if front == "curve":
+                true_mise(model1(), 40, 5, [], grid, cfg)
+            else:
+                true_mise_two_bw(model1(), 40, 5, (), grid, grid, cfg)
+        assert calls == []

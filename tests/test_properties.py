@@ -11,7 +11,12 @@ from npmixcure import (
     kaplan_meier,
 )
 from npmixcure.kernels import EPANECHNIKOV
-from npmixcure.survival import _beran_rows
+from npmixcure.survival import (
+    StepSurvivalCurve,
+    _at_event_times,
+    _beran_rows,
+    _product_limit,
+)
 
 # derandomized and without an example database: every run checks the
 # same examples and writes nothing
@@ -88,3 +93,53 @@ def test_stacked_covariate_rows_equal_separate_fits(sample, xs, hs, points):
     assert np.array_equal(on_grid, np.concatenate([s[0] for s in separate]))
     assert np.array_equal(cured, np.concatenate([s[1] for s in separate]))
     assert np.array_equal(fitted, np.concatenate([s[2] for s in separate]))
+
+
+@st.composite
+def _resample_stacks(draw):
+    """(b, n) samples on a coarse time lattice, each with an event, and
+    a (b, K, n) stack of kernel values with some all-zero rows."""
+    b, k, n = (draw(st.integers(lo, hi)) for lo, hi in ((1, 5), (1, 5),
+                                                           (1, 20)))
+    t = np.array(draw(st.lists(st.integers(0, 4), min_size=b * n,
+                               max_size=b * n)), dtype=float).reshape(b, n)
+    delta = np.array(draw(st.lists(st.integers(0, 1), min_size=b * n,
+                                   max_size=b * n))).reshape(b, n)
+    delta[np.arange(b), draw(st.lists(st.integers(0, n - 1), min_size=b,
+                                      max_size=b))] = 1
+    # kernel values come from a drawn seed: drawing up to 500 floats
+    # one by one would take seconds
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((b, k, n)) * (rng.random((b, k, n)) < 0.7)
+    empty = draw(st.lists(st.booleans(), min_size=b * k, max_size=b * k))
+    raw[np.array(empty).reshape(b, k)] = 0.0
+    return t, delta, raw
+
+
+@_SETTINGS
+@given(_resample_stacks(), st.integers(2, 30))
+def test_resample_stack_equals_separate_fits(stack, points):
+    # the bootstrap fits a chunk of resamples, each in its own time
+    # order, in one call
+    t, delta, raw = stack
+    order = np.lexsort((-delta, t), axis=-1)
+    t = np.take_along_axis(t, order, axis=-1)
+    delta = np.take_along_axis(delta, order, axis=-1)
+    raw = np.take_along_axis(raw, order[:, None], axis=-1)
+    tgrid = np.linspace(0.0, 5.0, points)
+    on_grid, cured, fitted = _beran_rows(t, delta, raw, tgrid)
+    separate = [_beran_rows(t[r], delta[r], raw[r], tgrid)
+                for r in range(t.shape[0])]
+    assert np.array_equal(on_grid, np.concatenate([s[0] for s in separate]))
+    assert np.array_equal(cured, np.concatenate([s[1] for s in separate]))
+    assert np.array_equal(fitted, np.stack([s[2] for s in separate]))
+    # reading the value after every column equals evaluating the curve
+    # collapsed to its distinct event times
+    rows = np.argwhere(fitted)
+    for (r, k), curve, top in zip(rows, on_grid, cured):
+        weights = raw[r, k] / raw[r, k].sum()
+        times, values = _at_event_times(
+            t[r], delta[r], _product_limit(delta[r], weights[None]))
+        step = StepSurvivalCurve(times, values[0])
+        assert np.array_equal(curve, step.evaluate(tgrid))
+        assert top == values[0, -1]
