@@ -13,7 +13,6 @@ from .bootstrap import (
     log_grid,
     mise_star,
     pilot_bandwidth,
-    select_bandwidth,
 )
 from .cure import (
     CureFit,
@@ -82,7 +81,6 @@ __all__ = [
     "log_grid",
     "mise_star",
     "pilot_bandwidth",
-    "select_bandwidth",
     "CureFit",
     "incidence_estimate",
     "latency_estimate",

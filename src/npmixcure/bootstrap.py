@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cure import latency_estimate
+from .cure import _latency_ise, latency_estimate
 from .exceptions import EstimationError
 from .kernels import EPANECHNIKOV, Kernel, nw_weights
 from .survival import (
@@ -39,7 +39,6 @@ __all__ = [
     "log_grid",
     "pilot_bandwidth",
     "mise_star",
-    "select_bandwidth",
 ]
 
 
@@ -96,12 +95,33 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.B < 1:
             raise ValueError("B must be at least 1")
-        if self.pilot_c <= 0.0:
-            raise ValueError("pilot_c must be positive")
+        if not 0.0 < self.pilot_c < math.inf:
+            raise ValueError("pilot_c must be positive and finite")
         if self.time_grid_size < 2:
             raise ValueError("time_grid_size must be at least 2")
-        if self.weight_upper is not None and self.weight_upper <= 0.0:
-            raise ValueError("weight_upper must be positive")
+        _check_weight_upper(self.weight_upper)
+
+
+def _check_weight_upper(weight_upper):
+    # a range test, since NaN passes ``<= 0``; a NaN or infinite window
+    # would make every integrated error NaN, which marks a failed fit
+    if weight_upper is not None and not 0.0 < weight_upper < math.inf:
+        raise ValueError("weight_upper must be positive and finite")
+
+
+def _time_grid(sample: CensoredSample, config) -> np.ndarray:
+    """Trapezoid points of the MISE weight window for ``sample``.
+
+    ``config`` (a :class:`BootstrapConfig` or an experiment config)
+    gives ``time_grid_size`` points spread evenly over [0,
+    ``weight_upper``], or up to the sample's largest uncensored time
+    when ``weight_upper`` is None.
+    """
+    if config.weight_upper is not None:
+        upper = config.weight_upper
+    else:
+        upper = sample.t_max_uncensored()
+    return np.linspace(0.0, upper, config.time_grid_size)
 
 
 @dataclass
@@ -129,6 +149,27 @@ class MiseCurve:
         return float(self.grid.values[self.argmin_index])
 
 
+def _mise_curve(grid, sums, used, count, noun, **fields) -> MiseCurve:
+    """The MISE curve of error ``sums`` over ``used`` of ``count`` samples.
+
+    ``noun`` names a sample ("resample" or "trial") in the error raised
+    when none was used at some bandwidth; ``fields`` fill in the rest.
+    """
+    if np.any(used == 0):
+        bad = grid.values[used == 0]
+        raise EstimationError(
+            f"every {noun} failed at bandwidth(s) {bad.tolist()}"
+        )
+    values = sums / used
+    return MiseCurve(
+        grid=grid,
+        values=values,
+        argmin_index=int(np.argmin(values)),
+        failures=(count - used).astype(np.int64),
+        **fields,
+    )
+
+
 def pilot_bandwidth(xs: np.ndarray, c: float = 0.75) -> float:
     """Rule-of-thumb pilot bandwidth ``c (x_(n) - x_(1)) n^(-1/9)``.
 
@@ -143,8 +184,8 @@ def pilot_bandwidth(xs: np.ndarray, c: float = 0.75) -> float:
         all identical.
     """
     xs = np.asarray(xs, dtype=float)
-    if c <= 0.0:
-        raise ValueError("pilot constant must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError("pilot constant must be positive and finite")
     if xs.size < 2:
         raise EstimationError("need at least two covariate values")
     span = float(xs.max() - xs.min())
@@ -299,10 +340,6 @@ class _ResamplingKit:
         return np.minimum(y, c), (y <= c).astype(np.int64)
 
 
-def _resample_streams(seed: int, count: int):
-    return np.random.SeedSequence(seed).spawn(count)
-
-
 def mise_star(
     sample: CensoredSample,
     x: float,
@@ -327,69 +364,36 @@ def mise_star(
     grid = config.grid.values
     g = pilot_bandwidth(sample.x, config.pilot_c)
     pilot_fit = latency_estimate(sample, x, g, kernel)
-    weight_upper = (
-        config.weight_upper
-        if config.weight_upper is not None
-        else sample.t_max_uncensored()
-    )
-    tgrid = np.linspace(0.0, weight_upper, config.time_grid_size)
+    tgrid = _time_grid(sample, config)
     pilot_values = pilot_fit.latency.evaluate(tgrid)
 
     kit = _ResamplingKit.build(sample, g, kernel)
     # covariates stay fixed across resamples, so the kernel values at x
     # are computed once and only their columns follow each time order
     raw = kernel.density((x - sample.x) / grid[:, None])
-    ise = np.full((config.B, grid.size), np.nan)
-    streams = _resample_streams(config.seed, config.B)
+    ise = np.empty((config.B, grid.size))
+    streams = np.random.SeedSequence(config.seed).spawn(config.B)
     chunk = max(1, _RESAMPLE_CHUNK_BYTES // (8 * raw.size))
     for lo in range(0, config.B, chunk):
         draws = [kit.draw(np.random.default_rng(child))
                  for child in streams[lo:lo + chunk]]
         t = np.array([d[0] for d in draws])
         delta = np.array([d[1] for d in draws])
-        # a resample without events cannot be fitted at any bandwidth
-        hit = np.flatnonzero(delta.any(axis=1))
-        if hit.size == 0:
-            continue
-        t, delta = t[hit], delta[hit]
         order = np.lexsort((-delta, t), axis=-1)
-        on_grid, cured, fitted = _beran_rows(
+        curves, plateaus, fitted = _beran_rows(
             np.take_along_axis(t, order, axis=-1),
             np.take_along_axis(delta, order, axis=-1),
             np.take_along_axis(raw[None], order[:, None], axis=-1),
             tgrid,
         )
-        p_hat = 1.0 - cured
-        proper = p_hat > 0.0
-        diff = (on_grid[proper] - cured[proper, None]) / p_hat[proper, None]
-        diff -= pilot_values
-        scores = np.full(fitted.shape, np.nan)
-        scores.reshape(-1)[np.flatnonzero(fitted)[proper]] = np.trapezoid(
-            diff * diff, tgrid)
-        ise[lo + hit] = scores
+        rows = np.arange(fitted.size)
+        ise[lo:lo + len(draws)] = _latency_ise(
+            curves.reshape(rows.size, -1), plateaus.reshape(-1),
+            fitted.reshape(-1), pilot_values, tgrid, rows, rows,
+        ).reshape(fitted.shape)
 
-    succeeded = np.sum(~np.isnan(ise), axis=0)
-    if np.any(succeeded == 0):
-        bad = grid[succeeded == 0]
-        raise EstimationError(
-            f"every resample failed at bandwidth(s) {bad.tolist()}"
-        )
-    values = np.nansum(ise, axis=0) / succeeded
-    return MiseCurve(
-        grid=config.grid,
-        values=values,
-        argmin_index=int(np.argmin(values)),
-        failures=(config.B - succeeded).astype(np.int64),
-        pilot_bandwidth=g,
-        weight_upper=float(weight_upper),
+    return _mise_curve(
+        config.grid, np.nansum(ise, axis=0), np.sum(~np.isnan(ise), axis=0),
+        config.B, "resample",
+        pilot_bandwidth=g, weight_upper=float(tgrid[-1]),
     )
-
-
-def select_bandwidth(
-    sample: CensoredSample,
-    x: float,
-    config: BootstrapConfig,
-    kernel: Kernel = EPANECHNIKOV,
-) -> float:
-    """Bandwidth minimizing the bootstrap MISE (smallest on ties)."""
-    return mise_star(sample, x, config, kernel).selected

@@ -84,6 +84,31 @@ def _latency_from_curve(curve: StepSurvivalCurve, cured: float) -> StepSurvivalC
     return StepSurvivalCurve(curve.jump_times.copy(), values, initial_value=1.0)
 
 
+def _latency_ise(curves, plateaus, fitted, truth, tgrid, rows1, rows2):
+    """Integrated squared errors of latency estimates built from rows.
+
+    ``curves`` holds (K, T) conditional survival curves on ``tgrid``,
+    ``plateaus`` their final levels and ``fitted`` whether each row had
+    weight.  Estimate ``k`` transforms the curve of row ``rows1[k]``
+    with the plateau of row ``rows2[k]`` as :func:`_latency_from_curve`
+    does, and its squared distance to ``truth`` is integrated over
+    ``tgrid`` by the trapezoid rule.  An estimate whose curve row was
+    not fitted, or whose ``1 - plateau`` is not positive, fails: its
+    error is NaN.
+    """
+    cured = plateaus[rows2]
+    p_hat = 1.0 - cured
+    ok = fitted[rows1] & (p_hat > 0.0)
+    values = curves[rows1[ok]]
+    values -= cured[ok, None]
+    values /= p_hat[ok, None]
+    values -= truth
+    values *= values
+    ise = np.full(rows1.shape, np.nan)
+    ise[ok] = np.trapezoid(values, tgrid)
+    return ise
+
+
 def _clamp_monotone(curve: StepSurvivalCurve) -> StepSurvivalCurve:
     """Clip values into [0, 1], then enforce monotonicity by running minimum."""
     values = np.minimum.accumulate(np.clip(curve.values, 0.0, 1.0))

@@ -12,11 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BandwidthGrid, BootstrapConfig, MiseCurve, mise_star
+from .bootstrap import (
+    BandwidthGrid,
+    BootstrapConfig,
+    MiseCurve,
+    _check_weight_upper,
+    _mise_curve,
+    _time_grid,
+    mise_star,
+)
+from .cure import _latency_ise
 from .exceptions import EstimationError
 from .kernels import EPANECHNIKOV, Kernel
 from .models import ModelSpec, generate, trial_rng
-from .survival import CensoredSample, _beran_rows
+from .survival import _beran_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -44,8 +53,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.time_grid_size < 2:
             raise ValueError("time_grid_size must be at least 2")
-        if self.weight_upper is not None and self.weight_upper <= 0.0:
-            raise ValueError("weight_upper must be positive")
+        _check_weight_upper(self.weight_upper)
 
 
 @dataclass
@@ -70,21 +78,6 @@ class MiseSurface:
         """Lattice indices of the first minimal MISE entry."""
         flat = int(np.argmin(self.values))
         return flat // self.values.shape[1], flat % self.values.shape[1]
-
-
-def _ise(values, truth, tgrid):
-    """Integrated squared error of each row of ``values``, in place."""
-    values -= truth
-    values *= values
-    return np.trapezoid(values, tgrid)
-
-
-def _time_grid(sample: CensoredSample, config: ExperimentConfig):
-    if config.weight_upper is not None:
-        upper = config.weight_upper
-    else:
-        upper = sample.t_max_uncensored()
-    return np.linspace(0.0, upper, config.time_grid_size)
 
 
 def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, kernel, visit=None):
@@ -115,24 +108,17 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, kernel, visit=None):
         # row i * L + l is xs[i] at hs[l]
         raw = kernel.density(
             (xs[:, None, None] - sample.x[order]) / hs[:, None])
-        on_grid, tops, fitted = _beran_rows(
+        curves, plateaus, fitted = _beran_rows(
             sample.t[order], sample.delta[order], raw.reshape(-1, n), tgrid)
-        curves = np.full((fitted.size, tgrid.size), np.nan)
-        curves[fitted] = on_grid
-        plateau = np.full(fitted.size, np.nan)
-        plateau[fitted] = tops
         # pairs are combined one x at a time: stacked, the (len(x) * K, T)
         # temporaries outgrow malloc's 128 KiB mmap threshold and measured
         # slower
         for i, x in enumerate(xs):
             at_x = slice(i * hs.size, (i + 1) * hs.size)
-            cured = plateau[at_x][rows2]
-            p_hat = 1.0 - cured
-            ok = fitted[at_x][rows1] & (p_hat > 0.0)
-            values = curves[at_x][rows1[ok]]
-            values -= cured[ok, None]
-            values /= p_hat[ok, None]
-            sums[i, ok] += _ise(values, spec.s0(tgrid, x), tgrid)
+            ise = _latency_ise(curves[at_x], plateaus[at_x], fitted[at_x],
+                               spec.s0(tgrid, x), tgrid, rows1, rows2)
+            ok = ~np.isnan(ise)
+            sums[i, ok] += ise[ok]
             used[i, ok] += 1
     return sums, used
 
@@ -150,24 +136,6 @@ def _covariates(x):
     if not xs:
         raise ValueError("need at least one covariate value")
     return xs, single
-
-
-def _mise_curve(grid, sums, used, m, config):
-    if np.any(used == 0):
-        bad = grid.values[used == 0]
-        raise EstimationError(
-            f"every trial failed at bandwidth(s) {bad.tolist()}"
-        )
-    values = sums / used
-    return MiseCurve(
-        grid=grid,
-        values=values,
-        argmin_index=int(np.argmin(values)),
-        failures=(m - used).astype(np.int64),
-        pilot_bandwidth=None,
-        weight_upper=config.weight_upper,
-        trials=m,
-    )
 
 
 def true_mise(
@@ -193,7 +161,9 @@ def true_mise(
     rows = np.arange(len(grid))
     sums, used = _mise_sums(spec, n, m, xs, grid.values, rows, rows,
                             config, kernel)
-    curves = [_mise_curve(grid, s, u, m, config) for s, u in zip(sums, used)]
+    curves = [_mise_curve(grid, s, u, m, "trial",
+                          weight_upper=config.weight_upper, trials=m)
+              for s, u in zip(sums, used)]
     return curves[0] if single else curves
 
 
@@ -312,7 +282,8 @@ def bootstrap_vs_optimal(
     rows = np.arange(len(grid))
     sums, used = _mise_sums(spec, n, m, [x], grid.values, rows, rows,
                             config, kernel, select)
-    mise = _mise_curve(grid, sums[0], used[0], m, config)
+    mise = _mise_curve(grid, sums[0], used[0], m, "trial",
+                       weight_upper=config.weight_upper, trials=m)
     ok = selected_index >= 0
     ratios = mise.values[selected_index[ok]] / mise.values.min()
     histogram = np.bincount(selected_index[ok], minlength=len(grid))

@@ -73,7 +73,6 @@ class PopulationFunctions:
     s0: Callable
     latency_density: Callable
     cens_sf: Callable
-    cens_pdf: Callable
     m: Callable
     m_prime: Callable
     s0_upper: Callable[[float], float]
@@ -87,19 +86,9 @@ class PopulationFunctions:
         """``1 - H(t|x) = S(t|x) (1 - G(t))``."""
         return self.survival(t, x) * self.cens_sf(t)
 
-    def h_cdf(self, t, x):
-        return 1.0 - self.one_minus_h(t, x)
-
     def h1_density(self, t, x):
         """Density of the uncensored subdistribution ``H1``."""
         return self.cens_sf(t) * self.p(x) * self.latency_density(t, x)
-
-    def h1_cdf(self, t, x) -> float:
-        """``H1(t|x)``, by quadrature of the density."""
-        upper = min(float(t), self.s0_upper(x))
-        return adaptive_simpson(
-            lambda v: self.h1_density(v, x), 0.0, upper, _TOL
-        )
 
 
 def _fd_latency_density(s0):
@@ -146,7 +135,6 @@ def population_from_model(spec: ModelSpec) -> PopulationFunctions:
         s0=spec.s0,
         latency_density=density,
         cens_sf=spec.censoring.sf,
-        cens_pdf=spec.censoring.pdf,
         m=spec.covariate.pdf,
         m_prime=spec.covariate.dpdf,
         s0_upper=s0_upper,
@@ -335,7 +323,6 @@ def phi_y_derivatives(
     pop: PopulationFunctions,
     t: float,
     x: float,
-    step: float | None = None,
     halving_check: bool = True,
 ) -> PhiDerivatives:
     """``d/dy Phi(y, t, x)`` and ``d^2/dy^2 Phi(y, t, x)`` at ``y = x``.
@@ -346,7 +333,7 @@ def phi_y_derivatives(
     an array of times; the fields are then arrays.
     """
     _guard(pop, t, x)
-    base = _fd_step(x) if step is None else step
+    base = _fd_step(x)
     fine1, fine2 = _phi_derivative_integrals(pop, t, x, 0.5 * base)
     if not halving_check:
         return PhiDerivatives(fine1, fine2)
@@ -548,11 +535,12 @@ def h_amise(
     lo, hi = t_range
     if not (0.0 <= lo < hi):
         raise ValueError("t_range must satisfy 0 <= lo < hi")
-    inf_pieces = _infinity_pieces(pop, x)
 
     def squared_bias_and_variance(ts):
-        # one batched quadrature per transform for the whole grid
-        terms = bias_variance_terms(pop, ts, x, _inf_pieces=inf_pieces)
+        # one batched quadrature per transform for the whole grid;
+        # composite_simpson calls this once, so the t-independent
+        # full-support transforms are computed once too
+        terms = bias_variance_terms(pop, ts, x)
         return np.stack([_pow2(terms.b), terms.v])
 
     int_b_sq, int_v = map(float, composite_simpson(

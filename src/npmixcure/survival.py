@@ -163,13 +163,13 @@ def _beran_rows(t_sorted, delta_sorted, raw, tgrid):
     the time order of ``t_sorted`` and ``delta_sorted`` (shape (n,)),
     or a (b, K, n) stack whose sample ``r`` has its own order, given by
     row ``r`` of the (b, n) ``t_sorted`` and ``delta_sorted``.  Each
-    kernel row is scaled to sum to one as in :func:`nw_weights`.  Every
-    sample must have an uncensored observation.
+    kernel row is scaled to sum to one as in :func:`nw_weights`.
 
-    Returns the curves of the rows with positive weight on ``tgrid`` (a
-    C-contiguous matrix, rows in C order of ``raw``'s leading axes),
-    their values at the largest uncensored time, and the boolean mask
-    of those rows, of shape ``raw.shape[:-1]``.
+    Returns the curves on ``tgrid``, shape ``raw.shape[:-1] + (T,)``,
+    their plateaus (the value after the last column, shape
+    ``raw.shape[:-1]``), and the boolean mask of the rows with positive
+    weight, of the same shape.  A row without weight, or of a sample
+    without events, is the constant curve one with plateau one.
     """
     raw = np.ascontiguousarray(raw)
     total = raw.sum(axis=-1)
@@ -183,7 +183,8 @@ def _beran_rows(t_sorted, delta_sorted, raw, tgrid):
     on_grid = np.where(
         last < 0, 1.0,
         np.take_along_axis(survival, np.maximum(last, 0), axis=-1))
-    return on_grid[fitted], survival[..., -1][fitted], fitted
+    # a view of the plateaus would keep the whole (..., n) matrix alive
+    return on_grid, survival[..., -1].copy(), fitted
 
 
 def kaplan_meier(sample: CensoredSample, event_flags=None) -> StepSurvivalCurve:

@@ -17,7 +17,6 @@ from npmixcure import (
     mise_star,
     model1,
     pilot_bandwidth,
-    select_bandwidth,
 )
 from npmixcure import bootstrap
 from npmixcure.bootstrap import (
@@ -113,8 +112,9 @@ class TestPilotBandwidth:
             pilot_bandwidth(np.array([1.0]))
         with pytest.raises(EstimationError, match="identical"):
             pilot_bandwidth(np.array([2.0, 2.0, 2.0]))
-        with pytest.raises(ValueError):
-            pilot_bandwidth(np.array([0.0, 1.0]), c=0.0)
+        for c in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                pilot_bandwidth(np.array([0.0, 1.0]), c=c)
 
 
 class TestJumpDistribution:
@@ -230,11 +230,6 @@ class TestMiseStar:
         curve = mise_star(sample, 5.0, cfg)
         assert curve.weight_upper == 2.0
 
-    def test_select_bandwidth_is_curve_minimum(self):
-        sample = generate(model1(), 50, trial_rng(606, 2))
-        cfg = BootstrapConfig(B=8, grid=log_grid(5.0, 60.0, 5), seed=9)
-        assert select_bandwidth(sample, 5.0, cfg) == mise_star(sample, 5.0, cfg).selected
-
     def test_partial_failures_are_counted_and_skipped(self):
         # at h=0.1 the x=0 neighborhood holds six subjects with pilot
         # uncured probability 1/2 each; a resample leaving them all
@@ -268,12 +263,15 @@ class TestMiseStar:
         grid = log_grid(1.0, 10.0, 3)
         with pytest.raises(ValueError):
             BootstrapConfig(B=0, grid=grid, seed=1)
-        with pytest.raises(ValueError):
-            BootstrapConfig(B=5, grid=grid, seed=1, pilot_c=0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="pilot_c"):
+                BootstrapConfig(B=5, grid=grid, seed=1, pilot_c=bad)
         with pytest.raises(ValueError):
             BootstrapConfig(B=5, grid=grid, seed=1, time_grid_size=1)
-        with pytest.raises(ValueError):
-            BootstrapConfig(B=5, grid=grid, seed=1, weight_upper=-1.0)
+        # a NaN or infinite window would score every fit as failed
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="weight_upper"):
+                BootstrapConfig(B=5, grid=grid, seed=1, weight_upper=bad)
 
     def test_first_minimum_wins_ties(self):
         grid = log_grid(1.0, 8.0, 4)

@@ -5,13 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from npmixcure import (
+    EPANECHNIKOV,
     CensoredSample,
     DegenerateCureError,
     EmptyNeighborhoodError,
+    beran,
     incidence_estimate,
     latency_estimate,
     latency_estimate_two_bw,
 )
+from npmixcure.cure import _latency_from_curve, _latency_ise
+from npmixcure.survival import _beran_rows
 
 from helpers import random_censored_sample
 
@@ -150,3 +154,59 @@ class TestLatencyTwoBandwidths:
         )
         with pytest.raises(DegenerateCureError):
             latency_estimate_two_bw(s, 10.0, 1.0, 1.0)
+
+
+class TestLatencyIse:
+    """The one scoring step of the bootstrap and Monte Carlo MISE."""
+
+    # (x, h) kernel rows: only censored subjects near x=9 (p_hat = 0), no
+    # subject near x=6.5 (no weight), and two proper fits
+    XS = np.array([9.0, 6.5, 5.0, 3.5])
+    HS = np.array([0.6, 0.1, 10.0, 1.0])
+
+    @staticmethod
+    def _sample(delta):
+        return CensoredSample(
+            np.array([3.0, 3.5, 4.0, 3.2, 8.6, 9.0, 9.4]),
+            np.array([1.0, 2.0, 3.0, 2.0, 1.5, 4.0, 6.0]),
+            np.array(delta),
+        )
+
+    def _scores(self, sample, truth, tgrid):
+        ordered = sample.sort_by_time()
+        raw = EPANECHNIKOV.density(
+            (self.XS[:, None] - ordered.x) / self.HS[:, None])
+        curves, plateaus, fitted = _beran_rows(
+            ordered.t, ordered.delta, raw, tgrid)
+        rows1, rows2 = (r.ravel() for r in np.meshgrid(
+            np.arange(4), np.arange(4), indexing="ij"))
+        ise = _latency_ise(curves, plateaus, fitted, truth, tgrid,
+                           rows1, rows2)
+        return ise.reshape(4, 4)
+
+    def test_equals_latency_curve_then_trapezoid(self):
+        sample = self._sample([1, 1, 1, 0, 0, 0, 0])
+        tgrid = np.linspace(0.0, 6.0, 25)
+        truth = np.exp(-tgrid)
+        t_top = sample.t_max_uncensored()
+        expected = np.full((4, 4), np.nan)
+        for k1, k2 in np.ndindex(4, 4):
+            try:
+                curve = beran(sample, self.XS[k1], self.HS[k1])
+                cured = beran(sample, self.XS[k2], self.HS[k2]).evaluate(t_top)
+                latency = _latency_from_curve(curve, cured)
+            except (EmptyNeighborhoodError, DegenerateCureError):
+                continue
+            diff = latency.evaluate(tgrid) - truth
+            expected[k1, k2] = np.trapezoid(diff * diff, tgrid)
+        ise = self._scores(sample, truth, tgrid)
+        assert np.array_equal(ise, expected, equal_nan=True)
+        # a curve row without weight fails against a proper incidence row,
+        # and every p_hat = 0 incidence row fails
+        assert np.isnan(ise[1, 2]) and np.isnan(ise[:, 0]).all()
+        assert np.isfinite(ise[2:, 2:]).all()
+
+    def test_eventless_sample_fails_everywhere(self):
+        sample = self._sample([0] * 7)
+        tgrid = np.linspace(0.0, 6.0, 25)
+        assert np.isnan(self._scores(sample, np.exp(-tgrid), tgrid)).all()

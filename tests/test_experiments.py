@@ -97,8 +97,10 @@ class TestTrueMise:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(seed=1, time_grid_size=1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(seed=1, weight_upper=0.0)
+        # a NaN or infinite window would score every trial as failed
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="weight_upper"):
+                ExperimentConfig(seed=1, weight_upper=bad)
 
 
 class TestTrueMiseSurface:

@@ -40,10 +40,6 @@ def _exponential_population(p_value=1.0, cens_rate=0.0):
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, 1.0, np.exp(-cens_rate * t))
 
-    def pdf(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0.0, 0.0, cens_rate * np.exp(-cens_rate * t))
-
     return PopulationFunctions(
         p=lambda x: np.asarray(p_value, dtype=float),
         s0=lambda t, x: np.exp(-np.maximum(np.asarray(t, dtype=float), 0.0)),
@@ -51,7 +47,6 @@ def _exponential_population(p_value=1.0, cens_rate=0.0):
             np.asarray(t, dtype=float) < 0.0, 0.0, np.exp(-np.asarray(t, dtype=float))
         ),
         cens_sf=sf,
-        cens_pdf=pdf,
         m=lambda x: np.asarray(1.0 / 40.0),
         m_prime=lambda x: np.asarray(0.0),
         s0_upper=lambda x: 40.0,

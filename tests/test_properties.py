@@ -130,13 +130,15 @@ def test_resample_stack_equals_separate_fits(stack, points):
     on_grid, cured, fitted = _beran_rows(t, delta, raw, tgrid)
     separate = [_beran_rows(t[r], delta[r], raw[r], tgrid)
                 for r in range(t.shape[0])]
-    assert np.array_equal(on_grid, np.concatenate([s[0] for s in separate]))
-    assert np.array_equal(cured, np.concatenate([s[1] for s in separate]))
+    assert np.array_equal(on_grid, np.stack([s[0] for s in separate]))
+    assert np.array_equal(cured, np.stack([s[1] for s in separate]))
     assert np.array_equal(fitted, np.stack([s[2] for s in separate]))
+    # rows without weight are the constant curve one
+    assert np.all(on_grid[~fitted] == 1.0) and np.all(cured[~fitted] == 1.0)
     # reading the value after every column equals evaluating the curve
     # collapsed to its distinct event times
     rows = np.argwhere(fitted)
-    for (r, k), curve, top in zip(rows, on_grid, cured):
+    for (r, k), curve, top in zip(rows, on_grid[fitted], cured[fitted]):
         weights = raw[r, k] / raw[r, k].sum()
         times, values = _at_event_times(
             t[r], delta[r], _product_limit(delta[r], weights[None]))

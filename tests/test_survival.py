@@ -251,9 +251,13 @@ class TestBatchedProductLimit:
         on_grid, final, fitted = _beran_rows(
             ordered.t, ordered.delta, raw, np.array([0.0, 2.0]))
         assert fitted.tolist() == [True, False, False]
-        assert on_grid.shape == (1, 2) and final.shape == (1,)
-        assert np.array_equal(on_grid[0], beran(sample, 0.0, 0.5).evaluate(
-            np.array([0.0, 2.0])))
+        assert on_grid.shape == (3, 2) and final.shape == (3,)
+        assert on_grid[fitted].shape == (1, 2) and final[fitted].shape == (1,)
+        assert np.array_equal(on_grid[fitted][0], beran(
+            sample, 0.0, 0.5).evaluate(np.array([0.0, 2.0])))
+        # a row without weight is the constant curve one
+        assert np.all(on_grid[~fitted] == 1.0)
+        assert np.all(final[~fitted] == 1.0)
 
     def test_weight_rows_equal_single_point_weights(self):
         rng = np.random.default_rng(5)
