@@ -221,7 +221,7 @@ _OPTIONS = {option.key: option for option in (
             help="upper end of the MISE integration window"),
     _Option("--time-grid-size", _at_least(2), 100,
             "integration grid size (default 100)"),
-    _Option("--seed", _as_int, 1, "master random seed (default 1)"),
+    _Option("--seed", _at_least(0), 1, "master random seed (default 1)"),
     _Option("--out", _text, help="output file (relative paths resolve "
             f"against ${_OUTDIR_ENV} or the working directory)"),
     _Option("--format", _text, "csv", "table format (default csv)",

@@ -36,6 +36,13 @@ __all__ = [
     "bootstrap_vs_optimal",
 ]
 
+# trials drawn together, whose latency levels share one model-2 bisection;
+# a chunk's (trials, n) arrays stay near this size.  Larger chunks outgrow
+# the fits' own memory peak: on the n=400 model-2 surface the traced peak
+# of a job was 612 KiB drawing one trial at a time, 706 KiB at this size
+# and 1047 KiB at twice it
+_TRIAL_CHUNK_BYTES = 1 << 15
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -80,16 +87,25 @@ class MiseSurface:
         return flat // self.values.shape[1], flat % self.values.shape[1]
 
 
+def _trials(spec, n, m, seed):
+    """``(j, sample)`` for the trials ``j < m`` in order, drawn in chunks."""
+    chunk = max(1, _TRIAL_CHUNK_BYTES // (8 * n))
+    for lo in range(0, m, chunk):
+        streams = [trial_rng(seed, j) for j in range(lo, min(lo + chunk, m))]
+        yield from enumerate(generate(spec, n, streams), lo)
+
+
 def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, kernel, visit=None):
     """Integrated squared errors of bandwidth pairs, summed over trials.
 
     Pair ``k`` combines the survival curve at ``hs[rows1[k]]`` with the
     incidence at ``hs[rows2[k]]``; the diagonal pairs are the
     one-bandwidth estimator.  Each trial draws one sample (stream
-    spawned from the seed and the trial index), which ``visit(j,
-    sample)`` sees first when given, and fits every (x, bandwidth) on it
-    in one product-limit call, so all pairs and covariate values are
-    compared on common samples.  Raw (unclamped) estimates enter the
+    spawned from the seed and the trial index; a chunk of trials is
+    drawn in one :func:`generate` call), which ``visit(j, sample)`` sees
+    first when given, and fits every (x, bandwidth) on it in one
+    product-limit call, so all pairs and covariate values are compared
+    on common samples.  Raw (unclamped) estimates enter the
     error; a pair whose fit fails on a trial skips that trial.
 
     Returns the sums and the counts of trials used, (len(xs), K) arrays.
@@ -97,8 +113,7 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, kernel, visit=None):
     xs = np.asarray(xs, dtype=float)
     sums = np.zeros((xs.size, rows1.size))
     used = np.zeros((xs.size, rows1.size), dtype=np.int64)
-    for j in range(m):
-        sample = generate(spec, n, trial_rng(config.seed, j))
+    for j, sample in _trials(spec, n, m, config.seed):
         if visit is not None:
             visit(j, sample)
         if not np.any(sample.delta == 1):

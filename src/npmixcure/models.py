@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class ExponentialCensoring:
     def cdf(self, t) -> np.ndarray:
         return 1.0 - self.sf(t)
 
-    def pdf(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0.0, 0.0, self.rate * np.exp(-self.rate * t))
-
 
 @dataclass(frozen=True)
 class NoCensoring:
@@ -90,27 +86,30 @@ class NoCensoring:
     def cdf(self, t) -> np.ndarray:
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def pdf(self, t) -> np.ndarray:
-        return np.zeros_like(np.asarray(t, dtype=float))
-
 
 @dataclass(frozen=True)
 class ModelSpec:
     """A fully specified mixture cure data-generating process.
 
     ``p(x)`` is the probability of being uncured, ``s0(t, x)`` the
-    latency survival.  ``latency_quantile(u, x)`` must invert
-    ``s0(., x)`` at level ``u`` so that plugging a standard uniform
-    yields a draw of the susceptible survival time.  ``latency_density``
-    and ``s0_upper`` feed the asymptotic quadrature oracle: the former
-    is ``-d s0/dt`` and the latter an effective upper end of the latency
-    support (where ``s0`` is numerically zero).
+    latency survival.  ``latency_quantile(u, x, sizes=None)`` must
+    invert ``s0(., x)`` at level ``u`` so that plugging a standard
+    uniform yields a draw of the susceptible survival time.  ``p`` and
+    ``latency_quantile`` work element by element, so :func:`generate`
+    can pass the rows of several samples in one call.  ``sizes``, when
+    given, splits a one-dimensional ``u`` into consecutive groups, one
+    per sample, and each group's values must equal those of a call on
+    that group alone bit for bit: an iterative inversion stops each
+    group where its own call would stop.  A closed form ignores it.
+    ``latency_density`` and ``s0_upper`` feed the asymptotic quadrature
+    oracle: the former is ``-d s0/dt`` and the latter an effective upper
+    end of the latency support (where ``s0`` is numerically zero).
     """
 
     model_id: str
     p: Callable[[np.ndarray], np.ndarray]
     s0: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    latency_quantile: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    latency_quantile: Callable[..., np.ndarray]
     censoring: object
     covariate: object
     latency_density: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -157,7 +156,7 @@ def model1() -> ModelSpec:
         raw = (np.exp(-lam * np.minimum(t, MODEL1_TAU0)) - tail) / (1.0 - tail)
         return np.where(t >= MODEL1_TAU0, 0.0, np.where(t < 0.0, 1.0, raw))
 
-    def latency_quantile(u, x):
+    def latency_quantile(u, x, sizes=None):
         # s0(t) = u  <=>  t = -log(tail + u (1 - tail)) / lam
         u = np.asarray(u, dtype=float)
         lam = _model1_lambda(x)
@@ -220,20 +219,45 @@ def model2() -> ModelSpec:
         w = np.where(t < 0.0, 0.0, t) ** 5
         return _model2_s0_of_w(w, _model2_alpha(x))
 
-    def latency_quantile(u, x):
+    def latency_quantile(u, x, sizes=None):
         u = np.clip(np.asarray(u, dtype=float), 2.0**-53, 1.0)
-        alpha = np.broadcast_to(_model2_alpha(x), u.shape).astype(float)
+        shape = u.shape
+        alpha = np.broadcast_to(_model2_alpha(x), shape).astype(float).ravel()
+        u = u.ravel()
         # bracket: 0.5 exp(-alpha w) <= u  once  w >= log(1/(2u))/alpha
         hi = np.maximum(np.log(1.0 / (2.0 * u)) / alpha, 1.0)
         lo = np.zeros_like(hi)
+        w = np.empty_like(hi)
+        # the rows still bisecting and the sizes of their groups; a group
+        # leaves after the first iteration at which all its rows meet the
+        # test, as its own call would break there.  An empty group is
+        # dropped: reduceat over it would read the next group's first row
+        rows = np.arange(u.size)
+        sizes = np.array([u.size] if sizes is None else sizes, dtype=np.int64)
+        sizes = sizes[sizes > 0]
+        starts = np.cumsum(sizes) - sizes
         for _ in range(200):
+            if not sizes.size:
+                break
             mid = 0.5 * (lo + hi)
             too_high = _model2_s0_of_w(mid, alpha) > u
             lo = np.where(too_high, mid, lo)
             hi = np.where(too_high, hi, mid)
-            if np.all(hi - lo <= 1e-10 * np.maximum(hi, 1.0)):
-                break
-        return (0.5 * (lo + hi)) ** 0.2
+            met = hi - lo <= 1e-10 * np.maximum(hi, 1.0)
+            stop = np.logical_and.reduceat(met, starts)
+            if stop.any():
+                done = np.repeat(stop, sizes)
+                w[rows[done]] = 0.5 * (lo[done] + hi[done])
+                keep = ~done
+                rows, u, alpha, lo, hi = (
+                    a[keep] for a in (rows, u, alpha, lo, hi))
+                sizes = sizes[~stop]
+                starts = np.cumsum(sizes) - sizes
+        w[rows] = 0.5 * (lo + hi)
+        # [()] makes a 0-d result a numpy scalar, so a scalar level takes
+        # the scalar power; it differs in the last bit from the array
+        # loop on about one value in twenty
+        return w.reshape(shape)[()] ** 0.2
 
     def latency_density(t, x):
         t = np.asarray(t, dtype=float)
@@ -265,23 +289,36 @@ def model2() -> ModelSpec:
     )
 
 
-def generate(spec: ModelSpec, n: int, rng: np.random.Generator) -> CensoredSample:
+def generate(
+    spec: ModelSpec,
+    n: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> CensoredSample | list[CensoredSample]:
     """Draw a right-censored sample of size ``n`` from the process.
 
-    Covariates, cure indicators, latency levels and censoring times are
-    drawn in that fixed order so a given generator state always yields
-    the same sample.  Cured subjects have an infinite survival time and
-    are therefore always censored.
+    ``rng`` is one generator, giving one :class:`CensoredSample`, or a
+    sequence of them, giving a list with one sample per stream, each
+    equal bit for bit to the sample its stream gives alone.  Every
+    stream draws covariates, cure uniforms, latency levels and censoring
+    times, in that fixed order, so a given generator state always yields
+    the same sample; the latency levels of all streams are then inverted
+    in one grouped ``latency_quantile`` call.  Cured subjects have an
+    infinite survival time and are therefore always censored.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    xs = spec.covariate.sample(rng, n)
-    uncured = rng.random(n) < spec.p(xs)
-    levels = rng.random(n)
-    c = spec.censoring.sample(rng, n)
-    y = np.full(n, np.inf)
-    if np.any(uncured):
-        y[uncured] = spec.latency_quantile(levels[uncured], xs[uncured])
+    single = isinstance(rng, np.random.Generator)
+    streams = [rng] if single else list(rng)
+    xs, cure, levels, c = (np.empty((len(streams), n)) for _ in range(4))
+    for k, stream in enumerate(streams):
+        xs[k] = spec.covariate.sample(stream, n)
+        cure[k] = stream.random(n)
+        levels[k] = stream.random(n)
+        c[k] = spec.censoring.sample(stream, n)
+    uncured = cure < spec.p(xs)
+    y = np.full(xs.shape, np.inf)
+    y[uncured] = spec.latency_quantile(levels[uncured], xs[uncured],
+                                       np.count_nonzero(uncured, axis=1))
     t = np.minimum(y, c)
     delta = (y <= c).astype(np.int64)
     if not np.all(np.isfinite(t)):
@@ -289,7 +326,8 @@ def generate(spec: ModelSpec, n: int, rng: np.random.Generator) -> CensoredSampl
             "generated an infinite observed time; "
             "cure fraction requires a censoring distribution with finite draws"
         )
-    return CensoredSample(xs, t, delta)
+    samples = [CensoredSample(*row) for row in zip(xs, t, delta)]
+    return samples[0] if single else samples
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:

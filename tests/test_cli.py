@@ -404,6 +404,34 @@ class TestConfigAndErrors:
         cfg.write_text(json.dumps({"seed": 3}))
         assert main([*argv, "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command, argv", [
+        ("simulate", ["--model", "1", "--n", "20"]),
+        ("mise", ["--model", "1", "--n", "20", "--m", "2", "--x", "5",
+                  "--grid", "10:40:3"]),
+        ("selectbw", ["--model", "1", "--n", "40", "--x", "5",
+                      "--grid", "10:40:3", "--B", "2"]),
+        ("estimate", ["--model", "1", "--n", "40", "--x", "5",
+                      "--grid", "10:40:3", "--B", "2"]),
+        ("synth-data", []),
+    ], ids=["simulate", "mise", "selectbw", "estimate-auto", "synth-data"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_is_exit_2(self, _outdir, capsys, tmp_path,
+                                     command, argv, where):
+        if where == "flag":
+            argv = [*argv, "--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv = [*argv, "--config", str(cfg)]
+        assert main([command, *argv, "--out", "neg.csv"]) == 2
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not (_outdir / "neg.csv").exists()
+
+    def test_zero_seed_is_accepted(self, _outdir, capsys):
+        assert main(["simulate", "--model", "1", "--n", "5", "--seed", "0",
+                     "--out", "zero.csv"]) == 0
+        assert _read_meta(_outdir / "zero.csv")["config"]["seed"] == 0
+
     def test_explicit_flag_beats_config(self, _outdir, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": 1, "n": 20, "seed": 6}))

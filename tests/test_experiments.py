@@ -246,11 +246,13 @@ class TestSelectorStudy:
 class TestTrialsGeneratedOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
+        # one entry per stream drawn: a chunk of trials is one call
         counted = []
 
         def counting(spec, n, rng):
-            counted.append(n)
-            return generate(spec, n, rng)
+            streams = list(rng)
+            counted.extend([n] * len(streams))
+            return generate(spec, n, streams)
 
         monkeypatch.setattr(experiments, "generate", counting)
         return counted

@@ -1,6 +1,7 @@
 """Benchmark data-generating processes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from npmixcure import (
     model1,
     model2,
 )
+from npmixcure import models
 from npmixcure.models import MODEL1_TAU0, trial_rng
 
 from helpers import draw_conditional
@@ -28,10 +30,8 @@ class TestCensoringAndCovariate:
         # sf(1) = exp(-0.3) = 0.7408182206817179
         assert_allclose(c.sf(1.0), math.exp(-0.3), rtol=0, atol=1e-15)
         assert c.sf(-2.0) == 1.0
-        assert c.pdf(-2.0) == 0.0
         t = np.linspace(0.0, 8.0, 17)
         assert_allclose(c.cdf(t) + c.sf(t), 1.0, atol=1e-15)
-        assert_allclose(c.pdf(t), c.rate * c.sf(t), atol=1e-15)
 
     def test_no_censoring_is_degenerate_at_infinity(self):
         c = NoCensoring()
@@ -183,8 +183,6 @@ class TestGeneration:
             generate(model1(), 0, trial_rng(1, 0))
 
     def test_no_censoring_with_cure_mass_is_rejected(self):
-        from dataclasses import replace
-
         spec = replace(model1(), censoring=NoCensoring())
         with pytest.raises(ValueError):
             generate(spec, 400, trial_rng(2, 0))
@@ -197,3 +195,86 @@ class TestGeneration:
         t, delta = draw_conditional(spec, 5.0, 50000, np.random.default_rng(21))
         assert 0.15 < 1.0 - delta.mean() < 0.35
         assert np.all(t >= 0.0)
+
+
+def _assert_samples_equal(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert np.all(a.x == b.x)
+        assert np.all(a.t == b.t)
+        assert np.all(a.delta == b.delta)
+
+
+class TestChunkedGeneration:
+    """Samples drawn together equal the samples drawn one at a time."""
+
+    @pytest.mark.parametrize("n", [1, 3, 60, 400])
+    @pytest.mark.parametrize("factory", [model1, model2])
+    def test_streams_equal_separate_draws(self, factory, n):
+        spec = factory()
+        got = generate(spec, n, [trial_rng(11, j) for j in range(40)])
+        _assert_samples_equal(
+            got, [generate(spec, n, trial_rng(11, j)) for j in range(40)])
+
+    @pytest.mark.parametrize("factory", [model1, model2])
+    def test_streams_without_uncured_rows(self, factory):
+        # uncured exactly where x >= 0: a stream whose three covariates
+        # are all negative inverts no level, between streams that do
+        spec = replace(factory(), p=lambda x: np.where(x < 0.0, 0.0, 1.0))
+        streams = [trial_rng(5, j) for j in range(40)]
+        got = generate(spec, 3, streams)
+        empty = [bool(np.all(s.x < 0.0)) for s in got]
+        assert any(empty[1:-1]) and not all(empty)
+        _assert_samples_equal(
+            got, [generate(spec, 3, trial_rng(5, j)) for j in range(40)])
+
+    def test_all_streams_cured(self):
+        spec = replace(model2(), p=lambda x: np.zeros_like(x))
+        got = generate(spec, 4, [trial_rng(8, j) for j in range(3)])
+        assert [s.delta.tolist() for s in got] == [[0] * 4] * 3
+        _assert_samples_equal(
+            got, [generate(spec, 4, trial_rng(8, j)) for j in range(3)])
+
+    def test_one_generator_returns_one_sample(self):
+        sample = generate(model2(), 5, trial_rng(3, 0))
+        (listed,) = generate(model2(), 5, [trial_rng(3, 0)])
+        _assert_samples_equal([listed], [sample])
+        assert generate(model2(), 5, []) == []
+
+    def test_groups_stop_where_their_own_calls_stop(self, monkeypatch):
+        # inside the covariate window every level meets the stop test
+        # after 34 iterations.  The largest double below 0.5 at x = -1500
+        # takes more: there log(1 / (2u)) rounds to twice its value, so
+        # the bracket starts well above the root.  Each group must still
+        # get exactly the bits of its own call
+        calls = []
+        inner = models._model2_s0_of_w
+
+        def counting(w, alpha):
+            calls.append(w.size)
+            return inner(w, alpha)
+
+        monkeypatch.setattr(models, "_model2_s0_of_w", counting)
+        quantile = model2().latency_quantile
+        groups = [
+            (np.array([2.0**-53, 2.0**-53]), np.array([-19.0, 19.0])),
+            (np.array([0.5 - 2.0**-54]), np.array([-1500.0])),
+            (np.array([1.0]), np.array([2.0])),
+            (np.array([0.3, 0.5, 0.5 + 1e-9, 2.0**-60]),
+             np.array([0.0, -3.0, 7.0, 15.0])),
+        ]
+        alone, iterations = [], []
+        for u, x in groups:
+            calls.clear()
+            alone.append(quantile(u, x))
+            iterations.append(len(calls))
+        assert len(set(iterations)) > 1
+        calls.clear()
+        together = quantile(np.concatenate([u for u, _ in groups]),
+                            np.concatenate([x for _, x in groups]),
+                            [u.size for u, _ in groups])
+        assert np.all(together == np.concatenate(alone))
+        assert len(calls) == max(iterations)
+        # groups that stopped are no longer bisected
+        assert calls[0] == together.size
+        assert calls[-1] == groups[1][0].size

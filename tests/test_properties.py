@@ -1,4 +1,10 @@
-"""Property-based checks of the conditional product-limit estimator."""
+"""Property-based checks of the conditional product-limit estimator and
+of the command-line sample round trip."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,11 +12,18 @@ from hypothesis import strategies as st
 
 from npmixcure import (
     CensoredSample,
+    DatasetSchema,
     EmptyNeighborhoodError,
     beran,
+    generate,
+    ingest,
     kaplan_meier,
+    model1,
+    model2,
 )
+from npmixcure.cli import main
 from npmixcure.kernels import EPANECHNIKOV
+from npmixcure.models import trial_rng
 from npmixcure.survival import (
     StepSurvivalCurve,
     _at_event_times,
@@ -145,3 +158,22 @@ def test_resample_stack_equals_separate_fits(stack, points):
         step = StepSurvivalCurve(times, values[0])
         assert np.array_equal(curve, step.evaluate(tgrid))
         assert top == values[0, -1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 300),
+       st.integers(0, 2**63 - 1))
+def test_simulate_then_ingest_round_trips(model, n, seed):
+    # the written table reads back as exactly the generated sample
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sample.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--model", str(model), "--n", str(n),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        read = ingest(out, DatasetSchema(covariate="x", time="t",
+                                         delta="delta")).sample
+    drawn = generate((model1, model2)[model - 1](), n, trial_rng(seed, 0))
+    assert read.n == n
+    assert np.all(read.x == drawn.x)
+    assert np.all(read.t == drawn.t)
+    assert np.all(read.delta == drawn.delta)
