@@ -35,8 +35,8 @@ from .experiments import ExperimentConfig, true_mise, true_mise_two_bw
 from .io_utils import DatasetSchema, ingest, write_meta, write_table
 from .models import generate, model1, model2, trial_rng
 from .oracle import (
+    BiasVarianceTerms,
     _guard,
-    _infinity_pieces,
     amse,
     bias_variance_terms,
     population_from_model,
@@ -75,6 +75,21 @@ def _as_float(value, flag):
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{flag} must be a number, got {value!r}") from None
+
+
+def _finite(value, flag):
+    out = _as_float(value, flag)
+    if not math.isfinite(out):
+        raise ConfigError(f"{flag} must be finite, got {out}")
+    return out
+
+
+def _time(value, flag):
+    """A time point; ``inf`` means the full support."""
+    out = _as_float(value, flag)
+    if math.isnan(out) or out == -math.inf:
+        raise ConfigError(f"{flag} must be a number or inf, got {out}")
+    return out
 
 
 def _at_least(low):
@@ -197,9 +212,10 @@ _OPTIONS = {option.key: option for option in (
     _Option("--n", _at_least(1), help="sample size (mise: per trial; "
             "oracle: in the variance term)"),
     _Option("--m", _at_least(1), help="number of trials"),
-    _Option("--x", _as_float, help="covariate value (repeatable)",
+    _Option("--x", _finite, help="covariate value (repeatable)",
             repeat=True),
-    _Option("--t", _as_float, help="time point (repeatable)", repeat=True),
+    _Option("--t", _time, help="time point (repeatable; inf means the "
+            "full support)", repeat=True),
     _Option("--h", _bandwidth, "auto", "bandwidth (estimate: or 'auto', "
             "the default, for the bootstrap selector)"),
     _Option("--h2", _positive,
@@ -563,24 +579,33 @@ def _cmd_oracle(opts):
     rows = []
     failures = []
     for xv in xs:
-        # the t-independent full-support transforms at xv, computed at
-        # the first point past its support guard and reused for the rest
-        pieces = None
-        for tv in ts:
+        # the times that pass their guard share one set of quadratures;
+        # errors maps the index of each failed time to its message
+        errors = {}
+        for i, tv in enumerate(ts):
             try:
-                if pieces is None:
-                    _guard(pop, tv, xv)
-                    pieces = _infinity_pieces(pop, xv)
-                terms = bias_variance_terms(pop, tv, xv, _inf_pieces=pieces)
+                _guard(pop, tv, xv)
             except EstimationError as exc:
-                failures.append({"t": tv, "x": xv, "error": str(exc)})
-                continue
-            report = amse(pop, tv, xv, h, n, terms=terms)
-            rows.append((
-                tv, xv, h, n,
-                terms.b1, terms.b2, terms.v1, terms.v2, terms.v3,
-                report.bias_term, report.variance_term, report.amse,
-            ))
+                errors[i] = str(exc)
+        kept = [i for i in range(len(ts)) if i not in errors]
+        if kept:
+            try:
+                batch = bias_variance_terms(
+                    pop, np.array([ts[i] for i in kept]), xv)
+            except EstimationError as exc:
+                errors.update(dict.fromkeys(kept, str(exc)))
+            else:
+                # Python floats, so amse squares with C pow as a one-point
+                # call does
+                parts = zip(*(getattr(batch, name).tolist()
+                              for name in ("b1", "b2", "v1", "v2", "v3")))
+                for i, terms in zip(kept, parts):
+                    report = amse(pop, ts[i], xv, h, n,
+                                  terms=BiasVarianceTerms(ts[i], xv, *terms))
+                    rows.append((ts[i], xv, h, n, *terms, report.bias_term,
+                                 report.variance_term, report.amse))
+        failures.extend({"t": ts[i], "x": xv, "error": errors[i]}
+                        for i in sorted(errors))
     if not rows:
         raise EstimationError(
             "oracle evaluation failed at every point: "

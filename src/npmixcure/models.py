@@ -188,6 +188,10 @@ def model1() -> ModelSpec:
     )
 
 
+# smallest latency scale whose quantile bracket stays finite
+_MODEL2_ALPHA_MIN = 37.0 / np.finfo(float).max
+
+
 def _model2_alpha(x):
     return 0.2 * np.exp((np.asarray(x, dtype=float) + 20.0) / 40.0)
 
@@ -223,6 +227,14 @@ def model2() -> ModelSpec:
         u = np.clip(np.asarray(u, dtype=float), 2.0**-53, 1.0)
         shape = u.shape
         alpha = np.broadcast_to(_model2_alpha(x), shape).astype(float).ravel()
+        # far below the covariate window the bracket log(2^52) / alpha
+        # overflows (one reduction: a per-row mask slowed the surface)
+        if not alpha.min(initial=math.inf) > _MODEL2_ALPHA_MIN:
+            bad = np.argmin(alpha > _MODEL2_ALPHA_MIN)
+            shown = float(np.broadcast_to(x, shape).ravel()[bad])
+            raise ValueError(
+                f"model 2 cannot invert its latency at covariate x={shown}: "
+                f"alpha(x) = {alpha[bad]:.3g} is too small")
         u = u.ravel()
         # bracket: 0.5 exp(-alpha w) <= u  once  w >= log(1/(2u))/alpha
         hi = np.maximum(np.log(1.0 / (2.0 * u)) / alpha, 1.0)

@@ -373,23 +373,10 @@ class BiasVarianceTerms:
         return self.v1 + self.v2 + 2.0 * self.v3
 
 
-def _infinity_pieces(pop, x):
-    """The full-support transforms behind ``b2``/``v2`` at ``x``.
-
-    ``(d/dy Phi, d^2/dy^2 Phi, Phi1)`` at ``t = inf``; None when ``x``
-    has no cure mass, where :func:`bias_variance_terms` skips them.
-    """
-    if 1.0 - float(pop.p(x)) <= 1e-15:
-        return None
-    d_inf = phi_y_derivatives(pop, math.inf, x, halving_check=False)
-    return d_inf.first, d_inf.second, phi1(pop, math.inf, x)
-
-
 def bias_variance_terms(
     pop: PopulationFunctions,
     t,
     x: float,
-    _inf_pieces=None,
 ) -> BiasVarianceTerms:
     """The five bias/variance components at ``(t, x)``.
 
@@ -401,12 +388,12 @@ def bias_variance_terms(
     skipped entirely for populations without a cured fraction (where
     the transforms themselves may diverge).
 
-    ``_inf_pieces`` lets bulk callers reuse the t-independent
-    full-support transforms; it is filled in automatically otherwise.
-
-    ``t`` may be an array of times, whose quadratures are then batched;
-    the components are arrays equal to those of a loop over the times.
-    The first time below the support floor raises.
+    ``t`` may be an array of times; the components are then arrays
+    equal to those of a loop over the times.  With cure mass, ``inf``
+    is appended to the times, so one :func:`phi_y_derivatives` and one
+    :func:`phi1` call (three quadratures) cover them and the full
+    support.  The first time below the support floor raises
+    ``SupportGuardError``, as does a vanishing covariate density.
     """
     _guard(pop, t, x)
     p = float(pop.p(x))
@@ -414,20 +401,24 @@ def bias_variance_terms(
     m = float(pop.m(x))
     m_prime = float(pop.m_prime(x))
     if m <= 0.0:
-        raise ValueError(f"covariate density vanishes at x={x}")
-
-    d_t = phi_y_derivatives(pop, t, x, halving_check=False)
-    phi1_t = phi1(pop, t, x)
-    b1 = s / (p * m) * (d_t.second * m + 2.0 * d_t.first * m_prime)
-    v1 = _pow2(s / p) * phi1_t / m
+        raise SupportGuardError(f"covariate density vanishes at x={x}")
 
     cured = 1.0 - p
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    k = times.size
+    if cured > 1e-15:
+        times = np.append(times, math.inf)
+    d = phi_y_derivatives(pop, times, x, halving_check=False)
+    phi1_all = phi1(pop, times, x)
+    d1, d2, phi1_t = (whole[:k].reshape(np.shape(t))
+                      for whole in (d.first, d.second, phi1_all))
+    b1 = s / (p * m) * (d2 * m + 2.0 * d1 * m_prime)
+    v1 = _pow2(s / p) * phi1_t / m
+
     if cured <= 1e-15:
-        b2 = v2 = v3 = 0.0
+        b2 = v2 = v3 = np.zeros(np.shape(t))
     else:
-        if _inf_pieces is None:
-            _inf_pieces = _infinity_pieces(pop, x)
-        dinf1, dinf2, phi1_inf = _inf_pieces
+        dinf1, dinf2, phi1_inf = d.first[k], d.second[k], phi1_all[k]
         b2 = -cured * (1.0 - s) / (p * p * m) * (dinf2 * m + 2.0 * dinf1 * m_prime)
         v2 = _pow2(cured * (1.0 - s) / (p * p)) * phi1_inf / m
         v3 = -cured * s * (1.0 - s) / (p**3 * m) * phi1_t

@@ -1,7 +1,11 @@
 """Command line interface."""
 
 import csv
+import importlib.util
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +21,13 @@ from npmixcure import (
     log_grid,
     mise_star,
     model1,
+    model2,
     true_mise,
 )
 from npmixcure.cli import _covariate_seed, main
+from npmixcure.exceptions import SupportGuardError
 from npmixcure.models import trial_rng
-from npmixcure.oracle import amse, population_from_model
+from npmixcure.oracle import amse, bias_variance_terms, population_from_model
 
 
 @pytest.fixture(autouse=True)
@@ -302,6 +308,84 @@ class TestOracle:
         assert row["amse"] == rep.amse
         assert row["bias_term"] + row["variance_term"] == row["amse"]
 
+    @pytest.mark.parametrize("model, ts, xs", [
+        (1, [0.5, 20.0, 1.0, 30.0, 2.0, math.inf, 0.0], [-5.0, 5.0, 12.0]),
+        (2, [0.3, 5.0, 0.5, 0.9, math.inf], [-5.0, 8.0, 19.9]),
+    ], ids=["model1", "model2"])
+    def test_rows_equal_scalar_calls(self, _outdir, capsys, model, ts, xs):
+        # one batched call per x must give each row the bits of a call
+        # at that one point; refused times sit between accepted ones
+        argv = ["oracle", "--model", str(model), "--h", "3", "--n", "400",
+                "--out", "o.csv"]
+        for tv in ts:
+            argv += ["--t", repr(tv)]
+        for xv in xs:
+            argv += ["--x", repr(xv)]
+        assert main(argv) == 0
+        _header, rows = _read_csv(_outdir / "o.csv")
+        pop = population_from_model((model1, model2)[model - 1]())
+        expected, refused = [], []
+        for xv in xs:
+            for tv in ts:
+                try:
+                    terms = bias_variance_terms(pop, tv, xv)
+                except SupportGuardError as exc:
+                    refused.append({"t": tv, "x": xv, "error": str(exc)})
+                    continue
+                rep = amse(pop, tv, xv, 3.0, 400, terms=terms)
+                expected.append([tv, xv, 3.0, 400, terms.b1, terms.b2,
+                                 terms.v1, terms.v2, terms.v3, rep.bias_term,
+                                 rep.variance_term, rep.amse])
+        assert refused and len(refused) < len(ts) * len(xs)
+        assert [[float(v) for v in row] for row in rows] == expected
+        assert _read_meta(_outdir / "o.csv")["summary"]["failures"] == refused
+
+    def test_outside_covariate_support_fails_each_time(self, _outdir, capsys):
+        # the covariate density vanishes at x=25: every --t of that x
+        # fails in order, the guard's refusal where it refuses first
+        assert main(["oracle", "--model", "1", "--t", "1", "--t", "20",
+                     "--t", "2", "--x", "25", "--x", "5", "--h", "3",
+                     "--n", "400", "--out", "o.csv"]) == 0
+        _header, rows = _read_csv(_outdir / "o.csv")
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(1.0, 5.0),
+                                                             (2.0, 5.0)]
+        failures = _read_meta(_outdir / "o.csv")["summary"]["failures"]
+        assert [(f["t"], f["x"]) for f in failures] == [
+            (1.0, 25.0), (20.0, 25.0), (2.0, 25.0), (20.0, 5.0)]
+        vanishes = "covariate density vanishes at x=25.0"
+        assert failures[0]["error"] == failures[2]["error"] == vanishes
+        assert "support floor" in failures[1]["error"]
+        assert "support floor" in failures[3]["error"]
+
+    def test_outside_covariate_support_everywhere_is_exit_4(self, _outdir,
+                                                            capsys):
+        assert main(["oracle", "--model", "1", "--t", "1", "--x", "25",
+                     "--h", "3", "--n", "400", "--out", "o.csv"]) == 4
+        assert ("covariate density vanishes at x=25.0"
+                in capsys.readouterr().err)
+        assert not (_outdir / "o.csv").exists()
+
+    def test_traced_run_equals_untraced(self, _outdir, capsys, monkeypatch):
+        # the benchmark's tracer wraps every quadrature's integrand as a
+        # one-argument function; the oracle must run under it unchanged
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        argv = ["oracle", "--model", "2", "--t", "0.3", "--t", "0.7",
+                "--x", "-5", "--x", "8", "--h", "3", "--n", "400"]
+        assert main([*argv, "--out", "plain.csv"]) == 0
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert main([*argv, "--out", "traced.csv"]) == 0
+        finally:
+            tracer.uninstall()
+        assert tracer.integrand_evals > 0
+        assert ((_outdir / "traced.csv").read_bytes()
+                == (_outdir / "plain.csv").read_bytes())
+
 
 class TestSynthData:
     def test_fixed_group_marginals(self, _outdir, capsys):
@@ -475,6 +559,42 @@ class TestConfigAndErrors:
     def test_nonfinite_bandwidth(self, _outdir, capsys, value):
         assert main(["estimate", "--model", "1", "--n", "50", "--x", "5",
                      "--h", value]) == 2
+
+    @pytest.mark.parametrize("command, argv", [
+        ("oracle", ["--model", "1", "--t", "1", "--h", "3", "--n", "400"]),
+        ("estimate", ["--model", "1", "--n", "50", "--h", "15"]),
+        ("mise", ["--model", "1", "--n", "40", "--m", "2",
+                  "--grid", "10:40:3"]),
+    ], ids=["oracle", "estimate", "mise"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_nonfinite_covariate_is_exit_2(self, _outdir, capsys, tmp_path,
+                                           command, argv, value, where):
+        if where == "flag":
+            argv = [*argv, f"--x={value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"x": float(value)}))
+            argv = [*argv, "--config", str(cfg)]
+        assert main([command, *argv, "--out", "x.csv"]) == 2
+        assert "--x must be finite" in capsys.readouterr().err
+        assert not (_outdir / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_nan_or_minus_infinite_time_is_exit_2(self, _outdir, capsys,
+                                                  tmp_path, value, where):
+        argv = ["oracle", "--model", "1", "--x", "5", "--h", "3",
+                "--n", "400", "--out", "t.csv"]
+        if where == "flag":
+            argv.append(f"--t={value}")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"t": [1.0, float(value)]}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert "--t must be a number or inf" in capsys.readouterr().err
+        assert not (_outdir / "t.csv").exists()
 
     @pytest.mark.parametrize("command", ["estimate", "selectbw"])
     @pytest.mark.parametrize("extra", [["--model", "2"], ["--n", "5"],

@@ -130,6 +130,21 @@ class TestModel2:
             assert_allclose(spec.s0(q, x), u, atol=1e-10)
             assert np.all(np.diff(q) < 0.0)
 
+    @pytest.mark.parametrize("u, x", [(0.5, -1e6), (0.25, -29000.0),
+                                      (0.25, math.nan)])
+    def test_quantile_refuses_an_underflowing_scale(self, u, x):
+        # alpha(x) underflows far below the covariate window; the
+        # bisection returned nan at -1e6 and inf at -29000
+        spec = model2()
+        with pytest.raises(ValueError, match=f"at covariate x={x}:"):
+            spec.latency_quantile(u, x)
+        with pytest.raises(ValueError, match=f"at covariate x={x}:"):
+            spec.latency_quantile(np.array([0.5, u, 0.5]),
+                                  np.array([5.0, x, 5.0]))
+        # far out, but with a finite bracket, it still inverts
+        q = spec.latency_quantile(0.25, -28000.0)
+        assert np.isfinite(q) and q > 0.0
+
     def test_support_upper_end_is_numerically_zero(self):
         spec = model2()
         for x in (-10.0, 0.0, 10.0, 20.0):

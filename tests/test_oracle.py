@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from npmixcure import model1, model2
 from npmixcure.exceptions import SupportGuardError
+from npmixcure.numerics import adaptive_simpson
 from npmixcure.oracle import (
     PopulationFunctions,
     amse,
@@ -222,14 +223,43 @@ class TestBiasVarianceTerms:
         assert t.b == t.b1
         assert t.v == t.v1
 
-    def test_reuses_precomputed_full_support_pieces(self):
-        from npmixcure.oracle import _infinity_pieces
+    @staticmethod
+    def _count_quadratures(monkeypatch):
+        import npmixcure.oracle as oracle
 
-        pop = _pop1()
-        pieces = _infinity_pieces(pop, 5.0)
-        a = bias_variance_terms(pop, 1.0, 5.0)
-        b = bias_variance_terms(pop, 1.0, 5.0, _inf_pieces=pieces)
-        assert (a.b1, a.b2, a.v1, a.v2, a.v3) == (b.b1, b.b2, b.v1, b.v2, b.v3)
+        calls = []
+
+        def counted(f, a, b, *rest, **kwargs):
+            calls.append(np.size(b))
+            return adaptive_simpson(f, a, b, *rest, **kwargs)
+
+        monkeypatch.setattr(oracle, "adaptive_simpson", counted)
+        return calls
+
+    @pytest.mark.parametrize("population", [
+        _pop1, lambda: _exponential_population(1.0, 0.3),
+    ], ids=["cure-mass", "no-cure-mass"])
+    @pytest.mark.parametrize("t", [1.0, np.array([0.5, 1.0, 1.5])],
+                             ids=["scalar", "array"])
+    def test_one_set_of_quadratures_per_call(self, monkeypatch, population,
+                                             t):
+        # the times and, with cure mass, the full support share one
+        # phi_y_derivatives call (2 quadratures) and one phi1 call (1)
+        calls = self._count_quadratures(monkeypatch)
+        pop = population()
+        cured = 1.0 - float(pop.p(5.0)) > 1e-15
+        bias_variance_terms(pop, t, 5.0)
+        assert calls == [np.size(t) + cured] * 3
+
+    def test_vanishing_covariate_density_is_a_guard_error(self, monkeypatch):
+        calls = self._count_quadratures(monkeypatch)
+        with pytest.raises(SupportGuardError,
+                           match="covariate density vanishes at x=25.0"):
+            bias_variance_terms(_pop1(), 1.0, 25.0)
+        assert calls == []
+        # the support guard still refuses first
+        with pytest.raises(SupportGuardError, match="support floor"):
+            bias_variance_terms(_pop1(), 20.0, 25.0)
 
 
 class TestAmse:

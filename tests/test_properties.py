@@ -83,6 +83,36 @@ def test_beran_reduces_to_kaplan_meier_as_h_grows(sample, x):
     assert np.array_equal(curve.values, km.values)
 
 
+# strictly increasing time maps that keep the lattice's distinct times
+# distinct: scalings by a power of two are exact, the others round
+_TIME_MAPS = {
+    "scale-down": lambda t: t * 2.0**-40,
+    "scale-up": lambda t: t * 2.0**40,
+    "sqrt": np.sqrt,
+    "expm1": np.expm1,
+    "cubic": lambda t: t**3 + 0.5 * t,
+}
+
+
+@_SETTINGS
+@given(_samples(), st.floats(-5.0, 5.0), st.floats(0.1, 12.0),
+       st.sampled_from(sorted(_TIME_MAPS)))
+def test_increasing_time_map_moves_only_the_jump_times(sample, x, h, name):
+    # the product-limit values depend on the times only through their
+    # order and ties, so they stay equal bit for bit
+    moved = _TIME_MAPS[name]
+    assert np.all(np.diff(moved(np.arange(7.0))) > 0.0)
+    mapped = CensoredSample(sample.x, moved(sample.t), sample.delta)
+    for fit in (kaplan_meier, lambda s: beran(s, x, h)):
+        try:
+            curve = fit(sample)
+        except EmptyNeighborhoodError:
+            continue
+        again = fit(mapped)
+        assert np.array_equal(again.values, curve.values)
+        assert np.array_equal(again.jump_times, moved(curve.jump_times))
+
+
 @_SETTINGS
 @given(_samples(), st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
        st.lists(st.floats(0.05, 12.0), min_size=1, max_size=5),
