@@ -6,6 +6,8 @@ and a quadrature oracle for the estimators' asymptotic bias and
 variance.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bootstrap import (
     BandwidthGrid,
     BootstrapConfig,
@@ -73,61 +75,7 @@ from .survival import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BandwidthGrid",
-    "BootstrapConfig",
-    "MiseCurve",
-    "log_grid",
-    "mise_star",
-    "pilot_bandwidth",
-    "CureFit",
-    "incidence_estimate",
-    "latency_estimate",
-    "latency_estimate_two_bw",
-    "ConfigError",
-    "DataError",
-    "DegenerateCureError",
-    "EmptyNeighborhoodError",
-    "EstimationError",
-    "NoUncensoredError",
-    "NpmixcureError",
-    "SupportGuardError",
-    "DatasetSchema",
-    "IngestReport",
-    "format_float",
-    "ingest",
-    "ExperimentConfig",
-    "MiseSurface",
-    "SelectorStudy",
-    "bootstrap_vs_optimal",
-    "true_mise",
-    "true_mise_two_bw",
-    "EPANECHNIKOV",
-    "Kernel",
-    "nw_weights",
-    "COVARIATE_WINDOW",
-    "ExponentialCensoring",
-    "ModelSpec",
-    "NoCensoring",
-    "UniformCovariate",
-    "generate",
-    "model1",
-    "model2",
-    "AmseReport",
-    "BiasVarianceTerms",
-    "PhiDerivatives",
-    "PopulationFunctions",
-    "amse",
-    "bias_variance_terms",
-    "h_amise",
-    "phi",
-    "phi1",
-    "phi2_terms",
-    "phi_y_derivatives",
-    "population_from_model",
-    "CensoredSample",
-    "StepSurvivalCurve",
-    "beran",
-    "kaplan_meier",
-]
+# the public names are those imported above
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_")
+                            and not isinstance(value, _ModuleType))]

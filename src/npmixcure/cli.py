@@ -36,7 +36,7 @@ from .io_utils import DatasetSchema, ingest, write_meta, write_table
 from .models import generate, model1, model2, trial_rng
 from .oracle import (
     BiasVarianceTerms,
-    _guard,
+    _refusals,
     amse,
     bias_variance_terms,
     population_from_model,
@@ -575,37 +575,25 @@ def _cmd_oracle(opts):
         raise ConfigError("oracle needs a numeric --h")
     n = _require(opts, "n")
 
+    # the lattice, x outer and t inner; the accepted points share one
+    # set of quadratures, the refused ones are recorded in that order
     pop = population_from_model(spec)
+    lattice = [(tv, xv) for xv in xs for tv in ts]
+    refused = _refusals(pop, *np.array(lattice).T, density=True)
+    kept = [point for i, point in enumerate(lattice) if i not in refused]
+    failures = [{"t": lattice[i][0], "x": lattice[i][1], "error": refused[i]}
+                for i in sorted(refused)]
     rows = []
-    failures = []
-    for xv in xs:
-        # the times that pass their guard share one set of quadratures;
-        # errors maps the index of each failed time to its message
-        errors = {}
-        for i, tv in enumerate(ts):
-            try:
-                _guard(pop, tv, xv)
-            except EstimationError as exc:
-                errors[i] = str(exc)
-        kept = [i for i in range(len(ts)) if i not in errors]
-        if kept:
-            try:
-                batch = bias_variance_terms(
-                    pop, np.array([ts[i] for i in kept]), xv)
-            except EstimationError as exc:
-                errors.update(dict.fromkeys(kept, str(exc)))
-            else:
-                # Python floats, so amse squares with C pow as a one-point
-                # call does
-                parts = zip(*(getattr(batch, name).tolist()
-                              for name in ("b1", "b2", "v1", "v2", "v3")))
-                for i, terms in zip(kept, parts):
-                    report = amse(pop, ts[i], xv, h, n,
-                                  terms=BiasVarianceTerms(ts[i], xv, *terms))
-                    rows.append((ts[i], xv, h, n, *terms, report.bias_term,
-                                 report.variance_term, report.amse))
-        failures.extend({"t": ts[i], "x": xv, "error": errors[i]}
-                        for i in sorted(errors))
+    if kept:
+        batch = bias_variance_terms(pop, *np.array(kept).T)
+        # Python floats, so amse squares with C pow as a one-point call does
+        parts = zip(*(getattr(batch, name).tolist()
+                      for name in ("b1", "b2", "v1", "v2", "v3")))
+        for (tv, xv), terms in zip(kept, parts):
+            report = amse(pop, tv, xv, h, n,
+                          terms=BiasVarianceTerms(tv, xv, *terms))
+            rows.append((tv, xv, h, n, *terms, report.bias_term,
+                         report.variance_term, report.amse))
     if not rows:
         raise EstimationError(
             "oracle evaluation failed at every point: "
@@ -758,9 +746,24 @@ def _build_parser():
     return parser
 
 
+def _joined(argv):
+    """Each ``--flag value`` of an option that takes a value as ``--flag=value``.
+
+    argparse reads a separate value that starts with ``-`` as a flag
+    unless it looks like ``-5`` or ``-.5``, so ``--x -1e3`` and
+    ``--t -inf`` would stop with ``expected one argument``.
+    """
+    valued = {o.flag for o in _OPTIONS.values() if o.convert is not _switch}
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in valued else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG

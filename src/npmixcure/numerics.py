@@ -39,12 +39,15 @@ def adaptive_simpson(
     """Adaptive Simpson quadrature on ``[a, b]``, breadth first.
 
     ``f`` maps an array of points to an array of values.  ``a`` and
-    ``b`` may be 1-d arrays (broadcast against each other) of
+    ``b`` may be 1-d or (C, K) arrays (broadcast against each other) of
     independent intervals, the roots; the result then holds one
-    integral per root, and ``f(v, *(arg[root] for arg in args))`` is
-    called with each point's root's entry of every array in ``args``,
-    for integrands that differ between roots.  Scalar limits give a
-    float.  An empty interval (``b <= a``) integrates to 0.0.
+    integral per root, in their shape.  Where ``f`` returns a (C, P)
+    array, a root in limit row ``c`` reads row ``c``: C integrands
+    evaluated together.  ``f(v, *(arg[root] for arg in args))`` is
+    called with each point's root's entry (by flat index) of every
+    array in ``args``, for integrands that differ between roots.
+    Scalar limits give a float.  An empty interval (``b <= a``)
+    integrates to 0.0 and is never evaluated.
 
     A node is subdivided until its Simpson discrepancy ``delta`` is
     within ``15 tol`` (``tol`` halving with each level) or the depth
@@ -60,20 +63,24 @@ def adaptive_simpson(
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                np.atleast_1d(np.asarray(b, dtype=float)))
-    if a.ndim != 1:
-        raise ValueError("integration limits must be scalars or 1-d arrays")
+    if a.ndim > 2:
+        raise ValueError("integration limits must have at most 2 dimensions")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("integration limits must be finite")
     args = tuple(np.asarray(arg) for arg in args)
+    shape, a, b = a.shape, a.ravel(), b.ravel()
 
     def evaluate(points, root):
-        values = f(points, *(arg[root] for arg in args))
-        return np.broadcast_to(np.asarray(values, dtype=float), points.shape)
+        values = np.asarray(f(points, *(arg[root] for arg in args)), dtype=float)
+        if values.ndim == 2:
+            values = values[row[root], np.arange(points.size)]
+        return np.broadcast_to(values, points.shape)
 
-    result = np.zeros(a.shape)
+    result = np.zeros(a.size)
     active = root = np.flatnonzero(b > a)
     if not active.size:
-        return 0.0 if scalar else result
+        return 0.0 if scalar else result.reshape(shape)
+    row = np.repeat(np.arange(a.size // shape[-1]), shape[-1])  # of each root
     a, b = a[root], b[root]
     k = root.size
     ends = evaluate(np.concatenate([a, 0.5 * (a + b), b]), np.tile(root, 3))
@@ -113,7 +120,7 @@ def adaptive_simpson(
             value[~leaf] = below[0::2] + below[1::2]
         below = value
     result[active] = below
-    return float(result[0]) if scalar else result
+    return float(result[0]) if scalar else result.reshape(shape)
 
 
 def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,

@@ -51,6 +51,11 @@ __all__ = [
 # evaluations are refused where 1 - H(t|x) falls below this floor
 SUPPORT_FLOOR = 1e-3
 
+# distinct x per quadrature call of bias_variance_terms: every integrand
+# row is evaluated at every point of the call, so one call over X values
+# does work and holds memory that grow as X^2
+_XS_PER_CALL = 8
+
 # quadrature tolerances: plain integrals, then outer/inner of nested ones
 _TOL = 1e-8
 _TOL_OUTER = 1e-8
@@ -150,25 +155,41 @@ def _pow2(v):
     return np.float_power(v, 2)
 
 
-def _guard(pop: PopulationFunctions, t, x: float):
-    """Refuse times where ``1 - H(t|x)`` is below the support floor.
+def _refusals(pop: PopulationFunctions, t, x, density: bool = False):
+    """Why each refused point of broadcast ``(t, x)`` is refused.
 
-    ``t = inf`` is exempt.  For an array of times the first refused
-    one is reported, as a loop over the times would.
+    A dict from the flat (C order) index of each refused point to its
+    message: where ``1 - H(t|x)`` is below the support floor (``t =
+    inf`` is exempt) or ``t`` or ``x`` is NaN, and then, with
+    ``density``, where the covariate density vanishes.  A scalar
+    argument is shown as given.
     """
-    times = np.atleast_1d(t)
-    finite = np.flatnonzero(~np.isinf(times))
-    if not finite.size:
-        return
-    floors = pop.one_minus_h(times[finite], x)
-    refused = np.flatnonzero(floors < SUPPORT_FLOOR)
-    if refused.size:
-        i = refused[0]
-        shown = t if np.ndim(t) == 0 else float(times[finite[i]])
-        raise SupportGuardError(
-            f"1 - H(t|x) = {float(floors[i]):.3e} at t={shown}, x={x} is "
-            f"below the support floor {SUPPORT_FLOOR}"
-        )
+    times, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                    np.asarray(x, dtype=float))
+    floors = np.where(np.isnan(xs), np.nan, pop.one_minus_h(
+        np.where(np.isinf(times), 0.0, times), xs))
+    low = ~(floors >= SUPPORT_FLOOR)
+
+    def shown(given, values, i):
+        return given if np.ndim(given) == 0 else float(values.flat[i])
+
+    out = {}
+    for i in np.flatnonzero(low):
+        out[int(i)] = (f"1 - H(t|x) = {float(floors.flat[i]):.3e} at "
+                       f"t={shown(t, times, i)}, x={shown(x, xs, i)} is below "
+                       f"the support floor {SUPPORT_FLOOR}")
+    if density:
+        vanishing = ~low & (np.broadcast_to(pop.m(xs), xs.shape) <= 0.0)
+        for i in np.flatnonzero(vanishing):
+            out[int(i)] = f"covariate density vanishes at x={shown(x, xs, i)}"
+    return out
+
+
+def _guard(pop: PopulationFunctions, t, x, density: bool = False):
+    """Raise the first refusal of :func:`_refusals` (floor ones first)."""
+    refusals = _refusals(pop, t, x, density)
+    if refusals:
+        raise SupportGuardError(next(iter(refusals.values())))
 
 
 def phi(pop: PopulationFunctions, y: float, t: float, x: float) -> float:
@@ -180,6 +201,7 @@ def phi(pop: PopulationFunctions, y: float, t: float, x: float) -> float:
     algebraic cancellation.
     """
     _guard(pop, t, x)
+    _guard(pop, math.inf, y)
     up1 = min(t, pop.s0_upper(y))
     up2 = min(t, pop.s0_upper(x))
 
@@ -202,13 +224,12 @@ def phi1(pop: PopulationFunctions, t, x: float):
     ``t`` may be an array of times, integrated in one batched call.
     """
     _guard(pop, t, x)
-    upper = np.minimum(t, pop.s0_upper(x))
-
-    def integrand(v):
-        r = pop.one_minus_h(v, x)
-        return pop.h1_density(v, x) / (r * r)
-
-    return adaptive_simpson(integrand, 0.0, upper, _TOL)
+    step = 0.5 * _fd_step(x)
+    # empty derivative rows: only the phi1 row is integrated
+    upper = _upper_limits(pop, np.atleast_1d(t), x, step) * [[0.0], [0.0], [1.0]]
+    values = adaptive_simpson(_diagonal_integrands(pop, [x], [step]), 0.0,
+                              upper, _TOL)[2]
+    return float(values[0]) if np.ndim(t) == 0 else values.reshape(np.shape(t))
 
 
 def phi2_terms(pop: PopulationFunctions, t: float, x: float):
@@ -284,39 +305,45 @@ def _fd_step(x: float) -> float:
     return max(1e-4, 1e-4 * abs(x))
 
 
-def _phi_derivative_integrals(pop, t, x, step):
-    """Quadrature of the y-differentiated ``Phi`` integrand at ``y=x``.
+def _diagonal_integrands(pop, x, step):
+    """Integrand rows at the covariates ``x``, three per entry.
 
-    Differentiation under the integral sign: the y-dependence sits in
-    closed-form population functions, so central differences are taken
-    on the integrand and a single quadrature follows.  This keeps
-    quadrature noise out of the difference quotients.
+    For each entry: the order-1 and order-2 y-derivatives at ``y = x``
+    of the ``Phi`` integrand, by central differences with the entry's
+    ``step``, then the :func:`phi1` integrand.  Differentiation under
+    the integral sign: the y-dependence sits in closed-form population
+    functions, so the differences are taken on the integrand and a
+    single quadrature follows, which keeps quadrature noise out of the
+    difference quotients.  ``x`` is a column against the points, so
+    every row is evaluated at every point: one call, C = 3 len(x) rows.
     """
-    upper_t = np.minimum(
-        t,
-        max(pop.s0_upper(x - step), pop.s0_upper(x), pop.s0_upper(x + step)),
-    )
+    x = np.asarray(x, dtype=float)[:, None]
+    step = np.asarray(step, dtype=float)[:, None]
 
-    def make_integrand(order):
-        def integrand(v):
-            d1_h1, d2_h1 = central_diff(
-                lambda yy: pop.h1_density(v, yy), x, step
-            )
-            d1_s, d2_s = central_diff(lambda yy: pop.survival(v, yy), x, step)
-            g_sf = pop.cens_sf(v)
-            r = pop.one_minus_h(v, x)
-            h1x = pop.h1_density(v, x)
-            if order == 1:
-                dh1, dh = d1_h1, -g_sf * d1_s
-            else:
-                dh1, dh = d2_h1, -g_sf * d2_s
-            return (dh1 + dh * h1x / r) / r
+    def rows(v):
+        d1_h1, d2_h1 = central_diff(lambda y: pop.h1_density(v, y), x, step)
+        d1_s, d2_s = central_diff(lambda y: pop.survival(v, y), x, step)
+        g_sf = pop.cens_sf(v)
+        r = pop.one_minus_h(v, x)
+        h1x = pop.h1_density(v, x)
+        first = (d1_h1 + -g_sf * d1_s * h1x / r) / r
+        second = (d2_h1 + -g_sf * d2_s * h1x / r) / r
+        out = np.empty((x.shape[0], 3, v.size))
+        out[:, 0], out[:, 1], out[:, 2] = first, second, h1x / (r * r)
+        return out.reshape(-1, v.size)
 
-        return integrand
+    return rows
 
-    first = adaptive_simpson(make_integrand(1), 0.0, upper_t, _TOL)
-    second = adaptive_simpson(make_integrand(2), 0.0, upper_t, _TOL)
-    return first, second
+
+def _upper_limits(pop, t, x: float, step: float):
+    """Upper limits of the three integrand rows of ``x`` at times ``t``.
+
+    The derivative rows run to the support end of ``x - step``, ``x``
+    or ``x + step``, whichever is last; the :func:`phi1` row to that
+    of ``x``.
+    """
+    reach = max(pop.s0_upper(x - step), pop.s0_upper(x), pop.s0_upper(x + step))
+    return np.minimum(t, [[reach], [reach], [pop.s0_upper(x)]])
 
 
 def phi_y_derivatives(
@@ -330,15 +357,19 @@ def phi_y_derivatives(
     The base step is ``max(1e-4, 1e-4 |x|)``; reported values always
     use the halved step, and ``halving_check=True`` additionally keeps
     the base-step values so callers can verify stability.  ``t`` may be
-    an array of times; the fields are then arrays.
+    an array of times; the fields are then arrays.  Both steps share
+    one quadrature call.
     """
     _guard(pop, t, x)
-    base = _fd_step(x)
-    fine1, fine2 = _phi_derivative_integrals(pop, t, x, 0.5 * base)
-    if not halving_check:
-        return PhiDerivatives(fine1, fine2)
-    coarse1, coarse2 = _phi_derivative_integrals(pop, t, x, base)
-    return PhiDerivatives(fine1, fine2, coarse1, coarse2)
+    steps = [0.5 * _fd_step(x), _fd_step(x)][:1 + halving_check]
+    # the phi1 row of each step stays empty
+    upper = np.concatenate([_upper_limits(pop, np.atleast_1d(t), x, step)
+                            * [[1.0], [1.0], [0.0]] for step in steps])
+    values = adaptive_simpson(_diagonal_integrands(pop, [x] * len(steps), steps),
+                              0.0, upper, _TOL)
+    fields = [float(row[0]) if np.ndim(t) == 0 else row.reshape(np.shape(t))
+              for i, row in enumerate(values) if i % 3 != 2]
+    return PhiDerivatives(*fields)
 
 
 @dataclass(frozen=True)
@@ -376,7 +407,7 @@ class BiasVarianceTerms:
 def bias_variance_terms(
     pop: PopulationFunctions,
     t,
-    x: float,
+    x,
 ) -> BiasVarianceTerms:
     """The five bias/variance components at ``(t, x)``.
 
@@ -385,46 +416,62 @@ def bias_variance_terms(
     and ``v3`` carry the sign with which the cure-fraction piece
     enters the estimate (see :class:`BiasVarianceTerms`).  All the
     full-support transforms carry a ``1 - p(x)`` factor, so they are
-    skipped entirely for populations without a cured fraction (where
-    the transforms themselves may diverge).
+    skipped entirely where ``x`` has no cured fraction (where the
+    transforms themselves may diverge).
 
-    ``t`` may be an array of times; the components are then arrays
-    equal to those of a loop over the times.  With cure mass, ``inf``
-    is appended to the times, so one :func:`phi_y_derivatives` and one
-    :func:`phi1` call (three quadratures) cover them and the full
-    support.  The first time below the support floor raises
-    ``SupportGuardError``, as does a vanishing covariate density.
+    ``t`` and ``x`` may be arrays that broadcast against each other;
+    the components are then arrays equal to those of a loop over the
+    points.  One quadrature call covers up to eight distinct ``x``:
+    three integrand rows per ``x`` (:func:`_diagonal_integrands`), each
+    with a slot per time of that ``x`` and, with cure mass, one for
+    ``inf``.  The first point below the support floor raises
+    ``SupportGuardError``, and then the first where the covariate
+    density vanishes.
     """
-    _guard(pop, t, x)
-    p = float(pop.p(x))
-    s = pop.survival(t, x)
-    m = float(pop.m(x))
-    m_prime = float(pop.m_prime(x))
-    if m <= 0.0:
-        raise SupportGuardError(f"covariate density vanishes at x={x}")
-
-    cured = 1.0 - p
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    k = times.size
-    if cured > 1e-15:
-        times = np.append(times, math.inf)
-    d = phi_y_derivatives(pop, times, x, halving_check=False)
-    phi1_all = phi1(pop, times, x)
-    d1, d2, phi1_t = (whole[:k].reshape(np.shape(t))
-                      for whole in (d.first, d.second, phi1_all))
+    _guard(pop, t, x, density=True)
+    times, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                    np.asarray(x, dtype=float))
+    # each point's x, by order of appearance, and its slot among that
+    # x's times (plain Python: np.unique would import numpy.ma)
+    index, which, slot, own = {}, [], [], []
+    for tv, xv in zip(times.ravel().tolist(), xs.ravel().tolist()):
+        if xv not in index:
+            index[xv] = len(own)
+            own.append([])
+        u = index[xv]
+        which.append(u)
+        slot.append(len(own[u]))
+        own[u].append(tv)
+    unique = np.array(list(index), dtype=float)
+    p, m, m_prime = (np.broadcast_to(f(unique), unique.shape)
+                     for f in (pop.p, pop.m, pop.m_prime))
+    cure = 1.0 - p > 1e-15
+    own = [ts + [math.inf] * bool(c) for ts, c in zip(own, cure)]
+    steps = 0.5 * np.array([_fd_step(xv) for xv in unique])
+    upper = np.zeros((unique.size, 3, max(map(len, own), default=0)))
+    for u, xv in enumerate(unique):
+        upper[u, :, :len(own[u])] = _upper_limits(pop, own[u], xv, steps[u])
+    values = np.empty(upper.shape)
+    for start in range(0, unique.size, _XS_PER_CALL):
+        g = slice(start, start + _XS_PER_CALL)
+        values[g] = adaptive_simpson(
+            _diagonal_integrands(pop, unique[g], steps[g]), 0.0,
+            upper[g].reshape(-1, upper.shape[2]), _TOL).reshape(upper[g].shape)
+    d1, d2, phi1_t = values[which, :, slot].T
+    dinf1, dinf2, phi1_inf = values[which, :, [len(own[u]) - 1 for u in which]].T
+    p, m, m_prime, cured = p[which], m[which], m_prime[which], 1.0 - p[which]
+    s = pop.survival(times.ravel(), xs.ravel())
     b1 = s / (p * m) * (d2 * m + 2.0 * d1 * m_prime)
     v1 = _pow2(s / p) * phi1_t / m
-
-    if cured <= 1e-15:
-        b2 = v2 = v3 = np.zeros(np.shape(t))
-    else:
-        dinf1, dinf2, phi1_inf = d.first[k], d.second[k], phi1_all[k]
-        b2 = -cured * (1.0 - s) / (p * p * m) * (dinf2 * m + 2.0 * dinf1 * m_prime)
-        v2 = _pow2(cured * (1.0 - s) / (p * p)) * phi1_inf / m
-        v3 = -cured * s * (1.0 - s) / (p**3 * m) * phi1_t
-    parts = (b1, b2, v1, v2, v3)
-    if np.ndim(t) == 0:
-        parts = tuple(float(part) for part in parts)
+    b2, v2, v3 = (np.where(cure[which], part, 0.0) for part in (
+        -cured * (1.0 - s) / (p * p * m) * (dinf2 * m + 2.0 * dinf1 * m_prime),
+        _pow2(cured * (1.0 - s) / (p * p)) * phi1_inf / m,
+        # float_power: the C pow bits of the scalar p**3, as in _pow2
+        -cured * s * (1.0 - s) / (np.float_power(p, 3) * m) * phi1_t,
+    ))
+    parts = (part.reshape(times.shape) for part in (b1, b2, v1, v2, v3))
+    if times.ndim == 0:
+        parts = (float(part) for part in parts)
     return BiasVarianceTerms(t, x, *parts)
 
 
@@ -528,9 +575,9 @@ def h_amise(
         raise ValueError("t_range must satisfy 0 <= lo < hi")
 
     def squared_bias_and_variance(ts):
-        # one batched quadrature per transform for the whole grid;
-        # composite_simpson calls this once, so the t-independent
-        # full-support transforms are computed once too
+        # one quadrature call for the whole grid; composite_simpson
+        # calls this once, so the t-independent full-support transforms
+        # are computed once too
         terms = bias_variance_terms(pop, ts, x)
         return np.stack([_pow2(terms.b), terms.v])
 

@@ -112,13 +112,6 @@ class StepSurvivalCurve:
             return float(out)
         return out
 
-    def jump_masses(self) -> np.ndarray:
-        """Mass dropped at each jump time (nonnegative for monotone curves)."""
-        if self.jump_times.size == 0:
-            return np.zeros(0)
-        previous = np.concatenate(([self.initial_value], self.values[:-1]))
-        return previous - self.values
-
 
 def _product_limit(delta_sorted, weights):
     """Product-limit curves of the rows of a weight array.

@@ -24,8 +24,9 @@ from npmixcure import (
     model2,
     true_mise,
 )
+from npmixcure import cli
 from npmixcure.cli import _covariate_seed, main
-from npmixcure.exceptions import SupportGuardError
+from npmixcure.exceptions import ConfigError, SupportGuardError
 from npmixcure.models import trial_rng
 from npmixcure.oracle import amse, bias_variance_terms, population_from_model
 
@@ -367,24 +368,33 @@ class TestOracle:
 
     def test_traced_run_equals_untraced(self, _outdir, capsys, monkeypatch):
         # the benchmark's tracer wraps every quadrature's integrand as a
-        # one-argument function; the oracle must run under it unchanged
+        # one-argument function; the oracle must run under it unchanged,
+        # for both models, with a time refused at every x and an x
+        # without covariate density
         monkeypatch.setattr(sys, "dont_write_bytecode", True)
         path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
         spec = importlib.util.spec_from_file_location("_bench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        argv = ["oracle", "--model", "2", "--t", "0.3", "--t", "0.7",
-                "--x", "-5", "--x", "8", "--h", "3", "--n", "400"]
-        assert main([*argv, "--out", "plain.csv"]) == 0
-        tracer = tracing.Tracer()
-        tracer.install()
-        try:
-            assert main([*argv, "--out", "traced.csv"]) == 0
-        finally:
-            tracer.uninstall()
-        assert tracer.integrand_evals > 0
-        assert ((_outdir / "traced.csv").read_bytes()
-                == (_outdir / "plain.csv").read_bytes())
+        for model, ts in [(1, ["0.5", "40", "2"]), (2, ["0.3", "40", "0.7"])]:
+            argv = ["oracle", "--model", str(model), "--x", "-5", "--x", "25",
+                    "--x", "8", "--h", "3", "--n", "400"]
+            for tv in ts:
+                argv += ["--t", tv]
+            assert main([*argv, "--out", "plain.csv"]) == 0
+            tracer = tracing.Tracer()
+            tracer.install()
+            try:
+                assert main([*argv, "--out", "traced.csv"]) == 0
+            finally:
+                tracer.uninstall()
+            assert tracer.integrand_evals > 0
+            assert ((_outdir / "traced.csv").read_bytes()
+                    == (_outdir / "plain.csv").read_bytes())
+            failures = _read_meta(_outdir / "plain.csv")["summary"]["failures"]
+            assert len(failures) == 5
+            assert (_read_meta(_outdir / "traced.csv")["summary"]["failures"]
+                    == failures)
 
 
 class TestSynthData:
@@ -579,6 +589,35 @@ class TestConfigAndErrors:
         assert main([command, *argv, "--out", "x.csv"]) == 2
         assert "--x must be finite" in capsys.readouterr().err
         assert not (_outdir / "x.csv").exists()
+
+    @pytest.mark.parametrize("key", [
+        key for key, option in cli._OPTIONS.items()
+        if option.convert not in (cli._text, cli._switch)])
+    def test_negative_value_as_separate_argument(self, key):
+        # argparse reads a separate "-1e-3" as a flag; every numeric
+        # option must hand it to its converter instead
+        option = cli._OPTIONS[key]
+        name = next(n for n, c in cli._COMMANDS.items() if key in c.keys)
+        args = cli._build_parser().parse_args(
+            cli._joined([name, option.flag, "-1e-3"]))
+        assert getattr(args, key) == (["-1e-3"] if option.repeat else "-1e-3")
+        try:
+            value = cli._resolve(name, args)[key]
+        except ConfigError as exc:
+            assert str(exc).startswith(option.flag)
+        else:
+            assert value == ([-1e-3] if option.repeat else -1e-3)
+
+    def test_negative_oracle_values_reach_their_checks(self, _outdir, capsys):
+        base = ["oracle", "--model", "1", "--t", "1", "--h", "3", "--n", "400",
+                "--out", "o.csv"]
+        assert main([*base, "--x", "-1e3"]) == 4
+        assert "covariate density vanishes at x=-1000.0" in capsys.readouterr().err
+        assert main([*base, "--x", "-1e-3"]) == 0
+        assert main([*base, "--x", "5", "--t", "-inf"]) == 2
+        assert "--t must be a number or inf" in capsys.readouterr().err
+        assert main([*base, "--x", "-nan"]) == 2
+        assert "--x must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     @pytest.mark.parametrize("where", ["flag", "config"])

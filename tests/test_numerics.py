@@ -119,11 +119,41 @@ def test_adaptive_simpson_per_interval_arguments():
         )
 
 
+def test_adaptive_simpson_row_valued_integrand():
+    # (C, K) limits with an f that returns C rows: each root reads its
+    # own row, bit for bit as one 1-d call per row, and the empty
+    # intervals that pad a row are never evaluated
+    funcs = (np.sin, np.exp, lambda v: np.abs(v - 0.3))
+    lower = np.array([[0.0, 0.5, 1.0], [2.0, -1.0, 0.0], [0.1, 0.7, 0.0]])
+    upper = np.array([[1.0, 0.5, 3.0], [1.0, 0.25, 0.0], [0.9, 0.7, 0.0]])
+    points = []
+
+    def rows(v):
+        points.append(v.size)
+        return np.stack([f(v) for f in funcs])
+
+    batch = adaptive_simpson(rows, lower, upper, tol=1e-10)
+    assert batch.shape == (3, 3)
+    alone = []
+    for f, lo, hi, got in zip(funcs, lower, upper, batch):
+        want = adaptive_simpson(lambda v: alone.append(v.size) or f(v), lo,
+                                hi, tol=1e-10)
+        assert list(got) == list(want)
+    assert sum(points) == sum(alone)
+    # a 1-d return still serves every row
+    same = adaptive_simpson(np.exp, lower, upper, tol=1e-10)
+    assert [list(r) for r in same] == [
+        list(adaptive_simpson(np.exp, lo, hi, tol=1e-10))
+        for lo, hi in zip(lower, upper)]
+
+
 def test_adaptive_simpson_rejects_infinite_limits():
     with pytest.raises(ValueError):
         adaptive_simpson(np.exp, 0.0, math.inf)
     with pytest.raises(ValueError):
         adaptive_simpson(np.exp, np.array([0.0, 1.0]), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        adaptive_simpson(np.exp, 0.0, np.ones((2, 2, 2)))
 
 
 def test_composite_simpson_error_bound():

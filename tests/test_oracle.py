@@ -1,12 +1,19 @@
 """Asymptotic bias/variance oracle built on quadrature."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import npmixcure
 from npmixcure import model1, model2
 from npmixcure.exceptions import SupportGuardError
 from npmixcure.numerics import adaptive_simpson
@@ -136,6 +143,57 @@ class TestPhiTransforms:
         assert np.isfinite(phi1(pop, math.inf, 5.0))
 
 
+# each call, run in a child process whose address space is capped: a
+# NaN that reached a quadrature would split every node down to the
+# depth cap and ask for 2^24-point levels
+_NAN_CALLS = """
+import math, resource
+from npmixcure import (SupportGuardError, bias_variance_terms, model1,
+                       model2, phi, phi1, phi2_terms, phi_y_derivatives,
+                       population_from_model)
+from npmixcure.oracle import _guard
+
+def vsize():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmSize:"):
+                return int(line.split()[1]) * 1024
+
+limit = vsize() + (512 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+nan = math.nan
+for spec in (model1(), model2()):
+    pop = population_from_model(spec)
+    for call in ("_guard(pop, 1.0, nan)", "_guard(pop, nan, 5.0)",
+                 "phi(pop, nan, 1.0, 5.0)", "phi(pop, 5.0, 1.0, nan)",
+                 "phi(pop, 5.0, nan, 5.0)", "phi1(pop, 1.0, nan)",
+                 "phi1(pop, math.inf, nan)", "phi1(pop, nan, 5.0)",
+                 "phi_y_derivatives(pop, 1.0, nan)",
+                 "phi_y_derivatives(pop, [0.5, nan], 5.0)",
+                 "phi2_terms(pop, 1.0, nan)", "phi2_terms(pop, nan, 5.0)",
+                 "bias_variance_terms(pop, [1.0, 2.0], [5.0, nan])"):
+        try:
+            eval(call)
+        except SupportGuardError:
+            print("refused", call)
+        except Exception as exc:
+            print("FAILED", call, repr(exc))
+        else:
+            print("FAILED", call, "returned")
+"""
+
+
+def test_nan_time_or_covariate_is_refused_before_any_quadrature():
+    src = str(Path(npmixcure.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _NAN_CALLS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 26
+    assert all(line.startswith("refused ") for line in lines), lines
+
+
 class TestPhiDerivatives:
     def test_frozen_values(self):
         d = phi_y_derivatives(_pop1(), 1.0, 5.0)
@@ -244,12 +302,25 @@ class TestBiasVarianceTerms:
     def test_one_set_of_quadratures_per_call(self, monkeypatch, population,
                                              t):
         # the times and, with cure mass, the full support share one
-        # phi_y_derivatives call (2 quadratures) and one phi1 call (1)
+        # quadrature call: three integrand rows of len(t) + cured slots
         calls = self._count_quadratures(monkeypatch)
         pop = population()
         cured = 1.0 - float(pop.p(5.0)) > 1e-15
         bias_variance_terms(pop, t, 5.0)
-        assert calls == [np.size(t) + cured] * 3
+        assert calls == [3 * (np.size(t) + cured)]
+
+    def test_many_covariates_share_calls_eight_at_a_time(self, monkeypatch):
+        calls = self._count_quadratures(monkeypatch)
+        pop = _pop1()
+        x = np.linspace(-9.0, 9.0, 10)
+        t = np.where(x < 0.0, 0.5, math.inf)
+        batch = bias_variance_terms(pop, t, x)
+        assert calls == [3 * 8 * 2, 3 * 2 * 2]
+        for i in range(x.size):
+            one = bias_variance_terms(pop, float(t[i]), float(x[i]))
+            assert [getattr(batch, name)[i]
+                    for name in ("b1", "b2", "v1", "v2", "v3")] == [
+                one.b1, one.b2, one.v1, one.v2, one.v3]
 
     def test_vanishing_covariate_density_is_a_guard_error(self, monkeypatch):
         calls = self._count_quadratures(monkeypatch)
@@ -260,6 +331,54 @@ class TestBiasVarianceTerms:
         # the support guard still refuses first
         with pytest.raises(SupportGuardError, match="support floor"):
             bias_variance_terms(_pop1(), 20.0, 25.0)
+
+
+_TIMES = {1: (0.3, 1.0, 2.5, 20.0, math.inf), 2: (0.2, 0.5, 0.8, 5.0, math.inf)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_broadcast_points_equal_scalar_calls(data):
+    # any (t, x) shapes that broadcast: one call equals a loop of scalar
+    # calls under ==, and a refused point anywhere refuses the call
+    # with the loop's first refusal (a time below the floor at 20 or 5,
+    # no covariate density at 25)
+    model = data.draw(st.sampled_from([1, 2]))
+    pop = (_pop1, _pop2)[model - 1]()
+    t_shape, x_shape = data.draw(st.sampled_from([
+        ((3,), ()), ((), (2,)), ((3,), (3,)), ((1, 2), (2, 1)),
+        ((2, 1), (2,)), ((), ())]))
+    t = np.array(data.draw(st.lists(st.sampled_from(_TIMES[model]),
+                                    min_size=int(np.prod(t_shape)),
+                                    max_size=int(np.prod(t_shape)))),
+                 dtype=float).reshape(t_shape)
+    x = np.array(data.draw(st.lists(st.sampled_from([-12.5, 0.0, 5.0, 25.0]),
+                                    min_size=int(np.prod(x_shape)),
+                                    max_size=int(np.prod(x_shape)))),
+                 dtype=float).reshape(x_shape)
+    points = np.broadcast_arrays(t, x)
+    expected, first_floor, first_density = [], None, None
+    for tv, xv in zip(*(p.ravel().tolist() for p in points)):
+        try:
+            one = bias_variance_terms(pop, tv, xv)
+        except SupportGuardError as exc:
+            if "floor" in str(exc):
+                first_floor = first_floor or str(exc)
+            else:
+                first_density = first_density or str(exc)
+            continue
+        expected.append([one.b1, one.b2, one.v1, one.v2, one.v3])
+    refusal = first_floor or first_density
+    if refusal:
+        with pytest.raises(SupportGuardError) as caught:
+            bias_variance_terms(pop, t, x)
+        assert str(caught.value) == refusal
+        return
+    batch = bias_variance_terms(pop, t, x)
+    assert np.shape(batch.b1) == points[0].shape
+    got = np.stack([np.ravel(getattr(batch, name))
+                    for name in ("b1", "b2", "v1", "v2", "v3")], axis=1)
+    assert got.tolist() == expected
 
 
 class TestAmse:

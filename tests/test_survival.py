@@ -70,10 +70,6 @@ class TestStepSurvivalCurve:
         assert c.evaluate(0.0) == 1.0
         assert c.evaluate(1e9) == 1.0
 
-    def test_jump_masses(self):
-        c = StepSurvivalCurve(np.array([1.0, 2.0]), np.array([0.6, 0.1]))
-        assert_allclose(c.jump_masses(), [0.4, 0.5])
-
     def test_nonincreasing_times_rejected(self):
         with pytest.raises(ValueError):
             StepSurvivalCurve(np.array([1.0, 1.0]), np.array([0.5, 0.25]))
