@@ -108,6 +108,18 @@ class TestPhiTransforms:
             assert_allclose(a - b - c + d, phi1(pop, t, x), atol=1e-6)
             assert_allclose(d, b + c, atol=1e-6)
 
+    @pytest.mark.parametrize("population, t, x, pins", [
+        (_pop1, 1.0, 5.0, ("0x1.f5a18bbfb5debp+1", "0x1.06fcb69b1ac84p+1",
+                           "0x1.6801077827904p+2", "0x1.eb7f62c5e2c77p+2")),
+        (_pop2, 0.5, 5.0, ("0x1.480dc1edcde22p-3", "0x1.538fd64d506e0p-7",
+                           "0x1.2eff43b1fe8ebp-5", "0x1.83e3393a8cc5ap-5")),
+    ], ids=["model1", "model2"])
+    def test_decomposition_terms_frozen_bitwise(self, population, t, x, pins):
+        # (A, B, C, D) to the last bit: the nested quadratures may be
+        # reorganised, but not re-rounded
+        terms = phi2_terms(population(), t, x)
+        assert tuple(float.hex(v) for v in terms) == pins
+
     def test_monte_carlo_agreement(self):
         # draws at covariate y scored with weights at x estimate the
         # transform: the indicator piece minus the compensating
