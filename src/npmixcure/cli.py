@@ -34,13 +34,7 @@ from .exceptions import ConfigError, DataError, EstimationError
 from .experiments import ExperimentConfig, true_mise, true_mise_two_bw
 from .io_utils import DatasetSchema, ingest, write_meta, write_table
 from .models import generate, model1, model2, trial_rng
-from .oracle import (
-    BiasVarianceTerms,
-    _refusals,
-    amse,
-    bias_variance_terms,
-    population_from_model,
-)
+from .oracle import _refusals, amse, population_from_model
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -576,7 +570,7 @@ def _cmd_oracle(opts):
     n = _require(opts, "n")
 
     # the lattice, x outer and t inner; the accepted points share one
-    # set of quadratures, the refused ones are recorded in that order
+    # amse call, the refused ones are recorded in that order
     pop = population_from_model(spec)
     lattice = [(tv, xv) for xv in xs for tv in ts]
     refused = _refusals(pop, *np.array(lattice).T, density=True)
@@ -585,15 +579,12 @@ def _cmd_oracle(opts):
                 for i in sorted(refused)]
     rows = []
     if kept:
-        batch = bias_variance_terms(pop, *np.array(kept).T)
-        # Python floats, so amse squares with C pow as a one-point call does
-        parts = zip(*(getattr(batch, name).tolist()
-                      for name in ("b1", "b2", "v1", "v2", "v3")))
-        for (tv, xv), terms in zip(kept, parts):
-            report = amse(pop, tv, xv, h, n,
-                          terms=BiasVarianceTerms(tv, xv, *terms))
-            rows.append((tv, xv, h, n, *terms, report.bias_term,
-                         report.variance_term, report.amse))
+        report = amse(pop, *np.array(kept).T, h, n)
+        terms = report.terms
+        values = zip(*(part.tolist() for part in (
+            terms.b1, terms.b2, terms.v1, terms.v2, terms.v3,
+            report.bias_term, report.variance_term, report.amse)))
+        rows = [(tv, xv, h, n, *row) for (tv, xv), row in zip(kept, values)]
     if not rows:
         raise EstimationError(
             "oracle evaluation failed at every point: "

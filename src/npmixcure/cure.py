@@ -81,7 +81,7 @@ def _latency_from_curve(curve: StepSurvivalCurve, cured: float) -> StepSurvivalC
             "degenerate fit: all estimated mass is cured (p_hat = 0)"
         )
     values = (curve.values - cured) / p_hat
-    return StepSurvivalCurve(curve.jump_times.copy(), values, initial_value=1.0)
+    return StepSurvivalCurve(curve.jump_times.copy(), values)
 
 
 def _latency_ise(curves, plateaus, fitted, truth, tgrid, rows1, rows2):
@@ -112,7 +112,7 @@ def _latency_ise(curves, plateaus, fitted, truth, tgrid, rows1, rows2):
 def _clamp_monotone(curve: StepSurvivalCurve) -> StepSurvivalCurve:
     """Clip values into [0, 1], then enforce monotonicity by running minimum."""
     values = np.minimum.accumulate(np.clip(curve.values, 0.0, 1.0))
-    return StepSurvivalCurve(curve.jump_times.copy(), values, initial_value=1.0)
+    return StepSurvivalCurve(curve.jump_times.copy(), values)
 
 
 def latency_estimate(

@@ -29,12 +29,11 @@ def _pairs(first, second):
 
 
 def adaptive_simpson(
-    f: Callable[..., np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     a,
     b,
     tol: float = 1e-8,
     max_depth: int = 24,
-    args: tuple = (),
 ):
     """Adaptive Simpson quadrature on ``[a, b]``, breadth first.
 
@@ -43,11 +42,9 @@ def adaptive_simpson(
     independent intervals, the roots; the result then holds one
     integral per root, in their shape.  Where ``f`` returns a (C, P)
     array, a root in limit row ``c`` reads row ``c``: C integrands
-    evaluated together.  ``f(v, *(arg[root] for arg in args))`` is
-    called with each point's root's entry (by flat index) of every
-    array in ``args``, for integrands that differ between roots.
-    Scalar limits give a float.  An empty interval (``b <= a``)
-    integrates to 0.0 and is never evaluated.
+    evaluated together; a 1-d return serves every root.  Scalar limits
+    give a float.  An empty interval (``b <= a``) integrates to 0.0 and
+    is never evaluated.
 
     A node is subdivided until its Simpson discrepancy ``delta`` is
     within ``15 tol`` (``tol`` halving with each level) or the depth
@@ -67,11 +64,10 @@ def adaptive_simpson(
         raise ValueError("integration limits must have at most 2 dimensions")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("integration limits must be finite")
-    args = tuple(np.asarray(arg) for arg in args)
     shape, a, b = a.shape, a.ravel(), b.ravel()
 
     def evaluate(points, root):
-        values = np.asarray(f(points, *(arg[root] for arg in args)), dtype=float)
+        values = np.asarray(f(points), dtype=float)
         if values.ndim == 2:
             values = values[row[root], np.arange(points.size)]
         return np.broadcast_to(values, points.shape)

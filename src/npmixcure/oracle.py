@@ -224,12 +224,12 @@ def phi1(pop: PopulationFunctions, t, x: float):
     ``t`` may be an array of times, integrated in one batched call.
     """
     _guard(pop, t, x)
-    step = 0.5 * _fd_step(x)
-    # empty derivative rows: only the phi1 row is integrated
-    upper = _upper_limits(pop, np.atleast_1d(t), x, step) * [[0.0], [0.0], [1.0]]
-    values = adaptive_simpson(_diagonal_integrands(pop, [x], [step]), 0.0,
-                              upper, _TOL)[2]
-    return float(values[0]) if np.ndim(t) == 0 else values.reshape(np.shape(t))
+
+    def integrand(v):
+        r = pop.one_minus_h(v, x)
+        return pop.h1_density(v, x) / (r * r)
+
+    return adaptive_simpson(integrand, 0.0, np.minimum(t, pop.s0_upper(x)), _TOL)
 
 
 def phi2_terms(pop: PopulationFunctions, t: float, x: float):
@@ -271,13 +271,12 @@ def phi2_terms(pop: PopulationFunctions, t: float, x: float):
 
     term_c = adaptive_simpson(c_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
 
-    def low_integrand(u, rv):
-        return rv * dh1(u) / _pow2(r_of(u))
-
     def d_outer(v):
-        # split the inner integral at its kink u = v: max(u, v) switches
-        low = adaptive_simpson(low_integrand, 0.0, v, _TOL_INNER,
-                               args=(r_of(v),))
+        # split the inner integral at its kink u = v: max(u, v) switches;
+        # below it, one integrand row per outer point v
+        rv = r_of(v)[:, None]
+        low = adaptive_simpson(lambda u: rv * dh1(u) / _pow2(r_of(u)), 0.0,
+                               v[:, None], _TOL_INNER)[:, 0]
         high = adaptive_simpson(ratio, v, upper, _TOL_INNER)
         return weight(v) * (low + high)
 
@@ -290,15 +289,15 @@ def phi2_terms(pop: PopulationFunctions, t: float, x: float):
 class PhiDerivatives:
     """Central-difference y-derivatives of ``Phi`` on the diagonal.
 
-    ``first``/``second`` use the halved step; the ``_coarse`` fields
-    (present when the halving check ran) use the base step, so their
-    relative agreement bounds the finite-difference error.
+    ``first``/``second`` use the halved step and the ``_coarse`` fields
+    the base step, so their relative agreement bounds the
+    finite-difference error.
     """
 
     first: float
     second: float
-    first_coarse: float | None = None
-    second_coarse: float | None = None
+    first_coarse: float
+    second_coarse: float
 
 
 def _fd_step(x: float) -> float:
@@ -350,18 +349,16 @@ def phi_y_derivatives(
     pop: PopulationFunctions,
     t: float,
     x: float,
-    halving_check: bool = True,
 ) -> PhiDerivatives:
     """``d/dy Phi(y, t, x)`` and ``d^2/dy^2 Phi(y, t, x)`` at ``y = x``.
 
-    The base step is ``max(1e-4, 1e-4 |x|)``; reported values always
-    use the halved step, and ``halving_check=True`` additionally keeps
-    the base-step values so callers can verify stability.  ``t`` may be
-    an array of times; the fields are then arrays.  Both steps share
-    one quadrature call.
+    The base step is ``max(1e-4, 1e-4 |x|)``; reported values use the
+    halved step, and the base-step values are kept so callers can
+    verify stability.  ``t`` may be an array of times; the fields are
+    then arrays.  Both steps share one quadrature call.
     """
     _guard(pop, t, x)
-    steps = [0.5 * _fd_step(x), _fd_step(x)][:1 + halving_check]
+    steps = [0.5 * _fd_step(x), _fd_step(x)]
     # the phi1 row of each step stays empty
     upper = np.concatenate([_upper_limits(pop, np.atleast_1d(t), x, step)
                             * [[1.0], [1.0], [0.0]] for step in steps])
@@ -485,7 +482,8 @@ class AmseReport:
     ``variance_term = c_K / (n h) (v1 + v2 + 2 v3)``
 
     where ``d_K`` is the kernel second moment and ``c_K`` its square
-    integral.
+    integral.  The three totals are arrays, of the broadcast shape of
+    ``t`` and ``x``, when either is.
     """
 
     t: float
@@ -507,26 +505,25 @@ def amse(
     h: float,
     n: int,
     kernel: Kernel = EPANECHNIKOV,
-    terms: BiasVarianceTerms | None = None,
 ) -> AmseReport:
     """Dominant asymptotic MSE of the one-bandwidth latency estimate.
 
-    ``terms`` lets bulk callers reuse components already computed for
-    this ``(t, x)``; they are recomputed otherwise.
+    ``t`` and ``x`` may be arrays that broadcast against each other, as
+    in :func:`bias_variance_terms`, whose one call supplies the terms;
+    each entry then equals a call at that one point.
     """
     if h <= 0.0 or n < 1:
         raise ValueError("need h > 0 and n >= 1")
-    if terms is None:
-        terms = bias_variance_terms(pop, t, x)
+    terms = bias_variance_terms(pop, t, x)
     d_k = kernel.second_moment
     c_k = kernel.square_integral
-    bias_term = 0.25 * h**4 * d_k**2 * terms.b**2
+    # _pow2: the C pow bits of the scalar b**2
+    bias_term = 0.25 * h**4 * d_k**2 * _pow2(terms.b)
     variance_term = c_k / (n * h) * terms.v
-    return AmseReport(
-        t=t, x=x, h=h, n=n, d_k=d_k, c_k=c_k, terms=terms,
-        bias_term=bias_term, variance_term=variance_term,
-        amse=bias_term + variance_term,
-    )
+    totals = (bias_term, variance_term, bias_term + variance_term)
+    if np.ndim(terms.b) == 0:
+        totals = map(float, totals)
+    return AmseReport(t, x, h, n, d_k, c_k, terms, *totals)
 
 
 def _s0_quantile_time(pop, x: float, level: float) -> float:

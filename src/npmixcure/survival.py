@@ -76,8 +76,8 @@ class CensoredSample:
 class StepSurvivalCurve:
     """Right-continuous step function dropping at its jump times.
 
-    ``values[k]`` is the value on ``[jump_times[k], jump_times[k+1])``
-    and ``initial_value`` the value before the first jump.  Product-limit
+    ``values[k]`` is the value on ``[jump_times[k], jump_times[k+1])``;
+    before the first jump the value is 1.0.  Product-limit
     estimates keep values inside [0, 1]; the container itself does not
     enforce a range because the two-bandwidth latency estimate is allowed
     to leave it.
@@ -85,7 +85,6 @@ class StepSurvivalCurve:
 
     jump_times: np.ndarray
     values: np.ndarray
-    initial_value: float = 1.0
 
     def __post_init__(self):
         self.jump_times = np.asarray(self.jump_times, dtype=float)
@@ -102,11 +101,11 @@ class StepSurvivalCurve:
         """Evaluate the step function at ``t`` (scalar or array)."""
         t_arr = np.asarray(t, dtype=float)
         if self.jump_times.size == 0:
-            out = np.full(t_arr.shape, self.initial_value)
+            out = np.ones(t_arr.shape)
         else:
             idx = np.searchsorted(self.jump_times, t_arr, side="right") - 1
             out = np.where(
-                idx < 0, self.initial_value, self.values[np.maximum(idx, 0)]
+                idx < 0, 1.0, self.values[np.maximum(idx, 0)]
             )
         if np.ndim(t) == 0:
             return float(out)

@@ -2,10 +2,28 @@
 
 These are deliberately written with different algorithms than the
 package (grouped risk-set formulas, O(n^2) loops) so that agreement is
-evidence of correctness rather than shared bugs.
+evidence of correctness rather than shared bugs.  The benchmark's
+tracer is loaded here too, for the tests that run the package under it.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
+
+
+def load_benchmark_tracing():
+    """``benchmark/tracing.py`` as a module, writing no bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 def km_grouped(t, delta):

@@ -1,11 +1,8 @@
 """Command line interface."""
 
 import csv
-import importlib.util
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +25,9 @@ from npmixcure import cli
 from npmixcure.cli import _covariate_seed, main
 from npmixcure.exceptions import ConfigError, SupportGuardError
 from npmixcure.models import trial_rng
-from npmixcure.oracle import amse, bias_variance_terms, population_from_model
+from npmixcure.oracle import amse, population_from_model
+
+from helpers import load_benchmark_tracing
 
 
 @pytest.fixture(autouse=True)
@@ -314,7 +313,7 @@ class TestOracle:
         (2, [0.3, 5.0, 0.5, 0.9, math.inf], [-5.0, 8.0, 19.9]),
     ], ids=["model1", "model2"])
     def test_rows_equal_scalar_calls(self, _outdir, capsys, model, ts, xs):
-        # one batched call per x must give each row the bits of a call
+        # one batched call per model must give each row the bits of a call
         # at that one point; refused times sit between accepted ones
         argv = ["oracle", "--model", str(model), "--h", "3", "--n", "400",
                 "--out", "o.csv"]
@@ -329,11 +328,11 @@ class TestOracle:
         for xv in xs:
             for tv in ts:
                 try:
-                    terms = bias_variance_terms(pop, tv, xv)
+                    rep = amse(pop, tv, xv, 3.0, 400)
                 except SupportGuardError as exc:
                     refused.append({"t": tv, "x": xv, "error": str(exc)})
                     continue
-                rep = amse(pop, tv, xv, 3.0, 400, terms=terms)
+                terms = rep.terms
                 expected.append([tv, xv, 3.0, 400, terms.b1, terms.b2,
                                  terms.v1, terms.v2, terms.v3, rep.bias_term,
                                  rep.variance_term, rep.amse])
@@ -366,16 +365,12 @@ class TestOracle:
                 in capsys.readouterr().err)
         assert not (_outdir / "o.csv").exists()
 
-    def test_traced_run_equals_untraced(self, _outdir, capsys, monkeypatch):
+    def test_traced_run_equals_untraced(self, _outdir, capsys):
         # the benchmark's tracer wraps every quadrature's integrand as a
         # one-argument function; the oracle must run under it unchanged,
         # for both models, with a time refused at every x and an x
         # without covariate density
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("_bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_benchmark_tracing()
         for model, ts in [(1, ["0.5", "40", "2"]), (2, ["0.3", "40", "0.7"])]:
             argv = ["oracle", "--model", str(model), "--x", "-5", "--x", "25",
                     "--x", "8", "--h", "3", "--n", "400"]

@@ -107,18 +107,6 @@ def test_adaptive_simpson_batch_of_intervals():
     assert batch[1] == 0.0 and batch[3] == 0.0
 
 
-def test_adaptive_simpson_per_interval_arguments():
-    # each interval integrates its own scale times the shared function
-    scale = np.array([1.0, 2.0, 3.0])
-    upper = np.array([2.0, 3.0, 4.0])
-    batch = adaptive_simpson(lambda v, c: c * np.sin(v) / (v * v), 1.0,
-                             upper, tol=1e-10, args=(scale,))
-    for c, hi, value in zip(scale, upper, batch):
-        assert value == _recursive_simpson(
-            _scalar(lambda v: c * np.sin(v) / (v * v)), 1.0, hi, tol=1e-10
-        )
-
-
 def test_adaptive_simpson_row_valued_integrand():
     # (C, K) limits with an f that returns C rows: each root reads its
     # own row, bit for bit as one 1-d call per row, and the empty
@@ -145,6 +133,17 @@ def test_adaptive_simpson_row_valued_integrand():
     assert [list(r) for r in same] == [
         list(adaptive_simpson(np.exp, lo, hi, tol=1e-10))
         for lo, hi in zip(lower, upper)]
+    # (C, 1) limits: one interval per row, each integrating its own
+    # scale times a shared function, as the recursion does alone
+    scale = np.array([1.0, 2.0, 3.0])
+    upper = np.array([2.0, 3.0, 4.0])
+    batch = adaptive_simpson(lambda v: scale[:, None] * np.sin(v) / (v * v),
+                             1.0, upper[:, None], tol=1e-10)
+    assert batch.shape == (3, 1)
+    for c, hi, value in zip(scale, upper, batch[:, 0]):
+        assert value == _recursive_simpson(
+            _scalar(lambda v: c * np.sin(v) / (v * v)), 1.0, hi, tol=1e-10
+        )
 
 
 def test_adaptive_simpson_rejects_infinite_limits():

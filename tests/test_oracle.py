@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import npmixcure
-from npmixcure import model1, model2
+from npmixcure import model1, model2, oracle
 from npmixcure.exceptions import SupportGuardError
 from npmixcure.numerics import adaptive_simpson
 from npmixcure.oracle import (
@@ -29,7 +29,7 @@ from npmixcure.oracle import (
     population_from_model,
 )
 
-from helpers import draw_conditional
+from helpers import draw_conditional, load_benchmark_tracing
 
 
 def _pop1():
@@ -206,6 +206,34 @@ def test_nan_time_or_covariate_is_refused_before_any_quadrature():
     assert all(line.startswith("refused ") for line in lines), lines
 
 
+@pytest.mark.parametrize("population, t", [(_pop1, 1.0), (_pop2, 0.5)],
+                         ids=["model1", "model2"])
+def test_values_unchanged_under_the_benchmark_tracer(population, t):
+    # the tracer wraps each quadrature's integrand as a function of the
+    # points alone and rebinds the oracle's public names; every
+    # transform must run under it and give its untraced bits
+    tracing = load_benchmark_tracing()
+    pop = population()
+    calls = {
+        "phi": lambda: oracle.phi(pop, 4.0, t, 5.0),
+        "phi1": lambda: oracle.phi1(pop, t, 5.0),
+        "phi_y_derivatives": lambda: oracle.phi_y_derivatives(pop, t, 5.0),
+        "phi2_terms": lambda: oracle.phi2_terms(pop, t, 5.0),
+        "h_amise": lambda: oracle.h_amise(pop, 5.0, 200),
+    }
+    for name, call in calls.items():
+        plain = call()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            traced = call()
+        finally:
+            tracer.uninstall()
+        assert not tracer.missing, name
+        assert traced == plain, name
+        assert tracer.integrand_evals > 0, name
+
+
 class TestPhiDerivatives:
     def test_frozen_values(self):
         d = phi_y_derivatives(_pop1(), 1.0, 5.0)
@@ -213,13 +241,9 @@ class TestPhiDerivatives:
         assert_allclose(d.second, -0.030778944108842157, rtol=1e-12)
 
     def test_step_halving_stability(self):
-        d = phi_y_derivatives(_pop1(), 1.0, 5.0, halving_check=True)
+        d = phi_y_derivatives(_pop1(), 1.0, 5.0)
         assert abs(d.first - d.first_coarse) < 1e-3 * max(1.0, abs(d.first))
         assert abs(d.second - d.second_coarse) < 1e-3 * max(1.0, abs(d.second))
-
-    def test_halving_fields_absent_when_skipped(self):
-        d = phi_y_derivatives(_pop1(), 1.0, 5.0, halving_check=False)
-        assert d.first_coarse is None and d.second_coarse is None
 
 
 class TestBiasVarianceTerms:
@@ -351,10 +375,10 @@ _TIMES = {1: (0.3, 1.0, 2.5, 20.0, math.inf), 2: (0.2, 0.5, 0.8, 5.0, math.inf)}
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_broadcast_points_equal_scalar_calls(data):
-    # any (t, x) shapes that broadcast: one call equals a loop of scalar
-    # calls under ==, and a refused point anywhere refuses the call
-    # with the loop's first refusal (a time below the floor at 20 or 5,
-    # no covariate density at 25)
+    # any (t, x) shapes that broadcast: one bias_variance_terms or amse
+    # call equals a loop of scalar amse calls under ==, and a refused
+    # point anywhere refuses the call with the loop's first refusal (a
+    # time below the floor at 20 or 5, no covariate density at 25)
     model = data.draw(st.sampled_from([1, 2]))
     pop = (_pop1, _pop2)[model - 1]()
     t_shape, x_shape = data.draw(st.sampled_from([
@@ -372,25 +396,33 @@ def test_broadcast_points_equal_scalar_calls(data):
     expected, first_floor, first_density = [], None, None
     for tv, xv in zip(*(p.ravel().tolist() for p in points)):
         try:
-            one = bias_variance_terms(pop, tv, xv)
+            rep = amse(pop, tv, xv, 3.0, 400)
         except SupportGuardError as exc:
             if "floor" in str(exc):
                 first_floor = first_floor or str(exc)
             else:
                 first_density = first_density or str(exc)
             continue
-        expected.append([one.b1, one.b2, one.v1, one.v2, one.v3])
+        one = rep.terms
+        expected.append([one.b1, one.b2, one.v1, one.v2, one.v3,
+                         rep.bias_term, rep.variance_term, rep.amse])
     refusal = first_floor or first_density
     if refusal:
-        with pytest.raises(SupportGuardError) as caught:
-            bias_variance_terms(pop, t, x)
-        assert str(caught.value) == refusal
+        for call in (bias_variance_terms, lambda *a: amse(*a, 3.0, 400)):
+            with pytest.raises(SupportGuardError) as caught:
+                call(pop, t, x)
+            assert str(caught.value) == refusal
         return
     batch = bias_variance_terms(pop, t, x)
-    assert np.shape(batch.b1) == points[0].shape
-    got = np.stack([np.ravel(getattr(batch, name))
-                    for name in ("b1", "b2", "v1", "v2", "v3")], axis=1)
+    rep = amse(pop, t, x, 3.0, 400)
+    assert np.shape(batch.b1) == np.shape(rep.amse) == points[0].shape
+    names = ("b1", "b2", "v1", "v2", "v3")
+    got = np.stack([np.ravel(getattr(batch, name)) for name in names]
+                   + [np.ravel(part) for part in (
+                       rep.bias_term, rep.variance_term, rep.amse)], axis=1)
     assert got.tolist() == expected
+    assert all(np.array_equal(getattr(rep.terms, name), getattr(batch, name))
+               for name in names)
 
 
 class TestAmse:
@@ -403,13 +435,16 @@ class TestAmse:
         assert rep.d_k == 0.2 and rep.c_k == 0.6
 
     def test_recomposition_from_terms(self):
+        # a scalar point gives Python floats, b squared with C pow
         pop = _pop1()
-        terms = bias_variance_terms(pop, 1.0, 5.0)
         h, n = 12.0, 400
-        rep = amse(pop, 1.0, 5.0, h, n, terms=terms)
+        rep = amse(pop, 1.0, 5.0, h, n)
+        terms = rep.terms
+        assert terms == bias_variance_terms(pop, 1.0, 5.0)
+        assert type(rep.bias_term) is float and type(rep.amse) is float
         assert rep.bias_term == 0.25 * h**4 * 0.2**2 * terms.b**2
         assert rep.variance_term == 0.6 / (n * h) * terms.v
-        assert rep.terms is terms
+        assert rep.amse == rep.bias_term + rep.variance_term
 
     def test_validation(self):
         pop = _pop1()
