@@ -133,6 +133,9 @@ def test_adaptive_simpson_row_valued_integrand():
     assert [list(r) for r in same] == [
         list(adaptive_simpson(np.exp, lo, hi, tol=1e-10))
         for lo, hi in zip(lower, upper)]
+
+
+def test_adaptive_simpson_per_interval_arguments():
     # (C, 1) limits: one interval per row, each integrating its own
     # scale times a shared function, as the recursion does alone
     scale = np.array([1.0, 2.0, 3.0])
