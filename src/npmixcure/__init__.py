@@ -41,7 +41,7 @@ from .experiments import (
     true_mise_two_bw,
 )
 from .io_utils import DatasetSchema, IngestReport, format_float, ingest
-from .kernels import EPANECHNIKOV, Kernel, nw_weights
+from .kernels import nw_weights
 from .models import (
     COVARIATE_WINDOW,
     ExponentialCensoring,

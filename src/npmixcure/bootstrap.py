@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cure import _latency_ise, latency_estimate
 from .exceptions import EstimationError
-from .kernels import EPANECHNIKOV, Kernel, nw_weights
+from .kernels import epanechnikov, nw_weights
 from .survival import (
     CensoredSample,
     StepSurvivalCurve,
@@ -264,7 +264,7 @@ class _ResamplingKit:
         self.runs = sliding_window_view(cums.reshape(-1), s)
 
     @classmethod
-    def build(cls, sample: CensoredSample, g: float, kernel: Kernel):
+    def build(cls, sample: CensoredSample, g: float):
         sample.t_max_uncensored()  # raises: no events, no latency to draw
         censoring_km = kaplan_meier(sample, 1 - sample.delta)
         censoring = _JumpDistribution.from_curve(
@@ -277,8 +277,7 @@ class _ResamplingKit:
         cums = None
         for lo in range(0, n, rows):
             try:
-                weights = nw_weights(kernel, sample.x[lo:lo + rows],
-                                     ordered.x, g)
+                weights = nw_weights(sample.x[lo:lo + rows], ordered.x, g)
             except EstimationError as err:
                 raise EstimationError(f"pilot fit failed: {err}") from err
             times, values = _at_event_times(
@@ -344,7 +343,6 @@ def mise_star(
     sample: CensoredSample,
     x: float,
     config: BootstrapConfig,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> MiseCurve:
     """Bootstrap MISE of the latency estimate over a bandwidth grid.
 
@@ -363,14 +361,14 @@ def mise_star(
     """
     grid = config.grid.values
     g = pilot_bandwidth(sample.x, config.pilot_c)
-    pilot_fit = latency_estimate(sample, x, g, kernel)
+    pilot_fit = latency_estimate(sample, x, g)
     tgrid = _time_grid(sample, config)
     pilot_values = pilot_fit.latency.evaluate(tgrid)
 
-    kit = _ResamplingKit.build(sample, g, kernel)
+    kit = _ResamplingKit.build(sample, g)
     # covariates stay fixed across resamples, so the kernel values at x
     # are computed once and only their columns follow each time order
-    raw = kernel.density((x - sample.x) / grid[:, None])
+    raw = epanechnikov((x - sample.x) / grid[:, None])
     ise = np.empty((config.B, grid.size))
     streams = np.random.SeedSequence(config.seed).spawn(config.B)
     chunk = max(1, _RESAMPLE_CHUNK_BYTES // (8 * raw.size))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateCureError
-from .kernels import EPANECHNIKOV, Kernel
 from .survival import CensoredSample, StepSurvivalCurve, beran
 
 __all__ = [
@@ -57,7 +56,6 @@ def incidence_estimate(
     sample: CensoredSample,
     x: float,
     h: float,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> float:
     """Estimated cure probability ``1 - p_hat(x)``.
 
@@ -65,7 +63,7 @@ def incidence_estimate(
     uncensored time, i.e. its final plateau.
     """
     t_top = sample.t_max_uncensored()
-    return beran(sample, x, h, kernel).evaluate(t_top)
+    return beran(sample, x, h).evaluate(t_top)
 
 
 def _latency_from_curve(curve: StepSurvivalCurve, cured: float) -> StepSurvivalCurve:
@@ -119,7 +117,6 @@ def latency_estimate(
     sample: CensoredSample,
     x: float,
     h: float,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> CureFit:
     """One-bandwidth latency estimate at covariate value ``x``.
 
@@ -138,7 +135,7 @@ def latency_estimate(
         If the estimated uncured probability is zero.
     """
     t_top = sample.t_max_uncensored()
-    curve = beran(sample, x, h, kernel)
+    curve = beran(sample, x, h)
     cured = curve.evaluate(t_top)
     latency = _latency_from_curve(curve, cured)
     return CureFit(
@@ -152,7 +149,6 @@ def latency_estimate_two_bw(
     x: float,
     h1: float,
     h2: float,
-    kernel: Kernel = EPANECHNIKOV,
     clamp: bool = False,
 ) -> CureFit:
     """Two-bandwidth latency estimate at covariate value ``x``.
@@ -165,8 +161,8 @@ def latency_estimate_two_bw(
     into [0, 1] and restore monotonicity by running minimum.
     """
     t_top = sample.t_max_uncensored()
-    curve = beran(sample, x, h1, kernel)
-    cured = beran(sample, x, h2, kernel).evaluate(t_top)
+    curve = beran(sample, x, h1)
+    cured = beran(sample, x, h2).evaluate(t_top)
     latency = _latency_from_curve(curve, cured)
     if clamp:
         latency = _clamp_monotone(latency)

@@ -23,7 +23,7 @@ from .bootstrap import (
 )
 from .cure import _latency_ise
 from .exceptions import EstimationError
-from .kernels import EPANECHNIKOV, Kernel
+from .kernels import epanechnikov
 from .models import ModelSpec, generate, trial_rng
 from .survival import _beran_rows
 
@@ -95,7 +95,7 @@ def _trials(spec, n, m, seed):
         yield from enumerate(generate(spec, n, streams), lo)
 
 
-def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, kernel, visit=None):
+def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, visit=None):
     """Integrated squared errors of bandwidth pairs, summed over trials.
 
     Pair ``k`` combines the survival curve at ``hs[rows1[k]]`` with the
@@ -121,7 +121,7 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, kernel, visit=None):
         tgrid = _time_grid(sample, config)
         order = np.lexsort((-sample.delta, sample.t))
         # row i * L + l is xs[i] at hs[l]
-        raw = kernel.density(
+        raw = epanechnikov(
             (xs[:, None, None] - sample.x[order]) / hs[:, None])
         curves, plateaus, fitted = _beran_rows(
             sample.t[order], sample.delta[order], raw.reshape(-1, n), tgrid)
@@ -160,7 +160,6 @@ def true_mise(
     x,
     grid: BandwidthGrid,
     config: ExperimentConfig,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> MiseCurve | list[MiseCurve]:
     """Monte Carlo MISE of the one-bandwidth latency estimate.
 
@@ -174,8 +173,7 @@ def true_mise(
     """
     xs, single = _covariates(x)
     rows = np.arange(len(grid))
-    sums, used = _mise_sums(spec, n, m, xs, grid.values, rows, rows,
-                            config, kernel)
+    sums, used = _mise_sums(spec, n, m, xs, grid.values, rows, rows, config)
     curves = [_mise_curve(grid, s, u, m, "trial",
                           weight_upper=config.weight_upper, trials=m)
               for s, u in zip(sums, used)]
@@ -190,7 +188,6 @@ def true_mise_two_bw(
     grid1: BandwidthGrid,
     grid2: BandwidthGrid,
     config: ExperimentConfig,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> MiseSurface | list[MiseSurface]:
     """Monte Carlo MISE of the two-bandwidth latency estimate.
 
@@ -209,7 +206,7 @@ def true_mise_two_bw(
     rows1, rows2 = (rows.ravel() for rows in np.meshgrid(
         np.searchsorted(hs, grid1.values), np.searchsorted(hs, grid2.values),
         indexing="ij"))
-    sums, used = _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, kernel)
+    sums, used = _mise_sums(spec, n, m, xs, hs, rows1, rows2, config)
     shape = (len(grid1), len(grid2))
     surfaces = []
     for xv, s, u in zip(xs, sums, used):
@@ -268,7 +265,6 @@ def bootstrap_vs_optimal(
     grid: BandwidthGrid,
     B: int,
     config: ExperimentConfig,
-    kernel: Kernel = EPANECHNIKOV,
     pilot_c: float = 0.75,
 ) -> SelectorStudy:
     """Compare the bootstrap bandwidth selector with the grid optimum.
@@ -289,14 +285,14 @@ def bootstrap_vs_optimal(
             time_grid_size=config.time_grid_size,
         )
         try:
-            curve = mise_star(sample, x, bconfig, kernel)
+            curve = mise_star(sample, x, bconfig)
         except EstimationError:
             return
         selected_index[j] = curve.argmin_index
 
     rows = np.arange(len(grid))
     sums, used = _mise_sums(spec, n, m, [x], grid.values, rows, rows,
-                            config, kernel, select)
+                            config, select)
     mise = _mise_curve(grid, sums[0], used[0], m, "trial",
                        weight_upper=config.weight_upper, trials=m)
     ok = selected_index >= 0

@@ -1,63 +1,38 @@
-"""Kernel functions and Nadaraya-Watson weights.
+"""The Epanechnikov kernel and Nadaraya-Watson weights.
 
-Kernels are compactly supported probability densities on (-1, 1).  The
-Epanechnikov kernel is the default everywhere in the package; other
-symmetric densities can be plugged in through the :class:`Kernel`
-container as long as they integrate to one on their support.
+The kernel is the density ``0.75 (1 - u^2)`` on (-1, 1); its second
+moment and square integral are the constants ``d_K`` and ``c_K`` of the
+asymptotic bias and variance.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .exceptions import EmptyNeighborhoodError
 
 __all__ = [
-    "Kernel",
-    "EPANECHNIKOV",
+    "SECOND_MOMENT",
+    "SQUARE_INTEGRAL",
+    "epanechnikov",
     "nw_weights",
 ]
 
+# int v^2 * 0.75(1-v^2) dv = 0.2 ; int (0.75(1-v^2))^2 dv = 0.6 on (-1, 1)
+SECOND_MOMENT = 0.2
+SQUARE_INTEGRAL = 0.6
 
-def _epanechnikov(u: np.ndarray) -> np.ndarray:
+
+def epanechnikov(u) -> np.ndarray:
+    """Kernel density ``0.75 (1 - u^2)``, zero outside (-1, 1)."""
     u = np.asarray(u, dtype=float)
     return 0.75 * np.maximum(0.0, 1.0 - u * u)
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """A compactly supported kernel density.
-
-    Parameters
-    ----------
-    name : str
-        Identifier used in metadata files.
-    density : callable
-        Vectorized density, zero outside (-1, 1).
-    second_moment : float
-        ``int v^2 K(v) dv``, the kernel constant driving squared bias.
-    square_integral : float
-        ``int K(v)^2 dv``, the kernel constant driving variance.
-    """
-
-    name: str
-    density: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    second_moment: float
-    square_integral: float
-
-
-# int v^2 * 0.75(1-v^2) dv = 0.2 ; int (0.75(1-v^2))^2 dv = 0.6 on (-1, 1)
-EPANECHNIKOV = Kernel("epanechnikov", _epanechnikov, 0.2, 0.6)
-
-
-def nw_weights(kernel: Kernel, x, xs: np.ndarray, h) -> np.ndarray:
+def nw_weights(x, xs: np.ndarray, h) -> np.ndarray:
     """Nadaraya-Watson weights of a sample of covariates at a point.
 
     Parameters
     ----------
-    kernel : Kernel
     x : float or array_like
         Evaluation point, or K evaluation points.
     xs : array_like
@@ -85,7 +60,7 @@ def nw_weights(kernel: Kernel, x, xs: np.ndarray, h) -> np.ndarray:
     if xs.size == 0:
         raise ValueError("xs must be nonempty")
     points = np.asarray(x, dtype=float)
-    raw = kernel.density((points[..., None] - xs) / hs[..., None])
+    raw = epanechnikov((points[..., None] - xs) / hs[..., None])
     total = raw.sum(axis=-1, keepdims=True)
     empty = total[..., 0] <= 0.0
     if empty.any():

@@ -10,7 +10,7 @@ window for estimation quality studies is x in [-10, 20].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,9 +69,6 @@ class ExponentialCensoring:
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, 1.0, np.exp(-self.rate * t))
 
-    def cdf(self, t) -> np.ndarray:
-        return 1.0 - self.sf(t)
-
 
 @dataclass(frozen=True)
 class NoCensoring:
@@ -82,9 +79,6 @@ class NoCensoring:
 
     def sf(self, t) -> np.ndarray:
         return np.ones_like(np.asarray(t, dtype=float))
-
-    def cdf(self, t) -> np.ndarray:
-        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,8 @@ class ModelSpec:
     latency_quantile: Callable[..., np.ndarray]
     censoring: object
     covariate: object
-    latency_density: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    s0_upper: Callable[[float], float] | None = None
-    params: dict = field(default_factory=dict)
+    latency_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    s0_upper: Callable[[float], float]
 
 
 def _logistic(z):
@@ -179,12 +172,6 @@ def model1() -> ModelSpec:
         covariate=UniformCovariate(),
         latency_density=latency_density,
         s0_upper=lambda x: MODEL1_TAU0,
-        params={
-            "incidence_logit": [b0, b1],
-            "tau0": MODEL1_TAU0,
-            "censoring_mean": 10.0 / 3.0,
-            "covariate": [-20.0, 20.0],
-        },
     )
 
 
@@ -292,12 +279,6 @@ def model2() -> ModelSpec:
         covariate=UniformCovariate(),
         latency_density=latency_density,
         s0_upper=s0_upper,
-        params={
-            "incidence_logit": list(b),
-            "latency_alpha_scale": 0.2,
-            "censoring_mean": 10.0 / 3.0,
-            "covariate": [-20.0, 20.0],
-        },
     )
 
 

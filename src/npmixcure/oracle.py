@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import SupportGuardError
-from .kernels import EPANECHNIKOV, Kernel
+from .kernels import SECOND_MOMENT, SQUARE_INTEGRAL
 from .models import ModelSpec
 from .numerics import adaptive_simpson, central_diff, composite_simpson
 
@@ -96,53 +96,16 @@ class PopulationFunctions:
         return self.cens_sf(t) * self.p(x) * self.latency_density(t, x)
 
 
-def _fd_latency_density(s0):
-    def density(t, x):
-        step = 1e-6 * np.maximum(1.0, np.abs(t))
-        return (s0(t - step, x) - s0(t + step, x)) / (2.0 * step)
-
-    return density
-
-
-def _numeric_s0_upper(s0):
-    def upper(x: float) -> float:
-        hi = 1.0
-        while float(s0(hi, x)) > 1e-13:
-            hi *= 2.0
-            if hi > 1e9:
-                raise ValueError("latency support appears unbounded")
-        lo = hi / 2.0 if hi > 1.0 else 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(s0(mid, x)) > 1e-13:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    return upper
-
-
 def population_from_model(spec: ModelSpec) -> PopulationFunctions:
-    """Population quantities of a simulation model.
-
-    Uses the model's closed-form latency density and support bound when
-    present, falling back to central differences and bracketed search.
-    """
-    density = spec.latency_density
-    if density is None:
-        density = _fd_latency_density(spec.s0)
-    s0_upper = spec.s0_upper
-    if s0_upper is None:
-        s0_upper = _numeric_s0_upper(spec.s0)
+    """Population quantities of a simulation model, from its closed forms."""
     return PopulationFunctions(
         p=spec.p,
         s0=spec.s0,
-        latency_density=density,
+        latency_density=spec.latency_density,
         cens_sf=spec.censoring.sf,
         m=spec.covariate.pdf,
         m_prime=spec.covariate.dpdf,
-        s0_upper=s0_upper,
+        s0_upper=spec.s0_upper,
     )
 
 
@@ -481,8 +444,8 @@ class AmseReport:
     ``bias_term     = (h^4 / 4) d_K^2 (b1 + b2)^2``
     ``variance_term = c_K / (n h) (v1 + v2 + 2 v3)``
 
-    where ``d_K`` is the kernel second moment and ``c_K`` its square
-    integral.  The three totals are arrays, of the broadcast shape of
+    where ``d_K`` is the Epanechnikov second moment and ``c_K`` its
+    square integral.  The three totals are arrays, of the broadcast shape of
     ``t`` and ``x``, when either is.
     """
 
@@ -490,8 +453,6 @@ class AmseReport:
     x: float
     h: float
     n: int
-    d_k: float
-    c_k: float
     terms: BiasVarianceTerms
     bias_term: float
     variance_term: float
@@ -504,7 +465,6 @@ def amse(
     x: float,
     h: float,
     n: int,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> AmseReport:
     """Dominant asymptotic MSE of the one-bandwidth latency estimate.
 
@@ -515,15 +475,13 @@ def amse(
     if h <= 0.0 or n < 1:
         raise ValueError("need h > 0 and n >= 1")
     terms = bias_variance_terms(pop, t, x)
-    d_k = kernel.second_moment
-    c_k = kernel.square_integral
     # _pow2: the C pow bits of the scalar b**2
-    bias_term = 0.25 * h**4 * d_k**2 * _pow2(terms.b)
-    variance_term = c_k / (n * h) * terms.v
+    bias_term = 0.25 * h**4 * SECOND_MOMENT**2 * _pow2(terms.b)
+    variance_term = SQUARE_INTEGRAL / (n * h) * terms.v
     totals = (bias_term, variance_term, bias_term + variance_term)
     if np.ndim(terms.b) == 0:
         totals = map(float, totals)
-    return AmseReport(t, x, h, n, d_k, c_k, terms, *totals)
+    return AmseReport(t, x, h, n, terms, *totals)
 
 
 def _s0_quantile_time(pop, x: float, level: float) -> float:
@@ -543,33 +501,22 @@ def _s0_quantile_time(pop, x: float, level: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def h_amise(
-    pop: PopulationFunctions,
-    x: float,
-    n: int,
-    kernel: Kernel = EPANECHNIKOV,
-    t_range: tuple[float, float] | None = None,
-    panels: int = 64,
-) -> float:
+def h_amise(pop: PopulationFunctions, x: float, n: int) -> float:
     """Bandwidth minimizing the asymptotic MISE at covariate ``x``:
 
     ``h = (c_K int V dt / (d_K^2 int B^2 dt))^(1/5) n^(-1/5)``
 
-    The time integrals run over ``t_range`` (default: from 1% to 100%
-    of the time where the latency survival falls to 0.05) on a fixed
-    Simpson grid of ``panels`` panels; a fixed grid is used because the
-    integrand itself is a quadrature result, whose small evaluation
-    noise would defeat adaptive refinement.  Deterministic in all its
-    inputs, so the ``n^(-1/5)`` scaling is exact across calls.
+    The time integrals run from 1% to 100% of the time where the
+    latency survival falls to 0.05, on a fixed Simpson grid of 64
+    panels; a fixed grid is used because the integrand itself is a
+    quadrature result, whose small evaluation noise would defeat
+    adaptive refinement.  Deterministic in all its inputs, so the
+    ``n^(-1/5)`` scaling is exact across calls.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if t_range is None:
-        q = _s0_quantile_time(pop, x, 0.05)
-        t_range = (0.01 * q, q)
-    lo, hi = t_range
-    if not (0.0 <= lo < hi):
-        raise ValueError("t_range must satisfy 0 <= lo < hi")
+    hi = _s0_quantile_time(pop, x, 0.05)
+    lo = 0.01 * hi
 
     def squared_bias_and_variance(ts):
         # one quadrature call for the whole grid; composite_simpson
@@ -579,9 +526,8 @@ def h_amise(
         return np.stack([_pow2(terms.b), terms.v])
 
     int_b_sq, int_v = map(float, composite_simpson(
-        squared_bias_and_variance, lo, hi, panels))
+        squared_bias_and_variance, lo, hi, 64))
     if int_b_sq <= 0.0:
         raise ValueError("bias integral vanished; no finite optimum")
-    d_k = kernel.second_moment
-    c_k = kernel.square_integral
-    return (c_k * int_v / (d_k**2 * int_b_sq)) ** 0.2 * n ** (-0.2)
+    ratio = SQUARE_INTEGRAL * int_v / (SECOND_MOMENT**2 * int_b_sq)
+    return ratio ** 0.2 * n ** (-0.2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoUncensoredError
-from .kernels import EPANECHNIKOV, Kernel, nw_weights
+from .kernels import nw_weights
 
 __all__ = [
     "CensoredSample",
@@ -215,7 +215,6 @@ def beran(
     sample: CensoredSample,
     x: float,
     h: float,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> StepSurvivalCurve:
     """Conditional survival estimate at covariate value ``x``.
 
@@ -233,7 +232,7 @@ def beran(
         If every kernel weight vanishes at ``x``.
     """
     ordered = sample.sort_by_time()
-    weights = nw_weights(kernel, x, ordered.x, h)
+    weights = nw_weights(x, ordered.x, h)
     times, values = _at_event_times(ordered.t, ordered.delta, _product_limit(
         ordered.delta, weights[None, :]))
     return StepSurvivalCurve(times, values[0])

@@ -17,7 +17,6 @@ import npmixcure
 from npmixcure import (
     CensoredSample,
     DegenerateCureError,
-    EPANECHNIKOV,
     EmptyNeighborhoodError,
     ExperimentConfig,
     beran,
@@ -33,6 +32,7 @@ from npmixcure import (
     true_mise_two_bw,
 )
 from npmixcure.exceptions import EstimationError
+from npmixcure.kernels import epanechnikov
 from npmixcure.models import trial_rng
 from npmixcure.oracle import (
     amse,
@@ -79,7 +79,6 @@ def test_criterion_02_product_limit_reductions():
         assert np.max(np.abs(conditional.values - unconditional.values)) <= 1e-12
 
     # tiny samples against the direct product over sorted observations
-    kernel_density = EPANECHNIKOV.density
     checked = 0
     while checked < 100:
         n = int(rng.integers(1, 6))
@@ -90,7 +89,7 @@ def test_criterion_02_product_limit_reductions():
             curve = beran(CensoredSample(xs, ts, deltas), x, h)
         except EmptyNeighborhoodError:
             continue
-        ref_times, ref_values = beran_brute(xs, ts, deltas, x, h, kernel_density)
+        ref_times, ref_values = beran_brute(xs, ts, deltas, x, h, epanechnikov)
         assert np.max(np.abs(curve.evaluate(ref_times) - ref_values)) <= 1e-12
         checked += 1
 

@@ -1,0 +1,58 @@
+"""The package's public surface.
+
+Widening it is a deliberate edit of ``PUBLIC_NAMES``; the estimator has
+one kernel and the oracle fixed time integrals, so no public callable
+takes a kernel or an integration range.
+"""
+
+import inspect
+
+import npmixcure
+
+PUBLIC_NAMES = [
+    "AmseReport", "BandwidthGrid", "BiasVarianceTerms", "BootstrapConfig",
+    "COVARIATE_WINDOW", "CensoredSample", "ConfigError", "CureFit",
+    "DataError", "DatasetSchema", "DegenerateCureError",
+    "EmptyNeighborhoodError", "EstimationError", "ExperimentConfig",
+    "ExponentialCensoring", "IngestReport", "MiseCurve", "MiseSurface",
+    "ModelSpec", "NoCensoring", "NoUncensoredError", "NpmixcureError",
+    "PhiDerivatives", "PopulationFunctions", "SelectorStudy",
+    "StepSurvivalCurve", "SupportGuardError", "UniformCovariate",
+    "__version__", "amse", "beran", "bias_variance_terms",
+    "bootstrap_vs_optimal", "format_float", "generate", "h_amise",
+    "incidence_estimate", "ingest", "kaplan_meier", "latency_estimate",
+    "latency_estimate_two_bw", "log_grid", "mise_star", "model1", "model2",
+    "nw_weights", "phi", "phi1", "phi2_terms", "phi_y_derivatives",
+    "pilot_bandwidth", "population_from_model", "true_mise",
+    "true_mise_two_bw",
+]
+
+REMOVED_PARAMETERS = {"kernel", "t_range", "panels"}
+
+
+def _public_callables():
+    """``(qualified name, callable)`` for every public function, and
+    every method and constructor of every public class."""
+    for name in npmixcure.__all__:
+        value = getattr(npmixcure, name)
+        if isinstance(value, type):
+            for attr in vars(value):
+                member = getattr(value, attr)
+                if callable(member) and (attr == "__init__"
+                                         or not attr.startswith("_")):
+                    yield f"{name}.{attr}", member
+        elif callable(value):
+            yield name, value
+
+
+def test_public_names_are_pinned():
+    assert sorted(npmixcure.__all__) == PUBLIC_NAMES
+
+
+def test_no_public_callable_takes_a_removed_parameter():
+    checked = 0
+    for name, fn in _public_callables():
+        params = set(inspect.signature(fn).parameters)
+        assert not params & REMOVED_PARAMETERS, name
+        checked += 1
+    assert checked > len(PUBLIC_NAMES) // 2

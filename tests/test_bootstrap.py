@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from npmixcure import (
-    EPANECHNIKOV,
     BootstrapConfig,
     CensoredSample,
     EstimationError,
@@ -147,7 +146,7 @@ class TestJumpDistribution:
 
 def _resample(sample, g, rng):
     # a fresh kit per resample, so kit building is checked too
-    kit = _ResamplingKit.build(sample, g, EPANECHNIKOV)
+    kit = _ResamplingKit.build(sample, g)
     return CensoredSample(kit.xs, *kit.draw(rng))
 
 
@@ -173,10 +172,9 @@ class TestResample:
 
     def test_cured_fraction_tracks_pilot_probabilities(self):
         from npmixcure.bootstrap import _ResamplingKit
-        from npmixcure.kernels import EPANECHNIKOV
 
         sample = generate(model1(), 60, trial_rng(404, 2))
-        kit = _ResamplingKit.build(sample, 5.0, EPANECHNIKOV)
+        kit = _ResamplingKit.build(sample, 5.0)
         rng = np.random.default_rng(44)
         reps = 400
         cured = 0
@@ -197,7 +195,7 @@ class TestResample:
                                     np.array([1]))
         else:
             sample = generate(model1(), n, trial_rng(505, n))
-        kit = _ResamplingKit.build(sample, 6.0, EPANECHNIKOV)
+        kit = _ResamplingKit.build(sample, 6.0)
         for seed in range(6):
             t, delta = kit.draw(np.random.default_rng(seed))
             assert t.shape == delta.shape == (n,)
@@ -295,7 +293,7 @@ def _mise_star_loop(sample, x, config):
     g = pilot_bandwidth(sample.x, config.pilot_c)
     tgrid = np.linspace(0.0, sample.t_max_uncensored(), config.time_grid_size)
     pilot_values = latency_estimate(sample, x, g).latency.evaluate(tgrid)
-    kit = _ResamplingKit.build(sample, g, EPANECHNIKOV)
+    kit = _ResamplingKit.build(sample, g)
     ise = np.full((config.B, grid.size), np.nan)
     children = np.random.SeedSequence(config.seed).spawn(config.B)
     for j, child in enumerate(children):
@@ -359,8 +357,7 @@ class TestBatchedGridFits:
         )
         monkeypatch.setattr(bootstrap, "_RESAMPLE_CHUNK_BYTES",
                             chunk * 8 * 2 * sample.n)
-        kit = _ResamplingKit.build(
-            sample, pilot_bandwidth(sample.x), EPANECHNIKOV)
+        kit = _ResamplingKit.build(sample, pilot_bandwidth(sample.x))
         with_events = np.array([
             kit.draw(np.random.default_rng(child))[1].any()
             for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)
@@ -396,8 +393,7 @@ class TestBatchedGridFits:
         cfg = BootstrapConfig(
             B=40, grid=BandwidthGrid(np.array([1.0, 20.0])), seed=0
         )
-        kit = _ResamplingKit.build(
-            sample, pilot_bandwidth(sample.x), EPANECHNIKOV)
+        kit = _ResamplingKit.build(sample, pilot_bandwidth(sample.x))
         eventless = sum(
             not kit.draw(np.random.default_rng(child))[1].any()
             for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)
@@ -459,7 +455,7 @@ class TestVectorisedDraw:
     def test_bitwise_equal_to_pick_loop(self, make):
         sample = make()
         g = 6.0
-        kit = _ResamplingKit.build(sample, g, EPANECHNIKOV)
+        kit = _ResamplingKit.build(sample, g)
         rng = np.random.default_rng(sample.n)
         u_cure, u_latency, u_censor = rng.random((3, sample.n))
         # every third uniform sits exactly on a cumulative mass, which
@@ -502,7 +498,7 @@ class TestVectorisedDraw:
         # the search's coarse pass compares at columns s-1, 2s-1, ...,
         # and the last column ends the last block
         sample = make()
-        kit = _ResamplingKit.build(sample, 6.0, EPANECHNIKOV)
+        kit = _ResamplingKit.build(sample, 6.0)
         size, s = kit.times.size, kit.step
         columns = np.append(np.arange(s - 1, size, s), size - 1)
         rows = np.arange(sample.n)
@@ -523,7 +519,7 @@ class TestVectorisedDraw:
             np.concatenate([np.ones(size, dtype=int),
                             np.zeros(n - size, dtype=int)]),
         )
-        kit = _ResamplingKit.build(sample, 6.0, EPANECHNIKOV)
+        kit = _ResamplingKit.build(sample, 6.0)
         assert kit.times.size == size
         rows = np.arange(n)
         self._on_and_below_masses(sample, 6.0, kit,

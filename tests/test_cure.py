@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from npmixcure import (
-    EPANECHNIKOV,
     CensoredSample,
     DegenerateCureError,
     EmptyNeighborhoodError,
@@ -15,6 +14,7 @@ from npmixcure import (
     latency_estimate_two_bw,
 )
 from npmixcure.cure import _latency_from_curve, _latency_ise
+from npmixcure.kernels import epanechnikov
 from npmixcure.survival import _beran_rows
 
 from helpers import random_censored_sample
@@ -174,7 +174,7 @@ class TestLatencyIse:
 
     def _scores(self, sample, truth, tgrid):
         ordered = sample.sort_by_time()
-        raw = EPANECHNIKOV.density(
+        raw = epanechnikov(
             (self.XS[:, None] - ordered.x) / self.HS[:, None])
         curves, plateaus, fitted = _beran_rows(
             ordered.t, ordered.delta, raw, tgrid)

@@ -22,7 +22,7 @@ from npmixcure import (
     model2,
 )
 from npmixcure.cli import main
-from npmixcure.kernels import EPANECHNIKOV
+from npmixcure.kernels import epanechnikov
 from npmixcure.models import trial_rng
 from npmixcure.survival import (
     StepSurvivalCurve,
@@ -38,10 +38,10 @@ _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 @st.composite
-def _samples(draw):
+def _samples(draw, covariates=st.floats(-5.0, 5.0)):
     """Small samples on a coarse time lattice, so ties are common."""
     n = draw(st.integers(1, 25))
-    xs = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    xs = draw(st.lists(covariates, min_size=n, max_size=n))
     ts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
     deltas = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return CensoredSample(np.array(xs), np.array(ts, dtype=float),
@@ -81,6 +81,29 @@ def test_beran_reduces_to_kaplan_meier_as_h_grows(sample, x):
     km = kaplan_meier(sample)
     assert np.array_equal(curve.jump_times, km.jump_times)
     assert np.array_equal(curve.values, km.values)
+
+
+@_SETTINGS
+@given(_samples(st.integers(-5, 5)), st.integers(-5, 5), st.floats(0.1, 12.0),
+       st.integers(-3, 3), st.sampled_from([1.0, -1.0]), st.integers(-50, 50))
+def test_beran_is_equivariant_under_affine_covariate_maps(sample, x, h, k,
+                                                          sign, b):
+    # x -> a x + b with h -> |a| h, a = +-2^k: on the integer lattice the
+    # moved differences a (x - x_i) and the bandwidth |a| h are exact, so
+    # every kernel argument keeps its magnitude and the curves their bits
+    a = sign * 2.0**k
+    moved = CensoredSample(a * sample.x + b, sample.t, sample.delta)
+    try:
+        curve = beran(sample, x, h)
+    except EmptyNeighborhoodError:
+        try:
+            beran(moved, a * x + b, abs(a) * h)
+        except EmptyNeighborhoodError:
+            return
+        raise AssertionError("only the moved sample has a neighborhood")
+    again = beran(moved, a * x + b, abs(a) * h)
+    assert np.array_equal(again.jump_times, curve.jump_times)
+    assert np.array_equal(again.values, curve.values)
 
 
 # strictly increasing time maps that keep the lattice's distinct times
@@ -127,7 +150,7 @@ def test_stacked_covariate_rows_equal_separate_fits(sample, xs, hs, points):
     tgrid = np.linspace(0.0, 7.0, points)
 
     def fit(points_x):
-        raw = EPANECHNIKOV.density(
+        raw = epanechnikov(
             (np.array(points_x)[:, None, None] - x_sorted) / hs[:, None])
         return _beran_rows(t, delta, raw.reshape(-1, sample.n), tgrid)
 

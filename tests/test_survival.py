@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from npmixcure import (
     CensoredSample,
-    EPANECHNIKOV,
     EmptyNeighborhoodError,
     NoUncensoredError,
     StepSurvivalCurve,
@@ -14,6 +13,7 @@ from npmixcure import (
     kaplan_meier,
     nw_weights,
 )
+from npmixcure.kernels import epanechnikov
 from npmixcure.survival import _at_event_times, _beran_rows, _product_limit
 
 from helpers import beran_brute, km_grouped, random_censored_sample
@@ -163,7 +163,6 @@ class TestBeran:
             assert_allclose(conditional.values, unconditional.values, atol=1e-12)
 
     def test_matches_brute_force_products_on_small_samples(self):
-        kernel_density = EPANECHNIKOV.density
         rng = np.random.default_rng(2718)
         checked = 0
         while checked < 200:
@@ -178,7 +177,7 @@ class TestBeran:
             except EmptyNeighborhoodError:
                 continue
             ref_times, ref_values = beran_brute(
-                xs, ts, deltas, x, h, kernel_density
+                xs, ts, deltas, x, h, epanechnikov
             )
             assert_allclose(
                 curve.evaluate(ref_times), ref_values, atol=1e-12
@@ -222,12 +221,12 @@ class TestBatchedProductLimit:
         ordered = sample.sort_by_time()
         x = float(sample.x[0])
         hs = np.array([0.05, 0.3, 1.0, 2.5, 40.0])
-        weights = np.asfortranarray(nw_weights(EPANECHNIKOV, x, ordered.x, hs))
+        weights = np.asfortranarray(nw_weights(x, ordered.x, hs))
         assert not weights.flags.c_contiguous
         times, values = _at_event_times(
             ordered.t, ordered.delta, _product_limit(ordered.delta, weights))
         tgrid = np.linspace(0.0, 5.0, 23)
-        raw = np.asfortranarray(EPANECHNIKOV.density((x - ordered.x) / hs[:, None]))
+        raw = np.asfortranarray(epanechnikov((x - ordered.x) / hs[:, None]))
         on_grid, final, fitted = _beran_rows(
             ordered.t, ordered.delta, raw, tgrid)
         assert fitted.all()
@@ -242,8 +241,8 @@ class TestBatchedProductLimit:
         sample = self._tied_sample(3)
         ordered = sample.sort_by_time()
         hs = np.array([0.5, 1e-3, 3.0])
-        raw = EPANECHNIKOV.density((10.0 - ordered.x) / hs[:, None])
-        raw[0] = EPANECHNIKOV.density((0.0 - ordered.x) / hs[0])
+        raw = epanechnikov((10.0 - ordered.x) / hs[:, None])
+        raw[0] = epanechnikov((0.0 - ordered.x) / hs[0])
         on_grid, final, fitted = _beran_rows(
             ordered.t, ordered.delta, raw, np.array([0.0, 2.0]))
         assert fitted.tolist() == [True, False, False]
@@ -260,13 +259,13 @@ class TestBatchedProductLimit:
         xs = rng.uniform(-3.0, 3.0, 300)
         points = np.array([-1.0, 0.0, 2.5])
         hs = np.array([0.4, 1.0, 3.0])
-        rows = nw_weights(EPANECHNIKOV, points, xs, hs)
+        rows = nw_weights(points, xs, hs)
         assert rows.flags.c_contiguous
         for row, x, h in zip(rows, points, hs):
-            assert np.array_equal(row, nw_weights(EPANECHNIKOV, x, xs, h))
+            assert np.array_equal(row, nw_weights(x, xs, h))
 
     def test_batch_names_first_empty_pair(self):
         xs = np.array([0.0, 1.0])
         with pytest.raises(EmptyNeighborhoodError,
                            match=r"bandwidth 0\.5 of x=9\.0$"):
-            nw_weights(EPANECHNIKOV, np.array([0.0, 9.0, 20.0]), xs, 0.5)
+            nw_weights(np.array([0.0, 9.0, 20.0]), xs, 0.5)
