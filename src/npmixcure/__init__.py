@@ -43,7 +43,6 @@ from .experiments import (
 from .io_utils import DatasetSchema, IngestReport, format_float, ingest
 from .kernels import nw_weights
 from .models import (
-    COVARIATE_WINDOW,
     ExponentialCensoring,
     ModelSpec,
     NoCensoring,
@@ -56,7 +55,6 @@ from .oracle import (
     AmseReport,
     BiasVarianceTerms,
     PhiDerivatives,
-    PopulationFunctions,
     amse,
     bias_variance_terms,
     h_amise,
@@ -64,7 +62,6 @@ from .oracle import (
     phi1,
     phi2_terms,
     phi_y_derivatives,
-    population_from_model,
 )
 from .survival import (
     CensoredSample,

@@ -34,7 +34,7 @@ from .exceptions import ConfigError, DataError, EstimationError
 from .experiments import ExperimentConfig, true_mise, true_mise_two_bw
 from .io_utils import DatasetSchema, ingest, write_meta, write_table
 from .models import generate, model1, model2, trial_rng
-from .oracle import _refusals, amse, population_from_model
+from .oracle import _refusals, amse
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -571,15 +571,14 @@ def _cmd_oracle(opts):
 
     # the lattice, x outer and t inner; the accepted points share one
     # amse call, the refused ones are recorded in that order
-    pop = population_from_model(spec)
     lattice = [(tv, xv) for xv in xs for tv in ts]
-    refused = _refusals(pop, *np.array(lattice).T, density=True)
+    refused = _refusals(spec, *np.array(lattice).T, density=True)
     kept = [point for i, point in enumerate(lattice) if i not in refused]
     failures = [{"t": lattice[i][0], "x": lattice[i][1], "error": refused[i]}
                 for i in sorted(refused)]
     rows = []
     if kept:
-        report = amse(pop, *np.array(kept).T, h, n)
+        report = amse(spec, *np.array(kept).T, h, n)
         terms = report.terms
         values = zip(*(part.tolist() for part in (
             terms.b1, terms.b2, terms.v1, terms.v2, terms.v3,

@@ -25,11 +25,7 @@ __all__ = [
     "model1",
     "model2",
     "generate",
-    "COVARIATE_WINDOW",
 ]
-
-# covariate range used by the bandwidth-quality studies
-COVARIATE_WINDOW = (-10.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -95,9 +91,16 @@ class ModelSpec:
     per sample, and each group's values must equal those of a call on
     that group alone bit for bit: an iterative inversion stops each
     group where its own call would stop.  A closed form ignores it.
-    ``latency_density`` and ``s0_upper`` feed the asymptotic quadrature
-    oracle: the former is ``-d s0/dt`` and the latter an effective upper
-    end of the latency support (where ``s0`` is numerically zero).
+
+    The model also supplies the population identities of the asymptotic
+    quadrature oracle.  ``latency_density`` is ``-d s0/dt`` and
+    ``s0_upper(x)`` an effective upper end of the latency support (where
+    ``s0`` is numerically zero); the covariate density and its
+    derivative are ``covariate.pdf``/``covariate.dpdf``, the censoring
+    survival ``censoring.sf``, which is covariate free.  The functions
+    of time, and the methods below, work element by element and take
+    arrays of times (integrands call them on whole quadrature levels at
+    once).
     """
 
     model_id: str
@@ -108,6 +111,19 @@ class ModelSpec:
     covariate: object
     latency_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s0_upper: Callable[[float], float]
+
+    def survival(self, t, x):
+        """Observable survival ``S(t|x) = 1 - p(x) + p(x) s0(t|x)``."""
+        px = self.p(x)
+        return 1.0 - px + px * self.s0(t, x)
+
+    def one_minus_h(self, t, x):
+        """``1 - H(t|x) = S(t|x) (1 - G(t))``."""
+        return self.survival(t, x) * self.censoring.sf(t)
+
+    def h1_density(self, t, x):
+        """Density of the uncensored subdistribution ``H1``."""
+        return self.censoring.sf(t) * self.p(x) * self.latency_density(t, x)
 
 
 def _logistic(z):

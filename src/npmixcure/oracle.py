@@ -1,8 +1,12 @@
 """Asymptotic bias and variance oracle for the latency estimator.
 
 Evaluates, by quadrature on a known population, the ingredients of the
-asymptotic mean squared error of the one-bandwidth latency estimate:
-the integral transforms
+asymptotic mean squared error of the one-bandwidth latency estimate.
+The population is a :class:`~npmixcure.models.ModelSpec`: every function
+takes one as its first argument, ``spec``, and the model supplies the
+population identities (observable survival, ``1 - H`` and the density
+of ``H1``) from its closed forms.  The ingredients are the integral
+transforms
 
     ``Phi(y, t, x)  = int_0^t dH1(v|y)/(1-H(v|x))
                       - int_0^t (1-H(v|y)) dH1(v|x)/(1-H(v|x))^2``
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,11 +37,9 @@ from .models import ModelSpec
 from .numerics import adaptive_simpson, central_diff, composite_simpson
 
 __all__ = [
-    "PopulationFunctions",
     "PhiDerivatives",
     "BiasVarianceTerms",
     "AmseReport",
-    "population_from_model",
     "phi",
     "phi1",
     "phi2_terms",
@@ -62,53 +63,6 @@ _TOL_OUTER = 1e-8
 _TOL_INNER = 1e-10
 
 
-@dataclass(frozen=True)
-class PopulationFunctions:
-    """Closed-form population quantities of a mixture cure process.
-
-    All callables are pointwise in ``(t, x)`` and take arrays of times
-    (integrands call them on whole quadrature levels at once).
-    ``latency_density`` is
-    ``-d s0/dt``; ``s0_upper(x)`` an upper end of the latency support
-    (beyond it the density is numerically zero); ``m``/``m_prime`` the
-    covariate density and its derivative; censoring is covariate free.
-    """
-
-    p: Callable
-    s0: Callable
-    latency_density: Callable
-    cens_sf: Callable
-    m: Callable
-    m_prime: Callable
-    s0_upper: Callable[[float], float]
-
-    def survival(self, t, x):
-        """Observable survival ``S(t|x) = 1 - p(x) + p(x) s0(t|x)``."""
-        px = self.p(x)
-        return 1.0 - px + px * self.s0(t, x)
-
-    def one_minus_h(self, t, x):
-        """``1 - H(t|x) = S(t|x) (1 - G(t))``."""
-        return self.survival(t, x) * self.cens_sf(t)
-
-    def h1_density(self, t, x):
-        """Density of the uncensored subdistribution ``H1``."""
-        return self.cens_sf(t) * self.p(x) * self.latency_density(t, x)
-
-
-def population_from_model(spec: ModelSpec) -> PopulationFunctions:
-    """Population quantities of a simulation model, from its closed forms."""
-    return PopulationFunctions(
-        p=spec.p,
-        s0=spec.s0,
-        latency_density=spec.latency_density,
-        cens_sf=spec.censoring.sf,
-        m=spec.covariate.pdf,
-        m_prime=spec.covariate.dpdf,
-        s0_upper=spec.s0_upper,
-    )
-
-
 def _pow2(v):
     """``v ** 2`` by C ``pow``, which ``**`` on Python floats calls.
 
@@ -118,7 +72,7 @@ def _pow2(v):
     return np.float_power(v, 2)
 
 
-def _refusals(pop: PopulationFunctions, t, x, density: bool = False):
+def _refusals(spec: ModelSpec, t, x, density: bool = False):
     """Why each refused point of broadcast ``(t, x)`` is refused.
 
     A dict from the flat (C order) index of each refused point to its
@@ -129,7 +83,7 @@ def _refusals(pop: PopulationFunctions, t, x, density: bool = False):
     """
     times, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                     np.asarray(x, dtype=float))
-    floors = np.where(np.isnan(xs), np.nan, pop.one_minus_h(
+    floors = np.where(np.isnan(xs), np.nan, spec.one_minus_h(
         np.where(np.isinf(times), 0.0, times), xs))
     low = ~(floors >= SUPPORT_FLOOR)
 
@@ -142,20 +96,21 @@ def _refusals(pop: PopulationFunctions, t, x, density: bool = False):
                        f"t={shown(t, times, i)}, x={shown(x, xs, i)} is below "
                        f"the support floor {SUPPORT_FLOOR}")
     if density:
-        vanishing = ~low & (np.broadcast_to(pop.m(xs), xs.shape) <= 0.0)
+        density_xs = np.broadcast_to(spec.covariate.pdf(xs), xs.shape)
+        vanishing = ~low & (density_xs <= 0.0)
         for i in np.flatnonzero(vanishing):
             out[int(i)] = f"covariate density vanishes at x={shown(x, xs, i)}"
     return out
 
 
-def _guard(pop: PopulationFunctions, t, x, density: bool = False):
+def _guard(spec: ModelSpec, t, x, density: bool = False):
     """Raise the first refusal of :func:`_refusals` (floor ones first)."""
-    refusals = _refusals(pop, t, x, density)
+    refusals = _refusals(spec, t, x, density)
     if refusals:
         raise SupportGuardError(next(iter(refusals.values())))
 
 
-def phi(pop: PopulationFunctions, y: float, t: float, x: float) -> float:
+def phi(spec: ModelSpec, y: float, t: float, x: float) -> float:
     """The influence transform ``Phi(y, t, x)``.
 
     Zero on the diagonal ``y = x``.  ``t = inf`` integrates over the
@@ -163,17 +118,17 @@ def phi(pop: PopulationFunctions, y: float, t: float, x: float) -> float:
     so the diagonal value measures real quadrature error rather than
     algebraic cancellation.
     """
-    _guard(pop, t, x)
-    _guard(pop, math.inf, y)
-    up1 = min(t, pop.s0_upper(y))
-    up2 = min(t, pop.s0_upper(x))
+    _guard(spec, t, x)
+    _guard(spec, math.inf, y)
+    up1 = min(t, spec.s0_upper(y))
+    up2 = min(t, spec.s0_upper(x))
 
     def first(v):
-        return pop.h1_density(v, y) / pop.one_minus_h(v, x)
+        return spec.h1_density(v, y) / spec.one_minus_h(v, x)
 
     def second(v):
-        r = pop.one_minus_h(v, x)
-        return pop.one_minus_h(v, y) * pop.h1_density(v, x) / (r * r)
+        r = spec.one_minus_h(v, x)
+        return spec.one_minus_h(v, y) * spec.h1_density(v, x) / (r * r)
 
     return (
         adaptive_simpson(first, 0.0, up1, _TOL)
@@ -181,21 +136,21 @@ def phi(pop: PopulationFunctions, y: float, t: float, x: float) -> float:
     )
 
 
-def phi1(pop: PopulationFunctions, t, x: float):
+def phi1(spec: ModelSpec, t, x: float):
     """Diagonal variance transform ``int_0^t dH1(v|x)/(1-H(v|x))^2``.
 
     ``t`` may be an array of times, integrated in one batched call.
     """
-    _guard(pop, t, x)
+    _guard(spec, t, x)
 
     def integrand(v):
-        r = pop.one_minus_h(v, x)
-        return pop.h1_density(v, x) / (r * r)
+        r = spec.one_minus_h(v, x)
+        return spec.h1_density(v, x) / (r * r)
 
-    return adaptive_simpson(integrand, 0.0, np.minimum(t, pop.s0_upper(x)), _TOL)
+    return adaptive_simpson(integrand, 0.0, np.minimum(t, spec.s0_upper(x)), _TOL)
 
 
-def phi2_terms(pop: PopulationFunctions, t: float, x: float):
+def phi2_terms(spec: ModelSpec, t: float, x: float):
     """The four double-integral terms behind ``Phi2`` on the diagonal.
 
     Returns ``(A, B, C, D)`` with ``Phi2 = A - B - C + D``.  ``B``,
@@ -205,15 +160,15 @@ def phi2_terms(pop: PopulationFunctions, t: float, x: float):
     integrals of all the outer points of a quadrature level are one
     batched call, one interval per outer point.
     """
-    _guard(pop, t, x)
-    upper = pop.s0_upper(x)
+    _guard(spec, t, x)
+    upper = spec.s0_upper(x)
     t_eff = min(t, upper)
 
     def dh1(v):
-        return pop.h1_density(v, x)
+        return spec.h1_density(v, x)
 
     def r_of(v):
-        return pop.one_minus_h(v, x)
+        return spec.one_minus_h(v, x)
 
     def ratio(v):
         return dh1(v) / r_of(v)
@@ -267,7 +222,7 @@ def _fd_step(x: float) -> float:
     return max(1e-4, 1e-4 * abs(x))
 
 
-def _diagonal_integrands(pop, x, step):
+def _diagonal_integrands(spec, x, step):
     """Integrand rows at the covariates ``x``, three per entry.
 
     For each entry: the order-1 and order-2 y-derivatives at ``y = x``
@@ -283,11 +238,11 @@ def _diagonal_integrands(pop, x, step):
     step = np.asarray(step, dtype=float)[:, None]
 
     def rows(v):
-        d1_h1, d2_h1 = central_diff(lambda y: pop.h1_density(v, y), x, step)
-        d1_s, d2_s = central_diff(lambda y: pop.survival(v, y), x, step)
-        g_sf = pop.cens_sf(v)
-        r = pop.one_minus_h(v, x)
-        h1x = pop.h1_density(v, x)
+        d1_h1, d2_h1 = central_diff(lambda y: spec.h1_density(v, y), x, step)
+        d1_s, d2_s = central_diff(lambda y: spec.survival(v, y), x, step)
+        g_sf = spec.censoring.sf(v)
+        r = spec.one_minus_h(v, x)
+        h1x = spec.h1_density(v, x)
         first = (d1_h1 + -g_sf * d1_s * h1x / r) / r
         second = (d2_h1 + -g_sf * d2_s * h1x / r) / r
         out = np.empty((x.shape[0], 3, v.size))
@@ -297,19 +252,19 @@ def _diagonal_integrands(pop, x, step):
     return rows
 
 
-def _upper_limits(pop, t, x: float, step: float):
+def _upper_limits(spec, t, x: float, step: float):
     """Upper limits of the three integrand rows of ``x`` at times ``t``.
 
     The derivative rows run to the support end of ``x - step``, ``x``
     or ``x + step``, whichever is last; the :func:`phi1` row to that
     of ``x``.
     """
-    reach = max(pop.s0_upper(x - step), pop.s0_upper(x), pop.s0_upper(x + step))
-    return np.minimum(t, [[reach], [reach], [pop.s0_upper(x)]])
+    reach = max(spec.s0_upper(x - step), spec.s0_upper(x), spec.s0_upper(x + step))
+    return np.minimum(t, [[reach], [reach], [spec.s0_upper(x)]])
 
 
 def phi_y_derivatives(
-    pop: PopulationFunctions,
+    spec: ModelSpec,
     t: float,
     x: float,
 ) -> PhiDerivatives:
@@ -320,12 +275,12 @@ def phi_y_derivatives(
     verify stability.  ``t`` may be an array of times; the fields are
     then arrays.  Both steps share one quadrature call.
     """
-    _guard(pop, t, x)
+    _guard(spec, t, x)
     steps = [0.5 * _fd_step(x), _fd_step(x)]
     # the phi1 row of each step stays empty
-    upper = np.concatenate([_upper_limits(pop, np.atleast_1d(t), x, step)
+    upper = np.concatenate([_upper_limits(spec, np.atleast_1d(t), x, step)
                             * [[1.0], [1.0], [0.0]] for step in steps])
-    values = adaptive_simpson(_diagonal_integrands(pop, [x] * len(steps), steps),
+    values = adaptive_simpson(_diagonal_integrands(spec, [x] * len(steps), steps),
                               0.0, upper, _TOL)
     fields = [float(row[0]) if np.ndim(t) == 0 else row.reshape(np.shape(t))
               for i, row in enumerate(values) if i % 3 != 2]
@@ -365,7 +320,7 @@ class BiasVarianceTerms:
 
 
 def bias_variance_terms(
-    pop: PopulationFunctions,
+    spec: ModelSpec,
     t,
     x,
 ) -> BiasVarianceTerms:
@@ -388,7 +343,7 @@ def bias_variance_terms(
     ``SupportGuardError``, and then the first where the covariate
     density vanishes.
     """
-    _guard(pop, t, x, density=True)
+    _guard(spec, t, x, density=True)
     times, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                     np.asarray(x, dtype=float))
     # each point's x, by order of appearance, and its slot among that
@@ -404,23 +359,23 @@ def bias_variance_terms(
         own[u].append(tv)
     unique = np.array(list(index), dtype=float)
     p, m, m_prime = (np.broadcast_to(f(unique), unique.shape)
-                     for f in (pop.p, pop.m, pop.m_prime))
+                     for f in (spec.p, spec.covariate.pdf, spec.covariate.dpdf))
     cure = 1.0 - p > 1e-15
     own = [ts + [math.inf] * bool(c) for ts, c in zip(own, cure)]
     steps = 0.5 * np.array([_fd_step(xv) for xv in unique])
     upper = np.zeros((unique.size, 3, max(map(len, own), default=0)))
     for u, xv in enumerate(unique):
-        upper[u, :, :len(own[u])] = _upper_limits(pop, own[u], xv, steps[u])
+        upper[u, :, :len(own[u])] = _upper_limits(spec, own[u], xv, steps[u])
     values = np.empty(upper.shape)
     for start in range(0, unique.size, _XS_PER_CALL):
         g = slice(start, start + _XS_PER_CALL)
         values[g] = adaptive_simpson(
-            _diagonal_integrands(pop, unique[g], steps[g]), 0.0,
+            _diagonal_integrands(spec, unique[g], steps[g]), 0.0,
             upper[g].reshape(-1, upper.shape[2]), _TOL).reshape(upper[g].shape)
     d1, d2, phi1_t = values[which, :, slot].T
     dinf1, dinf2, phi1_inf = values[which, :, [len(own[u]) - 1 for u in which]].T
     p, m, m_prime, cured = p[which], m[which], m_prime[which], 1.0 - p[which]
-    s = pop.survival(times.ravel(), xs.ravel())
+    s = spec.survival(times.ravel(), xs.ravel())
     b1 = s / (p * m) * (d2 * m + 2.0 * d1 * m_prime)
     v1 = _pow2(s / p) * phi1_t / m
     b2, v2, v3 = (np.where(cure[which], part, 0.0) for part in (
@@ -460,7 +415,7 @@ class AmseReport:
 
 
 def amse(
-    pop: PopulationFunctions,
+    spec: ModelSpec,
     t: float,
     x: float,
     h: float,
@@ -474,7 +429,7 @@ def amse(
     """
     if h <= 0.0 or n < 1:
         raise ValueError("need h > 0 and n >= 1")
-    terms = bias_variance_terms(pop, t, x)
+    terms = bias_variance_terms(spec, t, x)
     # _pow2: the C pow bits of the scalar b**2
     bias_term = 0.25 * h**4 * SECOND_MOMENT**2 * _pow2(terms.b)
     variance_term = SQUARE_INTEGRAL / (n * h) * terms.v
@@ -484,15 +439,15 @@ def amse(
     return AmseReport(t, x, h, n, terms, *totals)
 
 
-def _s0_quantile_time(pop, x: float, level: float) -> float:
+def _s0_quantile_time(spec, x: float, level: float) -> float:
     """Time where the latency survival crosses ``level``."""
-    hi = pop.s0_upper(x)
-    if float(pop.s0(hi, x)) > level:
+    hi = spec.s0_upper(x)
+    if float(spec.s0(hi, x)) > level:
         raise ValueError("latency survival never reaches the level")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if float(pop.s0(mid, x)) > level:
+        if float(spec.s0(mid, x)) > level:
             lo = mid
         else:
             hi = mid
@@ -501,7 +456,7 @@ def _s0_quantile_time(pop, x: float, level: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def h_amise(pop: PopulationFunctions, x: float, n: int) -> float:
+def h_amise(spec: ModelSpec, x: float, n: int) -> float:
     """Bandwidth minimizing the asymptotic MISE at covariate ``x``:
 
     ``h = (c_K int V dt / (d_K^2 int B^2 dt))^(1/5) n^(-1/5)``
@@ -515,14 +470,14 @@ def h_amise(pop: PopulationFunctions, x: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    hi = _s0_quantile_time(pop, x, 0.05)
+    hi = _s0_quantile_time(spec, x, 0.05)
     lo = 0.01 * hi
 
     def squared_bias_and_variance(ts):
         # one quadrature call for the whole grid; composite_simpson
         # calls this once, so the t-independent full-support transforms
         # are computed once too
-        terms = bias_variance_terms(pop, ts, x)
+        terms = bias_variance_terms(spec, ts, x)
         return np.stack([_pow2(terms.b), terms.v])
 
     int_b_sq, int_v = map(float, composite_simpson(

@@ -40,7 +40,6 @@ from npmixcure.oracle import (
     phi,
     phi1,
     phi2_terms,
-    population_from_model,
 )
 
 from helpers import beran_brute, random_censored_sample
@@ -145,30 +144,28 @@ def test_criterion_04_two_bandwidth_reduction():
 
 def test_criterion_05_influence_transform_identities():
     grids = {
-        "model1": (population_from_model(model1()),
-                   np.linspace(0.1, 1.8, 10)),
-        "model2": (population_from_model(model2()),
-                   np.linspace(0.05, 1.4, 10)),
+        "model1": (model1(), np.linspace(0.1, 1.8, 10)),
+        "model2": (model2(), np.linspace(0.05, 1.4, 10)),
     }
     xs = np.linspace(-10.0, 20.0, 10)
-    for pop, ts in grids.values():
+    for spec, ts in grids.values():
         worst = 0.0
         for t in ts:
             for x in xs:
-                worst = max(worst, abs(phi(pop, float(x), float(t), float(x))))
+                worst = max(worst, abs(phi(spec, float(x), float(t), float(x))))
         assert worst < 1e-6
 
     # independent nested-quadrature decomposition against the single
     # integral, one interior point per model
     for key, t_pt in (("model1", 1.0), ("model2", 0.5)):
-        pop, _ = grids[key]
-        a, b, c, d = phi2_terms(pop, t_pt, 5.0)
-        assert abs((a - b - c + d) - phi1(pop, t_pt, 5.0)) < 1e-6
+        spec, _ = grids[key]
+        a, b, c, d = phi2_terms(spec, t_pt, 5.0)
+        assert abs((a - b - c + d) - phi1(spec, t_pt, 5.0)) < 1e-6
 
 
 def test_criterion_06_asymptotic_mse_at_desk_scale():
     spec = model1()
-    h = h_amise(population_from_model(spec), 5.0, 200)
+    h = h_amise(spec, 5.0, 200)
     s0_true = float(spec.s0(1.0, 5.0))
     errors = []
     for j in range(500):
@@ -180,7 +177,7 @@ def test_criterion_06_asymptotic_mse_at_desk_scale():
         errors.append(fit.latency.evaluate(1.0) - s0_true)
     assert len(errors) >= 450
     mc_mse = float(np.mean(np.square(errors)))
-    report = amse(population_from_model(spec), 1.0, 5.0, h, 200)
+    report = amse(spec, 1.0, 5.0, h, 200)
     ratio = mc_mse / report.amse
     assert 1.0 / 3.0 <= ratio <= 3.0
 
@@ -264,7 +261,6 @@ def test_criterion_09_byte_identical_reruns(tmp_path):
 
 def test_criterion_10_bandwidth_scaling_law():
     for spec in (model1(), model2()):
-        pop = population_from_model(spec)
-        h_small = h_amise(pop, 5.0, 200)
-        h_large = h_amise(pop, 5.0, 32 * 200)
+        h_small = h_amise(spec, 5.0, 200)
+        h_large = h_amise(spec, 5.0, 32 * 200)
         assert abs(h_small / h_large - 2.0) <= 1e-10

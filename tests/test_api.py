@@ -1,4 +1,4 @@
-"""The package's public surface.
+"""The package's public surface, and the README examples that use it.
 
 Widening it is a deliberate edit of ``PUBLIC_NAMES``; the estimator has
 one kernel and the oracle fixed time integrals, so no public callable
@@ -6,25 +6,26 @@ takes a kernel or an integration range.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import npmixcure
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 PUBLIC_NAMES = [
     "AmseReport", "BandwidthGrid", "BiasVarianceTerms", "BootstrapConfig",
-    "COVARIATE_WINDOW", "CensoredSample", "ConfigError", "CureFit",
-    "DataError", "DatasetSchema", "DegenerateCureError",
-    "EmptyNeighborhoodError", "EstimationError", "ExperimentConfig",
-    "ExponentialCensoring", "IngestReport", "MiseCurve", "MiseSurface",
-    "ModelSpec", "NoCensoring", "NoUncensoredError", "NpmixcureError",
-    "PhiDerivatives", "PopulationFunctions", "SelectorStudy",
-    "StepSurvivalCurve", "SupportGuardError", "UniformCovariate",
-    "__version__", "amse", "beran", "bias_variance_terms",
-    "bootstrap_vs_optimal", "format_float", "generate", "h_amise",
-    "incidence_estimate", "ingest", "kaplan_meier", "latency_estimate",
-    "latency_estimate_two_bw", "log_grid", "mise_star", "model1", "model2",
-    "nw_weights", "phi", "phi1", "phi2_terms", "phi_y_derivatives",
-    "pilot_bandwidth", "population_from_model", "true_mise",
-    "true_mise_two_bw",
+    "CensoredSample", "ConfigError", "CureFit", "DataError", "DatasetSchema",
+    "DegenerateCureError", "EmptyNeighborhoodError", "EstimationError",
+    "ExperimentConfig", "ExponentialCensoring", "IngestReport", "MiseCurve",
+    "MiseSurface", "ModelSpec", "NoCensoring", "NoUncensoredError",
+    "NpmixcureError", "PhiDerivatives", "SelectorStudy", "StepSurvivalCurve",
+    "SupportGuardError", "UniformCovariate", "__version__", "amse", "beran",
+    "bias_variance_terms", "bootstrap_vs_optimal", "format_float", "generate",
+    "h_amise", "incidence_estimate", "ingest", "kaplan_meier",
+    "latency_estimate", "latency_estimate_two_bw", "log_grid", "mise_star",
+    "model1", "model2", "nw_weights", "phi", "phi1", "phi2_terms",
+    "phi_y_derivatives", "pilot_bandwidth", "true_mise", "true_mise_two_bw",
 ]
 
 REMOVED_PARAMETERS = {"kernel", "t_range", "panels"}
@@ -56,3 +57,14 @@ def test_no_public_callable_takes_a_removed_parameter():
         assert not params & REMOVED_PARAMETERS, name
         checked += 1
     assert checked > len(PUBLIC_NAMES) // 2
+
+
+def test_readme_python_examples_run():
+    # each ```python block in a fresh namespace, so the documented
+    # examples cannot drift from the API
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for i, source in enumerate(blocks, 1):
+        code = compile(source, f"README.md, python block {i}", "exec")
+        exec(code, {"__name__": "readme_example"})

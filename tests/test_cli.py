@@ -25,7 +25,7 @@ from npmixcure import cli
 from npmixcure.cli import _covariate_seed, main
 from npmixcure.exceptions import ConfigError, SupportGuardError
 from npmixcure.models import trial_rng
-from npmixcure.oracle import amse, population_from_model
+from npmixcure.oracle import amse
 
 from helpers import load_benchmark_tracing
 
@@ -217,6 +217,46 @@ class TestEstimate:
                    "--out", "est.csv"])
         assert rc == 2
 
+    # events at x = 0 and 1, censored rows only at x = 50 and 51
+    _CENSORED_AT_50 = [(0, 1.0, 1), (1, 2.0, 1), (50, 3.0, 0), (51, 4.0, 0)]
+
+    @pytest.mark.parametrize("rows, xs, code, expected, failed", [
+        ([(5, 1.0, 1)], [5], 0, "no cure", []),
+        ([(4, 1.0, 0), (5, 2.0, 0), (6, 3.0, 0)], [5], 4,
+         "no uncensored observation", []),
+        ([(4, 1.0, 1), (5, 2.0, 1), (6, 3.0, 1)], [5], 0, "no cure", []),
+        ([(4, 1.0, 1), (5, 2.0, 1), (6, 2.0, 0)], [5], 0, "cure", []),
+        (_CENSORED_AT_50, [50], 4, "p_hat = 0", []),
+        (_CENSORED_AT_50, [0, 50], 0, "no cure", [50.0]),
+    ], ids=["one-row-event", "all-censored", "all-events",
+            "event-tied-with-censored-at-last-time", "censored-neighbourhood",
+            "censored-neighbourhood-beside-a-good-x"])
+    def test_degenerate_samples_at_a_fixed_bandwidth(
+            self, _outdir, capsys, tmp_path, rows, xs, code, expected,
+            failed):
+        # a fitted latency runs from 1 to exactly 0 at the last event
+        # time; a failed x is recorded and the run fails only if all do
+        path = tmp_path / "tiny.csv"
+        path.write_text("age,time,delta\n"
+                        + "".join(f"{x},{t},{d}\n" for x, t, d in rows))
+        argv = ["estimate", "--data", str(path), "--h", "10",
+                "--time-points", "5", "--out", "est.csv"]
+        for xv in xs:
+            argv += ["--x", str(xv)]
+        assert main(argv) == code
+        if code == 4:
+            assert expected in capsys.readouterr().err
+            return
+        _header, table = _read_csv(_outdir / "est.csv")
+        incidence = {float(r[3]) for r in table}
+        assert (incidence == {0.0}) == (expected == "no cure")
+        assert all(0.0 < v < 1.0 for v in incidence - {0.0})
+        latency = np.array([float(r[5]) for r in table])
+        assert latency[0] == 1.0 and latency[-1] == 0.0
+        summary = _read_meta(_outdir / "est.csv")["summary"]
+        assert [f["x"] for f in summary["failures"]] == failed
+        assert all("p_hat = 0" in f["error"] for f in summary["failures"])
+
 
 class TestSelectbw:
     def test_curve_matches_library(self, _outdir, capsys, tmp_path):
@@ -301,7 +341,7 @@ class TestOracle:
                           "bias_term", "variance_term", "amse"]
         assert len(rows) == 1
         row = {k: float(v) for k, v in zip(header, rows[0])}
-        rep = amse(population_from_model(model1()), 0.5, 5.0, 12.0, 200)
+        rep = amse(model1(), 0.5, 5.0, 12.0, 200)
         assert row["b1"] == rep.terms.b1
         assert row["b2"] == rep.terms.b2
         assert row["v3"] == rep.terms.v3
@@ -323,12 +363,12 @@ class TestOracle:
             argv += ["--x", repr(xv)]
         assert main(argv) == 0
         _header, rows = _read_csv(_outdir / "o.csv")
-        pop = population_from_model((model1, model2)[model - 1]())
+        spec = (model1, model2)[model - 1]()
         expected, refused = [], []
         for xv in xs:
             for tv in ts:
                 try:
-                    rep = amse(pop, tv, xv, 3.0, 400)
+                    rep = amse(spec, tv, xv, 3.0, 400)
                 except SupportGuardError as exc:
                     refused.append({"t": tv, "x": xv, "error": str(exc)})
                     continue

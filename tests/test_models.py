@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from npmixcure import (
-    COVARIATE_WINDOW,
     ExponentialCensoring,
     NoCensoring,
     UniformCovariate,
@@ -46,9 +45,6 @@ class TestCensoringAndCovariate:
         rng = np.random.default_rng(5)
         draws = cov.sample(rng, 1000)
         assert draws.min() >= -20.0 and draws.max() <= 20.0
-
-    def test_window_constant(self):
-        assert COVARIATE_WINDOW == (-10.0, 20.0)
 
 
 class TestModel1:

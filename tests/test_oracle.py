@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import npmixcure
-from npmixcure import model1, model2, oracle
+from npmixcure import ModelSpec, model1, model2, oracle
 from npmixcure.exceptions import SupportGuardError
 from npmixcure.numerics import adaptive_simpson
 from npmixcure.oracle import (
-    PopulationFunctions,
     amse,
     bias_variance_terms,
     h_amise,
@@ -25,37 +25,31 @@ from npmixcure.oracle import (
     phi1,
     phi2_terms,
     phi_y_derivatives,
-    population_from_model,
 )
 
 from helpers import draw_conditional, load_benchmark_tracing
 
 
-def _pop1():
-    return population_from_model(model1())
-
-
-def _pop2():
-    return population_from_model(model2())
-
-
 def _exponential_population(p_value=1.0, cens_rate=0.0):
     """Analytically solvable population: exp(1) latency, optional
-    exponential censoring, uniform covariate on (-20, 20)."""
+    exponential censoring, uniform covariate on (-20, 20).  Only the
+    oracle reads it, so it draws nothing."""
 
     def sf(t):
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, 1.0, np.exp(-cens_rate * t))
 
-    return PopulationFunctions(
+    return ModelSpec(
+        model_id="exponential",
         p=lambda x: np.asarray(p_value, dtype=float),
         s0=lambda t, x: np.exp(-np.maximum(np.asarray(t, dtype=float), 0.0)),
+        latency_quantile=None,
+        censoring=SimpleNamespace(sf=sf),
+        covariate=SimpleNamespace(pdf=lambda x: np.asarray(1.0 / 40.0),
+                                  dpdf=lambda x: np.asarray(0.0)),
         latency_density=lambda t, x: np.where(
             np.asarray(t, dtype=float) < 0.0, 0.0, np.exp(-np.asarray(t, dtype=float))
         ),
-        cens_sf=sf,
-        m=lambda x: np.asarray(1.0 / 40.0),
-        m_prime=lambda x: np.asarray(0.0),
         s0_upper=lambda x: 40.0,
     )
 
@@ -64,54 +58,54 @@ class TestPhiTransforms:
     def test_no_censoring_exponential_closed_form(self):
         # with s0 = exp(-t), no censoring and no cure, the variance
         # transform is int_0^t exp(v) dv = e^t - 1
-        pop = _exponential_population()
-        assert_allclose(phi1(pop, 1.0, 3.0), math.e - 1.0, rtol=1e-10)
-        assert_allclose(phi1(pop, 2.0, 3.0), math.exp(2.0) - 1.0, rtol=1e-10)
+        spec = _exponential_population()
+        assert_allclose(phi1(spec, 1.0, 3.0), math.e - 1.0, rtol=1e-10)
+        assert_allclose(phi1(spec, 2.0, 3.0), math.exp(2.0) - 1.0, rtol=1e-10)
 
     def test_frozen_regression_values(self):
-        pop = _pop1()
+        spec = model1()
         assert_allclose(
-            phi(pop, 1.0, 1.0, 0.0), 0.14036966353450386, rtol=1e-12
+            phi(spec, 1.0, 1.0, 0.0), 0.14036966353450386, rtol=1e-12
         )
-        assert_allclose(phi1(pop, 1.0, 5.0), 3.918992489441498, rtol=1e-12)
+        assert_allclose(phi1(spec, 1.0, 5.0), 3.918992489441498, rtol=1e-12)
         assert_allclose(
-            phi1(pop, math.inf, 5.0), 15.06873192217282, rtol=1e-12
+            phi1(spec, math.inf, 5.0), 15.06873192217282, rtol=1e-12
         )
 
     def test_vanishes_on_the_diagonal(self):
         # the two integrals coincide at y = x, so only quadrature error
         # remains
-        pop1, pop2 = _pop1(), _pop2()
-        for pop, t, x in [
-            (pop1, 1.0, 5.0),
-            (pop1, 0.4, -8.0),
-            (pop2, 0.5, 5.0),
-            (pop2, 1.0, 12.0),
+        spec1, spec2 = model1(), model2()
+        for spec, t, x in [
+            (spec1, 1.0, 5.0),
+            (spec1, 0.4, -8.0),
+            (spec2, 0.5, 5.0),
+            (spec2, 1.0, 12.0),
         ]:
-            assert abs(phi(pop, x, t, x)) < 1e-6
+            assert abs(phi(spec, x, t, x)) < 1e-6
 
     def test_sign_flips_across_the_diagonal(self):
         # survival rises with x in model 1, so the transform changes
         # sign as y crosses x
-        pop = _pop1()
-        left = phi(pop, 4.0, 1.0, 5.0)
-        right = phi(pop, 6.0, 1.0, 5.0)
+        spec = model1()
+        left = phi(spec, 4.0, 1.0, 5.0)
+        right = phi(spec, 6.0, 1.0, 5.0)
         assert left * right < 0.0
 
     def test_decomposition_recombines_to_phi1(self):
         # the deliberately independent nested-quadrature route must
         # agree with the single integral, and its cross terms satisfy
         # D = B + C on the diagonal
-        for pop, t, x in [(_pop1(), 1.0, 5.0), (_pop2(), 0.5, 5.0)]:
-            a, b, c, d = phi2_terms(pop, t, x)
-            assert_allclose(a - b - c + d, phi1(pop, t, x), atol=1e-6)
+        for spec, t, x in [(model1(), 1.0, 5.0), (model2(), 0.5, 5.0)]:
+            a, b, c, d = phi2_terms(spec, t, x)
+            assert_allclose(a - b - c + d, phi1(spec, t, x), atol=1e-6)
             assert_allclose(d, b + c, atol=1e-6)
 
     @pytest.mark.parametrize("population, t, x, pins", [
-        (_pop1, 1.0, 5.0, ("0x1.f5a18bbfb5debp+1", "0x1.06fcb69b1ac84p+1",
-                           "0x1.6801077827904p+2", "0x1.eb7f62c5e2c77p+2")),
-        (_pop2, 0.5, 5.0, ("0x1.480dc1edcde22p-3", "0x1.538fd64d506e0p-7",
-                           "0x1.2eff43b1fe8ebp-5", "0x1.83e3393a8cc5ap-5")),
+        (model1, 1.0, 5.0, ("0x1.f5a18bbfb5debp+1", "0x1.06fcb69b1ac84p+1",
+                            "0x1.6801077827904p+2", "0x1.eb7f62c5e2c77p+2")),
+        (model2, 0.5, 5.0, ("0x1.480dc1edcde22p-3", "0x1.538fd64d506e0p-7",
+                            "0x1.2eff43b1fe8ebp-5", "0x1.83e3393a8cc5ap-5")),
     ], ids=["model1", "model2"])
     def test_decomposition_terms_frozen_bitwise(self, population, t, x, pins):
         # (A, B, C, D) to the last bit: the nested quadratures may be
@@ -124,34 +118,33 @@ class TestPhiTransforms:
         # transform: the indicator piece minus the compensating
         # integral has conditional mean Phi(y, t, x)
         spec = model1()
-        pop = population_from_model(spec)
         y, x, t_pt = 6.0, 5.0, 1.0
         rng = np.random.default_rng(616)
         T, delta = draw_conditional(spec, y, 200000, rng)
         grid = np.linspace(0.0, t_pt, 4001)
-        dens = pop.h1_density(grid, x)
-        surv = pop.one_minus_h(grid, x)
+        dens = spec.h1_density(grid, x)
+        surv = spec.one_minus_h(grid, x)
         integrand = dens / surv**2
         cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid))]
         )
         compensator = np.interp(np.minimum(T, t_pt), grid, cum)
         t_clip = np.clip(T, 0.0, t_pt)
-        at_risk = pop.one_minus_h(t_clip, x)
+        at_risk = spec.one_minus_h(t_clip, x)
         indicator = np.where((T <= t_pt) & (delta == 1), 1.0 / at_risk, 0.0)
         xi = indicator - compensator
-        target = phi(pop, y, t_pt, x)
+        target = phi(spec, y, t_pt, x)
         se = xi.std(ddof=1) / math.sqrt(xi.size)
         assert abs(xi.mean() - target) < 4.0 * se
 
     def test_support_guard(self):
-        pop = _pop1()
+        spec = model1()
         with pytest.raises(SupportGuardError):
-            phi1(pop, 20.0, 5.0)
+            phi1(spec, 20.0, 5.0)
         with pytest.raises(SupportGuardError):
-            bias_variance_terms(pop, 20.0, 5.0)
+            bias_variance_terms(spec, 20.0, 5.0)
         # infinity is exempt: the full-support transforms stay finite
-        assert np.isfinite(phi1(pop, math.inf, 5.0))
+        assert np.isfinite(phi1(spec, math.inf, 5.0))
 
 
 # each call, run in a child process whose address space is capped: a
@@ -160,8 +153,7 @@ class TestPhiTransforms:
 _NAN_CALLS = """
 import math, resource
 from npmixcure import (SupportGuardError, bias_variance_terms, model1,
-                       model2, phi, phi1, phi2_terms, phi_y_derivatives,
-                       population_from_model)
+                       model2, phi, phi1, phi2_terms, phi_y_derivatives)
 from npmixcure.oracle import _guard
 
 def vsize():
@@ -174,15 +166,14 @@ limit = vsize() + (512 << 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 nan = math.nan
 for spec in (model1(), model2()):
-    pop = population_from_model(spec)
-    for call in ("_guard(pop, 1.0, nan)", "_guard(pop, nan, 5.0)",
-                 "phi(pop, nan, 1.0, 5.0)", "phi(pop, 5.0, 1.0, nan)",
-                 "phi(pop, 5.0, nan, 5.0)", "phi1(pop, 1.0, nan)",
-                 "phi1(pop, math.inf, nan)", "phi1(pop, nan, 5.0)",
-                 "phi_y_derivatives(pop, 1.0, nan)",
-                 "phi_y_derivatives(pop, [0.5, nan], 5.0)",
-                 "phi2_terms(pop, 1.0, nan)", "phi2_terms(pop, nan, 5.0)",
-                 "bias_variance_terms(pop, [1.0, 2.0], [5.0, nan])"):
+    for call in ("_guard(spec, 1.0, nan)", "_guard(spec, nan, 5.0)",
+                 "phi(spec, nan, 1.0, 5.0)", "phi(spec, 5.0, 1.0, nan)",
+                 "phi(spec, 5.0, nan, 5.0)", "phi1(spec, 1.0, nan)",
+                 "phi1(spec, math.inf, nan)", "phi1(spec, nan, 5.0)",
+                 "phi_y_derivatives(spec, 1.0, nan)",
+                 "phi_y_derivatives(spec, [0.5, nan], 5.0)",
+                 "phi2_terms(spec, 1.0, nan)", "phi2_terms(spec, nan, 5.0)",
+                 "bias_variance_terms(spec, [1.0, 2.0], [5.0, nan])"):
         try:
             eval(call)
         except SupportGuardError:
@@ -205,20 +196,20 @@ def test_nan_time_or_covariate_is_refused_before_any_quadrature():
     assert all(line.startswith("refused ") for line in lines), lines
 
 
-@pytest.mark.parametrize("population, t", [(_pop1, 1.0), (_pop2, 0.5)],
+@pytest.mark.parametrize("population, t", [(model1, 1.0), (model2, 0.5)],
                          ids=["model1", "model2"])
 def test_values_unchanged_under_the_benchmark_tracer(population, t):
     # the tracer wraps each quadrature's integrand as a function of the
     # points alone and rebinds the oracle's public names; every
     # transform must run under it and give its untraced bits
     tracing = load_benchmark_tracing()
-    pop = population()
+    spec = population()
     calls = {
-        "phi": lambda: oracle.phi(pop, 4.0, t, 5.0),
-        "phi1": lambda: oracle.phi1(pop, t, 5.0),
-        "phi_y_derivatives": lambda: oracle.phi_y_derivatives(pop, t, 5.0),
-        "phi2_terms": lambda: oracle.phi2_terms(pop, t, 5.0),
-        "h_amise": lambda: oracle.h_amise(pop, 5.0, 200),
+        "phi": lambda: oracle.phi(spec, 4.0, t, 5.0),
+        "phi1": lambda: oracle.phi1(spec, t, 5.0),
+        "phi_y_derivatives": lambda: oracle.phi_y_derivatives(spec, t, 5.0),
+        "phi2_terms": lambda: oracle.phi2_terms(spec, t, 5.0),
+        "h_amise": lambda: oracle.h_amise(spec, 5.0, 200),
     }
     for name, call in calls.items():
         plain = call()
@@ -235,19 +226,19 @@ def test_values_unchanged_under_the_benchmark_tracer(population, t):
 
 class TestPhiDerivatives:
     def test_frozen_values(self):
-        d = phi_y_derivatives(_pop1(), 1.0, 5.0)
+        d = phi_y_derivatives(model1(), 1.0, 5.0)
         assert_allclose(d.first, 0.1381350844188456, rtol=1e-12)
         assert_allclose(d.second, -0.030778944108842157, rtol=1e-12)
 
     def test_step_halving_stability(self):
-        d = phi_y_derivatives(_pop1(), 1.0, 5.0)
+        d = phi_y_derivatives(model1(), 1.0, 5.0)
         assert abs(d.first - d.first_coarse) < 1e-3 * max(1.0, abs(d.first))
         assert abs(d.second - d.second_coarse) < 1e-3 * max(1.0, abs(d.second))
 
 
 class TestBiasVarianceTerms:
     def test_frozen_values_model1(self):
-        t = bias_variance_terms(_pop1(), 1.0, 5.0)
+        t = bias_variance_terms(model1(), 1.0, 5.0)
         assert_allclose(t.b1, -0.007939899371243269, rtol=1e-12)
         assert_allclose(t.b2, 0.008272190380351771, rtol=1e-12)
         assert_allclose(t.v1, 10.431745546058542, rtol=1e-12)
@@ -257,7 +248,7 @@ class TestBiasVarianceTerms:
         assert_allclose(t.v, 7.975427896668033, rtol=1e-12)
 
     def test_frozen_values_model2(self):
-        t = bias_variance_terms(_pop2(), 0.5, 5.0)
+        t = bias_variance_terms(model2(), 0.5, 5.0)
         assert_allclose(t.b1, 0.02257928271140522, rtol=1e-12)
         assert_allclose(t.b2, -0.022604094796080814, rtol=1e-12)
         assert_allclose(t.v1, 72.79615266890896, rtol=1e-12)
@@ -265,17 +256,17 @@ class TestBiasVarianceTerms:
         assert_allclose(t.v3, -29.827802260091364, rtol=1e-12)
 
     def test_totals_are_plain_sums(self):
-        t = bias_variance_terms(_pop1(), 0.8, 5.0)
+        t = bias_variance_terms(model1(), 0.8, 5.0)
         assert t.b == t.b1 + t.b2
         assert t.v == t.v1 + t.v2 + 2.0 * t.v3
 
     def test_covariance_piece_never_positive(self):
-        for pop, points in [
-            (_pop1(), [(0.3, -5.0), (1.0, 5.0), (2.0, 12.0)]),
-            (_pop2(), [(0.3, -5.0), (0.5, 5.0), (1.0, 12.0)]),
+        for spec, points in [
+            (model1(), [(0.3, -5.0), (1.0, 5.0), (2.0, 12.0)]),
+            (model2(), [(0.3, -5.0), (0.5, 5.0), (1.0, 12.0)]),
         ]:
             for t_pt, x in points:
-                terms = bias_variance_terms(pop, t_pt, x)
+                terms = bias_variance_terms(spec, t_pt, x)
                 assert terms.v3 <= 0.0
                 assert terms.v1 >= 0.0 and terms.v2 >= 0.0
                 # the total variance stays positive despite the
@@ -283,23 +274,23 @@ class TestBiasVarianceTerms:
                 assert terms.v > 0.0
 
     def test_time_zero_components_all_vanish(self):
-        t = bias_variance_terms(_pop1(), 0.0, 5.0)
+        t = bias_variance_terms(model1(), 0.0, 5.0)
         assert (t.b1, t.b2, t.v1, t.v2, t.v3) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_array_of_times_matches_a_loop(self):
         # h_amise batches its grid this way; each component must carry
         # the bits of the scalar call
-        for pop, ts in [(_pop1(), np.linspace(0.05, 3.0, 7)),
-                        (_pop2(), np.linspace(0.05, 0.9, 7))]:
-            batch = bias_variance_terms(pop, ts, 5.0)
+        for spec, ts in [(model1(), np.linspace(0.05, 3.0, 7)),
+                         (model2(), np.linspace(0.05, 0.9, 7))]:
+            batch = bias_variance_terms(spec, ts, 5.0)
             for i, t_pt in enumerate(ts):
-                one = bias_variance_terms(pop, float(t_pt), 5.0)
+                one = bias_variance_terms(spec, float(t_pt), 5.0)
                 for name in ("b1", "b2", "v1", "v2", "v3"):
                     assert getattr(batch, name)[i] == getattr(one, name)
 
     def test_array_of_times_reports_first_refused_time(self):
         with pytest.raises(SupportGuardError, match="at t=20.0,"):
-            bias_variance_terms(_pop1(), np.array([1.0, 20.0, 30.0]), 5.0)
+            bias_variance_terms(model1(), np.array([1.0, 20.0, 30.0]), 5.0)
 
     def test_batched_square_rounds_like_python_pow(self):
         # the scalar code squared Python floats with **, i.e. C pow,
@@ -310,8 +301,8 @@ class TestBiasVarianceTerms:
         assert list(_pow2(values)) == [v**2 for v in values.tolist()]
 
     def test_no_cure_mass_drops_terminal_pieces(self):
-        pop = _exponential_population(p_value=1.0, cens_rate=0.3)
-        t = bias_variance_terms(pop, 1.0, 5.0)
+        spec = _exponential_population(p_value=1.0, cens_rate=0.3)
+        t = bias_variance_terms(spec, 1.0, 5.0)
         assert t.b2 == 0.0 and t.v2 == 0.0 and t.v3 == 0.0
         assert t.b == t.b1
         assert t.v == t.v1
@@ -330,7 +321,7 @@ class TestBiasVarianceTerms:
         return calls
 
     @pytest.mark.parametrize("population", [
-        _pop1, lambda: _exponential_population(1.0, 0.3),
+        model1, lambda: _exponential_population(1.0, 0.3),
     ], ids=["cure-mass", "no-cure-mass"])
     @pytest.mark.parametrize("t", [1.0, np.array([0.5, 1.0, 1.5])],
                              ids=["scalar", "array"])
@@ -339,20 +330,20 @@ class TestBiasVarianceTerms:
         # the times and, with cure mass, the full support share one
         # quadrature call: three integrand rows of len(t) + cured slots
         calls = self._count_quadratures(monkeypatch)
-        pop = population()
-        cured = 1.0 - float(pop.p(5.0)) > 1e-15
-        bias_variance_terms(pop, t, 5.0)
+        spec = population()
+        cured = 1.0 - float(spec.p(5.0)) > 1e-15
+        bias_variance_terms(spec, t, 5.0)
         assert calls == [3 * (np.size(t) + cured)]
 
     def test_many_covariates_share_calls_eight_at_a_time(self, monkeypatch):
         calls = self._count_quadratures(monkeypatch)
-        pop = _pop1()
+        spec = model1()
         x = np.linspace(-9.0, 9.0, 10)
         t = np.where(x < 0.0, 0.5, math.inf)
-        batch = bias_variance_terms(pop, t, x)
+        batch = bias_variance_terms(spec, t, x)
         assert calls == [3 * 8 * 2, 3 * 2 * 2]
         for i in range(x.size):
-            one = bias_variance_terms(pop, float(t[i]), float(x[i]))
+            one = bias_variance_terms(spec, float(t[i]), float(x[i]))
             assert [getattr(batch, name)[i]
                     for name in ("b1", "b2", "v1", "v2", "v3")] == [
                 one.b1, one.b2, one.v1, one.v2, one.v3]
@@ -361,11 +352,11 @@ class TestBiasVarianceTerms:
         calls = self._count_quadratures(monkeypatch)
         with pytest.raises(SupportGuardError,
                            match="covariate density vanishes at x=25.0"):
-            bias_variance_terms(_pop1(), 1.0, 25.0)
+            bias_variance_terms(model1(), 1.0, 25.0)
         assert calls == []
         # the support guard still refuses first
         with pytest.raises(SupportGuardError, match="support floor"):
-            bias_variance_terms(_pop1(), 20.0, 25.0)
+            bias_variance_terms(model1(), 20.0, 25.0)
 
 
 _TIMES = {1: (0.3, 1.0, 2.5, 20.0, math.inf), 2: (0.2, 0.5, 0.8, 5.0, math.inf)}
@@ -379,7 +370,7 @@ def test_broadcast_points_equal_scalar_calls(data):
     # point anywhere refuses the call with the loop's first refusal (a
     # time below the floor at 20 or 5, no covariate density at 25)
     model = data.draw(st.sampled_from([1, 2]))
-    pop = (_pop1, _pop2)[model - 1]()
+    spec = (model1, model2)[model - 1]()
     t_shape, x_shape = data.draw(st.sampled_from([
         ((3,), ()), ((), (2,)), ((3,), (3,)), ((1, 2), (2, 1)),
         ((2, 1), (2,)), ((), ())]))
@@ -395,7 +386,7 @@ def test_broadcast_points_equal_scalar_calls(data):
     expected, first_floor, first_density = [], None, None
     for tv, xv in zip(*(p.ravel().tolist() for p in points)):
         try:
-            rep = amse(pop, tv, xv, 3.0, 400)
+            rep = amse(spec, tv, xv, 3.0, 400)
         except SupportGuardError as exc:
             if "floor" in str(exc):
                 first_floor = first_floor or str(exc)
@@ -409,11 +400,11 @@ def test_broadcast_points_equal_scalar_calls(data):
     if refusal:
         for call in (bias_variance_terms, lambda *a: amse(*a, 3.0, 400)):
             with pytest.raises(SupportGuardError) as caught:
-                call(pop, t, x)
+                call(spec, t, x)
             assert str(caught.value) == refusal
         return
-    batch = bias_variance_terms(pop, t, x)
-    rep = amse(pop, t, x, 3.0, 400)
+    batch = bias_variance_terms(spec, t, x)
+    rep = amse(spec, t, x, 3.0, 400)
     assert np.shape(batch.b1) == np.shape(rep.amse) == points[0].shape
     names = ("b1", "b2", "v1", "v2", "v3")
     got = np.stack([np.ravel(getattr(batch, name)) for name in names]
@@ -426,7 +417,7 @@ def test_broadcast_points_equal_scalar_calls(data):
 
 class TestAmse:
     def test_frozen_report_at_optimum(self):
-        rep = amse(_pop1(), 1.0, 5.0, 20.239946689590216, 200)
+        rep = amse(model1(), 1.0, 5.0, 20.239946689590216, 200)
         assert_allclose(rep.bias_term, 0.00018529966676693956, rtol=1e-9)
         assert_allclose(rep.variance_term, 0.0011821317544432977, rtol=1e-12)
         assert_allclose(rep.amse, 0.0013674314212102372, rtol=1e-12)
@@ -434,95 +425,92 @@ class TestAmse:
 
     def test_recomposition_from_terms(self):
         # a scalar point gives Python floats, b squared with C pow
-        pop = _pop1()
+        spec = model1()
         h, n = 12.0, 400
-        rep = amse(pop, 1.0, 5.0, h, n)
+        rep = amse(spec, 1.0, 5.0, h, n)
         terms = rep.terms
-        assert terms == bias_variance_terms(pop, 1.0, 5.0)
+        assert terms == bias_variance_terms(spec, 1.0, 5.0)
         assert type(rep.bias_term) is float and type(rep.amse) is float
         assert rep.bias_term == 0.25 * h**4 * 0.2**2 * terms.b**2
         assert rep.variance_term == 0.6 / (n * h) * terms.v
         assert rep.amse == rep.bias_term + rep.variance_term
 
     def test_validation(self):
-        pop = _pop1()
+        spec = model1()
         with pytest.raises(ValueError):
-            amse(pop, 1.0, 5.0, 0.0, 200)
+            amse(spec, 1.0, 5.0, 0.0, 200)
         with pytest.raises(ValueError):
-            amse(pop, 1.0, 5.0, 10.0, 0)
+            amse(spec, 1.0, 5.0, 10.0, 0)
 
 
 class TestHAmise:
     def test_frozen_values(self):
-        assert h_amise(_pop1(), 5.0, 200) == 20.239946689590216
-        assert h_amise(_pop2(), 5.0, 200) == 25.4278432889283
+        assert h_amise(model1(), 5.0, 200) == 20.239946689590216
+        assert h_amise(model2(), 5.0, 200) == 25.4278432889283
 
     def test_sample_size_scaling_is_exact(self):
         # the bandwidth carries n only through n^(-1/5), so multiplying
         # n by 32 must halve it to the last bit of the power function
-        pop = _pop1()
-        h_small = h_amise(pop, 5.0, 200)
-        h_large = h_amise(pop, 5.0, 6400)
+        spec = model1()
+        h_small = h_amise(spec, 5.0, 200)
+        h_large = h_amise(spec, 5.0, 6400)
         assert abs(h_small / h_large - 2.0) <= 1e-10
 
     def test_default_time_range_tracks_latency_quantile(self):
         from npmixcure.oracle import _s0_quantile_time
 
-        pop = _pop1()
-        q = _s0_quantile_time(pop, 5.0, 0.05)
-        assert_allclose(float(pop.s0(q, 5.0)), 0.05, atol=1e-9)
+        spec = model1()
+        q = _s0_quantile_time(spec, 5.0, 0.05)
+        assert_allclose(float(spec.s0(q, 5.0)), 0.05, atol=1e-9)
 
     def test_validation(self):
-        pop = _pop1()
+        spec = model1()
         with pytest.raises(ValueError):
-            h_amise(pop, 5.0, 0)
+            h_amise(spec, 5.0, 0)
 
 
 class TestPopulationWiring:
     def test_survival_mixture_identity(self):
-        pop = _pop1()
         spec = model1()
         t = np.linspace(0.0, 4.0, 9)
         px = spec.p(5.0)
         assert_allclose(
-            pop.survival(t, 5.0), 1.0 - px + px * spec.s0(t, 5.0), atol=1e-15
+            spec.survival(t, 5.0), 1.0 - px + px * spec.s0(t, 5.0), atol=1e-15
         )
 
     def test_observable_survival_against_monte_carlo(self):
         # 1 - H(t|x) = S(t|x)(1 - G(t)) must match the empirical
         # survival of observed times drawn at that covariate
         spec = model1()
-        pop = population_from_model(spec)
         T, _delta = draw_conditional(
             spec, 8.0, 1000000, np.random.default_rng(5150)
         )
         for t_pt in (0.5, 1.5):
             emp = (T > t_pt).mean()
-            theo = float(pop.one_minus_h(t_pt, 8.0))
+            theo = float(spec.one_minus_h(t_pt, 8.0))
             se = math.sqrt(theo * (1.0 - theo) / T.size)
             assert abs(emp - theo) < 4.0 * se
 
     @pytest.mark.parametrize("factory", [model1, model2])
     def test_closed_forms_match_s0(self, factory):
         spec = factory()
-        pop = population_from_model(spec)
         for x in (-10.0, 5.0, 18.0):
             # the density against a central difference of s0 where the
             # latency survival is 0.9, 0.5 and 0.1
             t = spec.latency_quantile(np.array([0.9, 0.5, 0.1]), x)
             step = 1e-6 * np.maximum(1.0, t)
-            slope = (pop.s0(t - step, x) - pop.s0(t + step, x)) / (2.0 * step)
-            assert_allclose(pop.latency_density(t, x), slope, rtol=1e-6)
+            slope = (spec.s0(t - step, x) - spec.s0(t + step, x)) / (2.0 * step)
+            assert_allclose(spec.latency_density(t, x), slope, rtol=1e-6)
             # the support end against where s0 falls to 1e-13, found by
             # doubling then bisection: at or beyond it, and close (model
             # 2 ends where its slow component is 1e-14, 1.5% further)
             hi = 1.0
-            while pop.s0(hi, x) > 1e-13:
+            while spec.s0(hi, x) > 1e-13:
                 hi *= 2.0
             lo = 0.0
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if pop.s0(mid, x) > 1e-13 else (lo, mid)
-            upper = pop.s0_upper(x)
+                lo, hi = (mid, hi) if spec.s0(mid, x) > 1e-13 else (lo, mid)
+            upper = spec.s0_upper(x)
             assert hi <= upper <= 1.02 * hi
-            assert pop.s0(upper, x) <= 1e-13
+            assert spec.s0(upper, x) <= 1e-13

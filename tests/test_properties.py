@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from npmixcure import (
     CensoredSample,
     DatasetSchema,
+    DegenerateCureError,
     EmptyNeighborhoodError,
+    NoUncensoredError,
     beran,
     generate,
     ingest,
     kaplan_meier,
+    latency_estimate,
     model1,
     model2,
 )
@@ -134,6 +137,22 @@ def test_increasing_time_map_moves_only_the_jump_times(sample, x, h, name):
         again = fit(mapped)
         assert np.array_equal(again.values, curve.values)
         assert np.array_equal(again.jump_times, moved(curve.jump_times))
+
+
+@_SETTINGS
+@given(_samples(), st.floats(-5.0, 5.0), st.floats(0.1, 12.0))
+def test_one_bandwidth_latency_is_a_proper_survival_curve(sample, x, h):
+    # exactly, with ties: every jump value S lies between the plateau c
+    # and 1, rounding is monotone and fl(1 - c) is p_hat, so
+    # (S - c) / p_hat stays in [0, 1], never rises, and is 0 at the end
+    try:
+        fit = latency_estimate(sample, x, h)
+    except (NoUncensoredError, EmptyNeighborhoodError, DegenerateCureError):
+        return
+    values = fit.latency.values
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) <= 0.0)
+    assert fit.latency.evaluate(fit.t_max_uncensored) == 0.0
 
 
 @_SETTINGS
