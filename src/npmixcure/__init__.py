@@ -45,7 +45,6 @@ from .kernels import nw_weights
 from .models import (
     ExponentialCensoring,
     ModelSpec,
-    NoCensoring,
     UniformCovariate,
     generate,
     model1,
@@ -58,9 +57,7 @@ from .oracle import (
     amse,
     bias_variance_terms,
     h_amise,
-    phi,
     phi1,
-    phi2_terms,
     phi_y_derivatives,
 )
 from .survival import (

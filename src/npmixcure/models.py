@@ -20,7 +20,6 @@ from .survival import CensoredSample
 __all__ = [
     "UniformCovariate",
     "ExponentialCensoring",
-    "NoCensoring",
     "ModelSpec",
     "model1",
     "model2",
@@ -64,17 +63,6 @@ class ExponentialCensoring:
     def sf(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, 1.0, np.exp(-self.rate * t))
-
-
-@dataclass(frozen=True)
-class NoCensoring:
-    """Degenerate censoring at +infinity (nothing is ever censored)."""
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, np.inf)
-
-    def sf(self, t) -> np.ndarray:
-        return np.ones_like(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)

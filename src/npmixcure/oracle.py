@@ -11,14 +11,11 @@ transforms
     ``Phi(y, t, x)  = int_0^t dH1(v|y)/(1-H(v|x))
                       - int_0^t (1-H(v|y)) dH1(v|x)/(1-H(v|x))^2``
 
-    ``Phi1(x, t, x) = Phi2(x, t, x) = int_0^t dH1(v|x)/(1-H(v|x))^2``
+    ``Phi1(x, t, x) = int_0^t dH1(v|x)/(1-H(v|x))^2``
 
 their y-derivatives on the diagonal, and the bias/variance terms built
 from them.  Here ``H`` is the conditional distribution of the observed
-time and ``H1`` its uncensored part.  ``Phi`` vanishes on the diagonal
-``y = x``, which the test suite uses as a quadrature sanity check, and
-the two double-integral decompositions of ``Phi1``/``Phi2`` collapse to
-the same single integral there.
+time and ``H1`` its uncensored part.
 
 Time arguments of ``inf`` mean the full support: integrals then run to
 the (effective) upper end of the latency support, where the uncensored
@@ -40,9 +37,7 @@ __all__ = [
     "PhiDerivatives",
     "BiasVarianceTerms",
     "AmseReport",
-    "phi",
     "phi1",
-    "phi2_terms",
     "phi_y_derivatives",
     "bias_variance_terms",
     "amse",
@@ -57,10 +52,8 @@ SUPPORT_FLOOR = 1e-3
 # does work and holds memory that grow as X^2
 _XS_PER_CALL = 8
 
-# quadrature tolerances: plain integrals, then outer/inner of nested ones
+# quadrature tolerance
 _TOL = 1e-8
-_TOL_OUTER = 1e-8
-_TOL_INNER = 1e-10
 
 
 def _pow2(v):
@@ -110,32 +103,6 @@ def _guard(spec: ModelSpec, t, x, density: bool = False):
         raise SupportGuardError(next(iter(refusals.values())))
 
 
-def phi(spec: ModelSpec, y: float, t: float, x: float) -> float:
-    """The influence transform ``Phi(y, t, x)``.
-
-    Zero on the diagonal ``y = x``.  ``t = inf`` integrates over the
-    full latency support.  The two integrals are evaluated separately,
-    so the diagonal value measures real quadrature error rather than
-    algebraic cancellation.
-    """
-    _guard(spec, t, x)
-    _guard(spec, math.inf, y)
-    up1 = min(t, spec.s0_upper(y))
-    up2 = min(t, spec.s0_upper(x))
-
-    def first(v):
-        return spec.h1_density(v, y) / spec.one_minus_h(v, x)
-
-    def second(v):
-        r = spec.one_minus_h(v, x)
-        return spec.one_minus_h(v, y) * spec.h1_density(v, x) / (r * r)
-
-    return (
-        adaptive_simpson(first, 0.0, up1, _TOL)
-        - adaptive_simpson(second, 0.0, up2, _TOL)
-    )
-
-
 def phi1(spec: ModelSpec, t, x: float):
     """Diagonal variance transform ``int_0^t dH1(v|x)/(1-H(v|x))^2``.
 
@@ -148,59 +115,6 @@ def phi1(spec: ModelSpec, t, x: float):
         return spec.h1_density(v, x) / (r * r)
 
     return adaptive_simpson(integrand, 0.0, np.minimum(t, spec.s0_upper(x)), _TOL)
-
-
-def phi2_terms(spec: ModelSpec, t: float, x: float):
-    """The four double-integral terms behind ``Phi2`` on the diagonal.
-
-    Returns ``(A, B, C, D)`` with ``Phi2 = A - B - C + D``.  ``B``,
-    ``C`` and ``D`` are genuine nested quadratures; on the diagonal
-    ``D = B + C``, so the combination must reproduce :func:`phi1`.
-    This is deliberately the expensive, independent route.  The inner
-    integrals of all the outer points of a quadrature level are one
-    batched call, one interval per outer point.
-    """
-    _guard(spec, t, x)
-    upper = spec.s0_upper(x)
-    t_eff = min(t, upper)
-
-    def dh1(v):
-        return spec.h1_density(v, x)
-
-    def r_of(v):
-        return spec.one_minus_h(v, x)
-
-    def ratio(v):
-        return dh1(v) / r_of(v)
-
-    def weight(v):
-        r = r_of(v)
-        return dh1(v) / (r * r)
-
-    term_a = adaptive_simpson(weight, 0.0, t_eff, _TOL)
-
-    def b_outer(u):
-        return weight(u) * adaptive_simpson(ratio, u, t_eff, _TOL_INNER)
-
-    term_b = adaptive_simpson(b_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
-
-    def c_outer(v):
-        return weight(v) * adaptive_simpson(ratio, v, upper, _TOL_INNER)
-
-    term_c = adaptive_simpson(c_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
-
-    def d_outer(v):
-        # split the inner integral at its kink u = v: max(u, v) switches;
-        # below it, one integrand row per outer point v
-        rv = r_of(v)[:, None]
-        low = adaptive_simpson(lambda u: rv * dh1(u) / _pow2(r_of(u)), 0.0,
-                               v[:, None], _TOL_INNER)[:, 0]
-        high = adaptive_simpson(ratio, v, upper, _TOL_INNER)
-        return weight(v) * (low + high)
-
-    term_d = adaptive_simpson(d_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
-
-    return term_a, term_b, term_c, term_d
 
 
 @dataclass(frozen=True)

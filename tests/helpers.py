@@ -4,13 +4,31 @@ These are deliberately written with different algorithms than the
 package (grouped risk-set formulas, O(n^2) loops) so that agreement is
 evidence of correctness rather than shared bugs.  The benchmark's
 tracer is loaded here too, for the tests that run the package under it.
+
+The oracle's reference routes live here as well: ``phi`` and
+``phi2_terms``.  ``Phi`` vanishes on the diagonal ``y = x``, which the
+tests use as a quadrature sanity check, and the two double-integral
+decompositions of ``Phi1``/``Phi2`` collapse to the same single
+integral there.  Both call the quadrature as
+``numerics.adaptive_simpson``, so the benchmark's tracer, which rebinds
+names inside the package only, still counts their integrand calls.
 """
 
 import importlib.util
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from npmixcure import numerics
+from npmixcure.models import ModelSpec
+from npmixcure.oracle import _TOL, _guard, _pow2
+
+# tolerances of the nested quadratures: outer, then inner
+_TOL_OUTER = 1e-8
+_TOL_INNER = 1e-10
 
 
 def load_benchmark_tracing():
@@ -115,3 +133,94 @@ def draw_conditional(spec, x, n, rng):
     t = np.minimum(y, c)
     delta = (y <= c).astype(int)
     return t, delta
+
+
+@dataclass(frozen=True)
+class NoCensoring:
+    """Degenerate censoring at +infinity (nothing is ever censored)."""
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, np.inf)
+
+    def sf(self, t) -> np.ndarray:
+        return np.ones_like(np.asarray(t, dtype=float))
+
+
+def phi(spec: ModelSpec, y: float, t: float, x: float) -> float:
+    """The influence transform ``Phi(y, t, x)``.
+
+    Zero on the diagonal ``y = x``.  ``t = inf`` integrates over the
+    full latency support.  The two integrals are evaluated separately,
+    so the diagonal value measures real quadrature error rather than
+    algebraic cancellation.
+    """
+    _guard(spec, t, x)
+    _guard(spec, math.inf, y)
+    up1 = min(t, spec.s0_upper(y))
+    up2 = min(t, spec.s0_upper(x))
+
+    def first(v):
+        return spec.h1_density(v, y) / spec.one_minus_h(v, x)
+
+    def second(v):
+        r = spec.one_minus_h(v, x)
+        return spec.one_minus_h(v, y) * spec.h1_density(v, x) / (r * r)
+
+    return (
+        numerics.adaptive_simpson(first, 0.0, up1, _TOL)
+        - numerics.adaptive_simpson(second, 0.0, up2, _TOL)
+    )
+
+
+def phi2_terms(spec: ModelSpec, t: float, x: float):
+    """The four double-integral terms behind ``Phi2`` on the diagonal.
+
+    Returns ``(A, B, C, D)`` with ``Phi2 = A - B - C + D``.  ``B``,
+    ``C`` and ``D`` are genuine nested quadratures; on the diagonal
+    ``D = B + C``, so the combination must reproduce :func:`phi1`.
+    This is deliberately the expensive, independent route.  The inner
+    integrals of all the outer points of a quadrature level are one
+    batched call, one interval per outer point.
+    """
+    _guard(spec, t, x)
+    upper = spec.s0_upper(x)
+    t_eff = min(t, upper)
+
+    def dh1(v):
+        return spec.h1_density(v, x)
+
+    def r_of(v):
+        return spec.one_minus_h(v, x)
+
+    def ratio(v):
+        return dh1(v) / r_of(v)
+
+    def weight(v):
+        r = r_of(v)
+        return dh1(v) / (r * r)
+
+    term_a = numerics.adaptive_simpson(weight, 0.0, t_eff, _TOL)
+
+    def b_outer(u):
+        return weight(u) * numerics.adaptive_simpson(ratio, u, t_eff, _TOL_INNER)
+
+    term_b = numerics.adaptive_simpson(b_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
+
+    def c_outer(v):
+        return weight(v) * numerics.adaptive_simpson(ratio, v, upper, _TOL_INNER)
+
+    term_c = numerics.adaptive_simpson(c_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
+
+    def d_outer(v):
+        # split the inner integral at its kink u = v: max(u, v) switches;
+        # below it, one integrand row per outer point v
+        rv = r_of(v)[:, None]
+        low = numerics.adaptive_simpson(
+            lambda u: rv * dh1(u) / _pow2(r_of(u)), 0.0, v[:, None],
+            _TOL_INNER)[:, 0]
+        high = numerics.adaptive_simpson(ratio, v, upper, _TOL_INNER)
+        return weight(v) * (low + high)
+
+    term_d = numerics.adaptive_simpson(d_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
+
+    return term_a, term_b, term_c, term_d

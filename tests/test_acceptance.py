@@ -37,12 +37,10 @@ from npmixcure.models import trial_rng
 from npmixcure.oracle import (
     amse,
     h_amise,
-    phi,
     phi1,
-    phi2_terms,
 )
 
-from helpers import beran_brute, random_censored_sample
+from helpers import beran_brute, phi, phi2_terms, random_censored_sample
 
 
 def test_criterion_01_model_marginals():

@@ -6,10 +6,15 @@ takes a kernel or an integration range.
 """
 
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import npmixcure
+from npmixcure import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,13 +23,13 @@ PUBLIC_NAMES = [
     "CensoredSample", "ConfigError", "CureFit", "DataError", "DatasetSchema",
     "DegenerateCureError", "EmptyNeighborhoodError", "EstimationError",
     "ExperimentConfig", "ExponentialCensoring", "IngestReport", "MiseCurve",
-    "MiseSurface", "ModelSpec", "NoCensoring", "NoUncensoredError",
+    "MiseSurface", "ModelSpec", "NoUncensoredError",
     "NpmixcureError", "PhiDerivatives", "SelectorStudy", "StepSurvivalCurve",
     "SupportGuardError", "UniformCovariate", "__version__", "amse", "beran",
     "bias_variance_terms", "bootstrap_vs_optimal", "format_float", "generate",
     "h_amise", "incidence_estimate", "ingest", "kaplan_meier",
     "latency_estimate", "latency_estimate_two_bw", "log_grid", "mise_star",
-    "model1", "model2", "nw_weights", "phi", "phi1", "phi2_terms",
+    "model1", "model2", "nw_weights", "phi1",
     "phi_y_derivatives", "pilot_bandwidth", "true_mise", "true_mise_two_bw",
 ]
 
@@ -68,3 +73,40 @@ def test_readme_python_examples_run():
     for i, source in enumerate(blocks, 1):
         code = compile(source, f"README.md, python block {i}", "exec")
         exec(code, {"__name__": "readme_example"})
+
+
+# the README's command lines in order, in one fresh interpreter: each
+# exit code, then whether any of them imported numpy.ma
+_README_CLI = """
+import json, shlex, sys
+from npmixcure import cli
+
+codes = [cli.main(shlex.split(line)[1:]) for line in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_readme_cli_lines_run(tmp_path):
+    # every `npmixcure ...` line of the ```sh blocks, continuation lines
+    # joined; later lines read the files earlier ones write, so relative
+    # paths must all resolve in the temporary directory
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    lines = [line for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("npmixcure ")]
+    assert {line.split()[1] for line in lines} == set(cli._COMMANDS)
+    src = str(Path(npmixcure.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "NPMIXCURE_OUTDIR"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _README_CLI, json.dumps(lines)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    failed = [line for line, code in zip(lines, report["codes"]) if code != 0]
+    assert len(report["codes"]) == len(lines) and not failed, proc.stderr
+    # the oracle and the Monte Carlo surface avoid np.unique and
+    # np.union1d, whose first call imports numpy.ma (0.7-1.6 MiB)
+    assert not report["numpy.ma"]

@@ -283,12 +283,13 @@ class TestSelectbw:
         assert f"h_star={curve.selected}" in out
 
     @staticmethod
-    def _select_on(tmp_path, command, rows):
+    def _select_on(tmp_path, command, rows, xs=(5,)):
         path = tmp_path / "tiny.csv"
         path.write_text("age,time,delta\n"
                         + "".join(f"{x},{t},{d}\n" for x, t, d in rows))
+        at = [flag for xv in xs for flag in ("--x", str(xv))]
         own = ["--h", "auto"] if command == "estimate" else []
-        return main([command, "--data", str(path), "--x", "5", *own,
+        return main([command, "--data", str(path), *at, *own,
                      "--grid", "1:5:3", "--B", "5", "--out", "tiny_out.csv"])
 
     @pytest.mark.parametrize("command", ["selectbw", "estimate"])
@@ -303,6 +304,35 @@ class TestSelectbw:
         rows = [(5, 1.0, 1), (5, 2.0, 0), (5, 3.0, 1)]
         assert self._select_on(tmp_path, command, rows) == 4
         assert "all covariates are identical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["selectbw", "estimate"])
+    @pytest.mark.parametrize("rows, xs, code, expected, failed", [
+        ([(4, 1.0, 0), (5, 2.0, 0), (6, 3.0, 0)], [5], 4,
+         "no uncensored observation", []),
+        ([(4, 1.0, 1), (5, 2.0, 1), (6, 3.0, 1)], [5], 0, None, []),
+        ([(4, 1.0, 1), (5, 2.0, 1), (6, 2.0, 0)], [5], 0, None, []),
+        (TestEstimate._CENSORED_AT_50, [50], 4, "p_hat = 0", []),
+        (TestEstimate._CENSORED_AT_50, [0, 50], 0, None, [50.0]),
+    ], ids=["all-censored", "all-events",
+            "event-tied-with-censored-at-last-time", "censored-neighbourhood",
+            "censored-neighbourhood-beside-a-good-x"])
+    def test_degenerate_samples_under_the_bootstrap(
+            self, _outdir, capsys, tmp_path, command, rows, xs, code,
+            expected, failed):
+        # the samples of the fixed-bandwidth test, with the bandwidth
+        # selected by bootstrap: a failed x is recorded beside the
+        # selections of the others, and the run fails only if all do
+        assert self._select_on(tmp_path, command, rows, xs) == code
+        if code == 4:
+            assert expected in capsys.readouterr().err
+            return
+        summary = _read_meta(_outdir / "tiny_out.csv")["summary"]
+        assert [f["x"] for f in summary["failures"]] == failed
+        assert all("p_hat = 0" in f["error"] for f in summary["failures"])
+        selected = [float(xv) for xv in xs if float(xv) not in failed]
+        assert [s["x"] for s in summary["selections"]] == selected
+        _header, table = _read_csv(_outdir / "tiny_out.csv")
+        assert {float(r[0]) for r in table} == set(selected)
 
 
 class TestMise:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from npmixcure import (
     ExponentialCensoring,
-    NoCensoring,
     UniformCovariate,
     generate,
     model1,
@@ -18,7 +17,7 @@ from npmixcure import (
 from npmixcure import models
 from npmixcure.models import MODEL1_TAU0, trial_rng
 
-from helpers import draw_conditional
+from helpers import NoCensoring, draw_conditional
 
 
 class TestCensoringAndCovariate:

@@ -21,13 +21,11 @@ from npmixcure.oracle import (
     amse,
     bias_variance_terms,
     h_amise,
-    phi,
     phi1,
-    phi2_terms,
     phi_y_derivatives,
 )
 
-from helpers import draw_conditional, load_benchmark_tracing
+from helpers import draw_conditional, load_benchmark_tracing, phi, phi2_terms
 
 
 def _exponential_population(p_value=1.0, cens_rate=0.0):
@@ -153,8 +151,9 @@ class TestPhiTransforms:
 _NAN_CALLS = """
 import math, resource
 from npmixcure import (SupportGuardError, bias_variance_terms, model1,
-                       model2, phi, phi1, phi2_terms, phi_y_derivatives)
+                       model2, phi1, phi_y_derivatives)
 from npmixcure.oracle import _guard
+from helpers import phi, phi2_terms
 
 def vsize():
     with open("/proc/self/status") as status:
@@ -187,7 +186,9 @@ for spec in (model1(), model2()):
 
 def test_nan_time_or_covariate_is_refused_before_any_quadrature():
     src = str(Path(npmixcure.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]),
+               OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _NAN_CALLS], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -205,10 +206,10 @@ def test_values_unchanged_under_the_benchmark_tracer(population, t):
     tracing = load_benchmark_tracing()
     spec = population()
     calls = {
-        "phi": lambda: oracle.phi(spec, 4.0, t, 5.0),
+        "phi": lambda: phi(spec, 4.0, t, 5.0),
         "phi1": lambda: oracle.phi1(spec, t, 5.0),
         "phi_y_derivatives": lambda: oracle.phi_y_derivatives(spec, t, 5.0),
-        "phi2_terms": lambda: oracle.phi2_terms(spec, t, 5.0),
+        "phi2_terms": lambda: phi2_terms(spec, t, 5.0),
         "h_amise": lambda: oracle.h_amise(spec, 5.0, 200),
     }
     for name, call in calls.items():
