@@ -15,10 +15,10 @@ is approximated over ``B`` resamples and the minimizer is selected.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cure import _latency_ise, latency_estimate
 from .exceptions import EstimationError
@@ -26,8 +26,8 @@ from .kernels import epanechnikov, nw_weights
 from .survival import (
     CensoredSample,
     StepSurvivalCurve,
-    _at_event_times,
     _beran_rows,
+    _event_columns,
     _product_limit,
     kaplan_meier,
 )
@@ -93,6 +93,7 @@ class BootstrapConfig:
     time_grid_size: int = 100
 
     def __post_init__(self):
+        _check_integers(self, "B", "time_grid_size")
         if self.B < 1:
             raise ValueError("B must be at least 1")
         if not 0.0 < self.pilot_c < math.inf:
@@ -100,6 +101,16 @@ class BootstrapConfig:
         if self.time_grid_size < 2:
             raise ValueError("time_grid_size must be at least 2")
         _check_weight_upper(self.weight_upper)
+
+
+def _check_integers(config, *names):
+    # a float, a bool or a negative seed would fail only inside the fit
+    for name in ("seed",) + names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {config.seed}")
 
 
 def _check_weight_upper(weight_upper):
@@ -228,114 +239,92 @@ class _JumpDistribution:
 
 # rows of pilot fits computed together; a chunk's (rows, n) weight
 # matrices stay near this size however large the sample
-_KIT_CHUNK_BYTES = 1 << 19
+_KIT_CHUNK_BYTES = 1 << 18
 # resamples fitted together; a chunk's (resamples * K, n) weight block
 # stays near this size (twice it measured 0.7 MiB more peak RSS on a
 # B=50, n=1600 selection)
 _RESAMPLE_CHUNK_BYTES = 1 << 18
 
 
-class _ResamplingKit:
-    """Everything needed to draw bootstrap resamples, built once.
-
-    Holds the censoring-time distribution and, per observation, the
-    pilot uncured probability and latency jump distribution at its
-    covariate.  Every pilot latency curve jumps at the sample's distinct
-    event times ``times``; row ``i`` of ``cums`` holds the cumulative
-    masses of observation ``i``'s curve there, a nondecreasing row.
-    Observations whose pilot fit puts all mass on cure are never drawn
-    uncured, so their bootstrap survival time is always infinite (their
-    ``cums`` row is unused).  The draw searches each row in two levels,
-    in blocks of ``step`` columns: the ceiling of the square root of
-    the number of times, so never more than that number.
+def _count_at_or_below(cums, rows, u):
+    """How many entries of the nondecreasing row ``cums[rows[k]]`` are at
+    most ``u[k]``, for every k: one binary search of all the rows, moving
+    up by each power of two in turn, a probe past the end stopping there.
     """
+    size = cums.shape[1]
+    flat, base = cums.reshape(-1), rows * size - 1
+    count = np.zeros(rows.size, dtype=np.intp)
+    step = 1 << (size.bit_length() - 1)
+    while step:
+        probe = np.minimum(count + step, size)
+        count = np.where(flat[base + probe] <= u, probe, count)
+        step >>= 1
+    return count
 
-    def __init__(self, xs, p_uncured, times, cums, censoring):
-        self.xs = xs
-        self.p_uncured = p_uncured
-        self.times = times
-        self.cums = cums
-        self.censoring = censoring
-        s = self.step = math.isqrt(times.size - 1) + 1
-        # the last column of every whole block, contiguous (a strided
-        # gather from the large matrix misses the cache on every entry),
-        # and a view of every run of ``s`` consecutive masses
-        self.block_ends = np.ascontiguousarray(cums[:, s - 1::s])
-        self.runs = sliding_window_view(cums.reshape(-1), s)
+
+class _ResamplingKit:
+    """What every bootstrap resample of a sample is drawn from.
+
+    Holds the censoring-time distribution, the pilot bandwidth ``g`` and
+    the sample's time order with its event columns and distinct event
+    times ``times``, where every pilot latency curve jumps: nothing that
+    depends on the covariate of the selection.  The pilot fits at the
+    observations' covariates are not stored but made by :meth:`draw`.
+    """
 
     @classmethod
     def build(cls, sample: CensoredSample, g: float):
         sample.t_max_uncensored()  # raises: no events, no latency to draw
-        censoring_km = kaplan_meier(sample, 1 - sample.delta)
-        censoring = _JumpDistribution.from_curve(
-            censoring_km, residual_time=float(sample.t.max())
-        )
-        ordered = sample.sort_by_time()
-        n = sample.n
+        kit = cls()
+        kit.xs, kit.g, kit.ordered = sample.x.copy(), g, sample.sort_by_time()
+        kit.events, kit.last, kit.times = _event_columns(
+            kit.ordered.t, kit.ordered.delta)
+        kit.censoring = _JumpDistribution.from_curve(
+            kaplan_meier(sample, 1 - sample.delta),
+            residual_time=float(sample.t.max()))
+        return kit
+
+    def draw(self, rngs) -> tuple[np.ndarray, np.ndarray]:
+        """Bootstrap resamples from the pilot-smoothed cure model.
+
+        Resample ``j`` takes from ``rngs[j]`` n uniforms for cure status,
+        n for latencies, then n for censoring.  Covariates stay at
+        ``xs``; observation ``i`` is uncured with the pilot uncured
+        probability at ``xs[i]``, and then its survival time is the first
+        pilot latency jump whose cumulative mass exceeds its uniform (as
+        :meth:`_JumpDistribution.pick` inverts), else infinite.  Censoring
+        times come from the Kaplan-Meier estimate of the censoring
+        distribution, leftover mass at the largest observed time.  One
+        pass over the observations makes their pilot fits, and each
+        answers the searches of every resample that drew it uncured.
+        Returns observed times and event flags, (B, n) arrays.
+        """
+        n, size = self.xs.size, self.times.size
+        u_cure = np.empty((len(rngs), n))
+        u_latency = np.empty_like(u_cure)
+        for j, rng in enumerate(rngs):
+            u_cure[j] = rng.random(n)
+            u_latency[j] = rng.random(n)
+        y = np.full(u_cure.shape, np.inf)
         rows = max(1, _KIT_CHUNK_BYTES // (8 * n))
-        p_uncured = np.empty(n)
-        cums = None
         for lo in range(0, n, rows):
-            try:
-                weights = nw_weights(sample.x[lo:lo + rows], ordered.x, g)
-            except EstimationError as err:
-                raise EstimationError(f"pilot fit failed: {err}") from err
-            times, values = _at_event_times(
-                ordered.t, ordered.delta,
-                _product_limit(ordered.delta, weights))
-            if cums is None:
-                cums = np.ones((n, times.size))
-            cured = values[:, -1]
+            weights = nw_weights(self.xs[lo:lo + rows], self.ordered.x, self.g)
+            cums = _product_limit(
+                self.ordered.delta, weights, self.events).take(self.last, axis=1)
+            cured = cums[:, -1]
             p = 1.0 - cured
-            p_uncured[lo:lo + rows] = p
-            live = p > 0.0
-            cums[lo:lo + rows][live] = 1.0 - (
-                (values[live] - cured[live, None]) / p[live, None]
-            )
-        return cls(sample.x.copy(), p_uncured, times, cums, censoring)
-
-    def draw_latent(self, rng: np.random.Generator):
-        """Latent bootstrap survival and censoring times, in draw order.
-
-        An observation drawn uncured takes as survival time the first
-        jump whose cumulative mass exceeds its uniform: the count of its
-        ``cums`` row at or below the uniform (the inverse transform of
-        :meth:`_JumpDistribution.pick`).  The row is nondecreasing, so
-        the count is found in two steps: over the blocks' last columns,
-        which counts the whole blocks at or below the uniform, then
-        inside the one block that remains.
-        """
-        n = self.xs.size
-        u_cure = rng.random(n)
-        u_latency = rng.random(n)
-        u_censor = rng.random(n)
-        rows = np.flatnonzero(u_cure < self.p_uncured)
-        u = u_latency[rows, None]
-        s, size = self.step, self.times.size
-        below = s * (self.block_ends[rows] <= u).sum(axis=1)
-        # every column before ``below`` is at or below the uniform, and
-        # the count is at most ``below + s`` (or the row's end), so the
-        # run of s columns from ``start``, moved left to stay inside the
-        # row, holds the rest of it
-        start = np.minimum(below, size - s)
-        picks = start + (self.runs[rows * size + start] <= u).sum(axis=1)
-        y = np.full(n, np.inf)
-        y[rows] = self.times[np.minimum(picks, size - 1)]
+            # each row's cumulative latency masses, a nondecreasing row;
+            # 0/0 on a row with p == 0, which is never drawn uncured
+            with np.errstate(invalid="ignore"):
+                cums = 1.0 - (cums - cured[:, None]) / p[:, None]
+            j, i = np.nonzero(u_cure[:, lo:lo + rows] < p)
+            count = _count_at_or_below(cums, i, u_latency[j, lo + i])
+            y[j, lo + i] = self.times[np.minimum(count, size - 1)]
+        del u_latency
+        u_censor = u_cure
+        for j, rng in enumerate(rngs):
+            u_censor[j] = rng.random(n)
         c = self.censoring.pick(u_censor)
-        return y, c
-
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """One bootstrap resample from the pilot-smoothed cure model.
-
-        Covariates are kept fixed at ``xs``.  Censoring times are drawn
-        from the Kaplan-Meier estimate of the censoring distribution
-        (with any leftover mass placed at the largest observed time, so
-        draws are always finite); survival times are infinite with the
-        pilot cure probability and otherwise drawn from the pilot
-        latency jumps.  Returns the observed times and event flags, in
-        the order of ``xs``.
-        """
-        y, c = self.draw_latent(rng)
         return np.minimum(y, c), (y <= c).astype(np.int64)
 
 
@@ -350,8 +339,8 @@ def mise_star(
     integrated squared distance to the pilot latency curve is averaged
     over the resamples that could be fitted.  Results do not depend on
     the order resamples are processed in: resample ``j`` always uses
-    the stream spawned as child ``j`` of the seed.  Resamples are fitted
-    in chunks, each in one product-limit call.
+    the stream spawned as child ``j`` of the seed.  Resamples are drawn
+    together and fitted in chunks, each in one product-limit call.
 
     Raises
     ------
@@ -365,18 +354,16 @@ def mise_star(
     tgrid = _time_grid(sample, config)
     pilot_values = pilot_fit.latency.evaluate(tgrid)
 
-    kit = _ResamplingKit.build(sample, g)
+    streams = np.random.SeedSequence(config.seed).spawn(config.B)
+    t_star, delta_star = _ResamplingKit.build(sample, g).draw(
+        [np.random.default_rng(child) for child in streams])
     # covariates stay fixed across resamples, so the kernel values at x
     # are computed once and only their columns follow each time order
     raw = epanechnikov((x - sample.x) / grid[:, None])
     ise = np.empty((config.B, grid.size))
-    streams = np.random.SeedSequence(config.seed).spawn(config.B)
     chunk = max(1, _RESAMPLE_CHUNK_BYTES // (8 * raw.size))
     for lo in range(0, config.B, chunk):
-        draws = [kit.draw(np.random.default_rng(child))
-                 for child in streams[lo:lo + chunk]]
-        t = np.array([d[0] for d in draws])
-        delta = np.array([d[1] for d in draws])
+        t, delta = t_star[lo:lo + chunk], delta_star[lo:lo + chunk]
         order = np.lexsort((-delta, t), axis=-1)
         curves, plateaus, fitted = _beran_rows(
             np.take_along_axis(t, order, axis=-1),
@@ -385,7 +372,7 @@ def mise_star(
             tgrid,
         )
         rows = np.arange(fitted.size)
-        ise[lo:lo + len(draws)] = _latency_ise(
+        ise[lo:lo + chunk] = _latency_ise(
             curves.reshape(rows.size, -1), plateaus.reshape(-1),
             fitted.reshape(-1), pilot_values, tgrid, rows, rows,
         ).reshape(fitted.shape)

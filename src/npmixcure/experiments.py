@@ -16,6 +16,7 @@ from .bootstrap import (
     BandwidthGrid,
     BootstrapConfig,
     MiseCurve,
+    _check_integers,
     _check_weight_upper,
     _mise_curve,
     _time_grid,
@@ -58,6 +59,7 @@ class ExperimentConfig:
     time_grid_size: int = 100
 
     def __post_init__(self):
+        _check_integers(self, "time_grid_size")
         if self.time_grid_size < 2:
             raise ValueError("time_grid_size must be at least 2")
         _check_weight_upper(self.weight_upper)

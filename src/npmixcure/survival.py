@@ -112,7 +112,7 @@ class StepSurvivalCurve:
         return out
 
 
-def _product_limit(delta_sorted, weights):
+def _product_limit(delta_sorted, weights, columns=slice(None)):
     """Product-limit curves of the rows of a weight array.
 
     ``weights`` is a (..., n) array whose last axis follows the time
@@ -121,31 +121,39 @@ def _product_limit(delta_sorted, weights):
     zero remaining-weight denominator contributes a factor of exactly
     one, as does any censored observation.
 
-    Returns each curve's value after every column, an array of the
-    shape of ``weights``.  A column's value holds until the next event
+    Returns each curve's value after every column of ``columns`` (by
+    default all), which may leave out censored columns only: their
+    factor is exactly one.  A column's value holds until the next event
     column, so the value after the last column with time at most ``t``
     is the curve at ``t`` and the last column holds its plateau.
     """
     remaining = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
-    active = (delta_sorted == 1) & (weights > 0.0) & (remaining > 0.0)
+    weights, remaining = weights[..., columns], remaining[..., columns]
+    active = ((delta_sorted[..., columns] == 1) & (weights > 0.0)
+              & (remaining > 0.0))
     with np.errstate(invalid="ignore"):  # 0/0 past a row's last weight
         factors = np.where(active, 1.0 - weights / remaining, 1.0)
     return np.cumprod(factors, axis=-1)
 
 
-def _at_event_times(t_sorted, delta_sorted, survival):
-    """Distinct event times and the curves' values there.
-
-    ``survival`` holds (K, n) curves after every column of a shared time
-    order, as :func:`_product_limit` returns them.  Returns the times,
-    shape (E,), and a C-contiguous (K, E) matrix; tied event times are
-    collapsed, keeping the last (fully accumulated) value.
-    """
+def _event_columns(t_sorted, delta_sorted):
+    """The event columns of a time order, the positions among them of
+    the last event at each distinct time, and those (E,) times."""
     events = np.flatnonzero(delta_sorted == 1)
     times = t_sorted[events]
     keep = np.ones(times.size, dtype=bool)
     keep[:-1] = times[1:] > times[:-1]
-    return times[keep], survival.take(events[keep], axis=1)
+    last = np.flatnonzero(keep)
+    return events, last, times[last]
+
+
+def _at_event_times(t_sorted, delta_sorted, weights):
+    """The distinct event times, shape (E,), and a C-contiguous (K, E)
+    matrix of the product-limit curves of the (K, n) ``weights`` there,
+    each computed over the event columns only."""
+    events, last, times = _event_columns(t_sorted, delta_sorted)
+    return times, _product_limit(delta_sorted, weights, events).take(
+        last, axis=-1)
 
 
 def _beran_rows(t_sorted, delta_sorted, raw, tgrid):
@@ -206,8 +214,8 @@ def kaplan_meier(sample: CensoredSample, event_flags=None) -> StepSurvivalCurve:
     order = np.lexsort((-event_flags, sample.t))
     n = sample.n
     t_sorted, flags_sorted = sample.t[order], event_flags[order]
-    times, values = _at_event_times(t_sorted, flags_sorted, _product_limit(
-        flags_sorted, np.full((1, n), 1.0 / n)))
+    times, values = _at_event_times(t_sorted, flags_sorted,
+                                    np.full((1, n), 1.0 / n))
     return StepSurvivalCurve(times, values[0])
 
 
@@ -233,6 +241,5 @@ def beran(
     """
     ordered = sample.sort_by_time()
     weights = nw_weights(x, ordered.x, h)
-    times, values = _at_event_times(ordered.t, ordered.delta, _product_limit(
-        ordered.delta, weights[None, :]))
+    times, values = _at_event_times(ordered.t, ordered.delta, weights[None])
     return StepSurvivalCurve(times, values[0])

@@ -5,6 +5,13 @@ package (grouped risk-set formulas, O(n^2) loops) so that agreement is
 evidence of correctness rather than shared bugs.  The benchmark's
 tracer is loaded here too, for the tests that run the package under it.
 
+``ReferenceKit`` is the bootstrap's earlier resampling kit: every pilot
+latency curve stored as a row of an (n, E) matrix of cumulative
+masses, searched in two levels for one resample at a time.  The
+package's kit draws every resample of a selection in one pass over the
+pilot fits, and the tests hold its draws equal to this kit's bit for
+bit.
+
 The oracle's reference routes live here as well: ``phi`` and
 ``phi2_terms``.  ``Phi`` vanishes on the diagonal ``y = x``, which the
 tests use as a quadrature sanity check, and the two double-integral
@@ -21,10 +28,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from npmixcure import numerics
+from npmixcure.bootstrap import _KIT_CHUNK_BYTES, _JumpDistribution
+from npmixcure.exceptions import EstimationError
+from npmixcure.kernels import nw_weights
 from npmixcure.models import ModelSpec
 from npmixcure.oracle import _TOL, _guard, _pow2
+from npmixcure.survival import CensoredSample, _product_limit, kaplan_meier
 
 # tolerances of the nested quadratures: outer, then inner
 _TOL_OUTER = 1e-8
@@ -133,6 +145,125 @@ def draw_conditional(spec, x, n, rng):
     t = np.minimum(y, c)
     delta = (y <= c).astype(int)
     return t, delta
+
+
+def _at_event_times(t_sorted, delta_sorted, survival):
+    """Distinct event times and the curves' values there.
+
+    ``survival`` holds (K, n) curves after every column of a shared time
+    order, as :func:`_product_limit` returns them.  Returns the times,
+    shape (E,), and a C-contiguous (K, E) matrix; tied event times are
+    collapsed, keeping the last (fully accumulated) value.
+    """
+    events = np.flatnonzero(delta_sorted == 1)
+    times = t_sorted[events]
+    keep = np.ones(times.size, dtype=bool)
+    keep[:-1] = times[1:] > times[:-1]
+    return times[keep], survival.take(events[keep], axis=1)
+
+
+class ReferenceKit:
+    """Everything needed to draw bootstrap resamples, built once.
+
+    Holds the censoring-time distribution and, per observation, the
+    pilot uncured probability and latency jump distribution at its
+    covariate.  Every pilot latency curve jumps at the sample's distinct
+    event times ``times``; row ``i`` of ``cums`` holds the cumulative
+    masses of observation ``i``'s curve there, a nondecreasing row.
+    Observations whose pilot fit puts all mass on cure are never drawn
+    uncured, so their bootstrap survival time is always infinite (their
+    ``cums`` row is unused).  The draw searches each row in two levels,
+    in blocks of ``step`` columns: the ceiling of the square root of
+    the number of times, so never more than that number.
+    """
+
+    def __init__(self, xs, p_uncured, times, cums, censoring):
+        self.xs = xs
+        self.p_uncured = p_uncured
+        self.times = times
+        self.cums = cums
+        self.censoring = censoring
+        s = self.step = math.isqrt(times.size - 1) + 1
+        # the last column of every whole block, contiguous (a strided
+        # gather from the large matrix misses the cache on every entry),
+        # and a view of every run of ``s`` consecutive masses
+        self.block_ends = np.ascontiguousarray(cums[:, s - 1::s])
+        self.runs = sliding_window_view(cums.reshape(-1), s)
+
+    @classmethod
+    def build(cls, sample: CensoredSample, g: float):
+        sample.t_max_uncensored()  # raises: no events, no latency to draw
+        censoring_km = kaplan_meier(sample, 1 - sample.delta)
+        censoring = _JumpDistribution.from_curve(
+            censoring_km, residual_time=float(sample.t.max())
+        )
+        ordered = sample.sort_by_time()
+        n = sample.n
+        rows = max(1, _KIT_CHUNK_BYTES // (8 * n))
+        p_uncured = np.empty(n)
+        cums = None
+        for lo in range(0, n, rows):
+            try:
+                weights = nw_weights(sample.x[lo:lo + rows], ordered.x, g)
+            except EstimationError as err:
+                raise EstimationError(f"pilot fit failed: {err}") from err
+            times, values = _at_event_times(
+                ordered.t, ordered.delta,
+                _product_limit(ordered.delta, weights))
+            if cums is None:
+                cums = np.ones((n, times.size))
+            cured = values[:, -1]
+            p = 1.0 - cured
+            p_uncured[lo:lo + rows] = p
+            live = p > 0.0
+            cums[lo:lo + rows][live] = 1.0 - (
+                (values[live] - cured[live, None]) / p[live, None]
+            )
+        return cls(sample.x.copy(), p_uncured, times, cums, censoring)
+
+    def draw_latent(self, rng: np.random.Generator):
+        """Latent bootstrap survival and censoring times, in draw order.
+
+        An observation drawn uncured takes as survival time the first
+        jump whose cumulative mass exceeds its uniform: the count of its
+        ``cums`` row at or below the uniform (the inverse transform of
+        :meth:`_JumpDistribution.pick`).  The row is nondecreasing, so
+        the count is found in two steps: over the blocks' last columns,
+        which counts the whole blocks at or below the uniform, then
+        inside the one block that remains.
+        """
+        n = self.xs.size
+        u_cure = rng.random(n)
+        u_latency = rng.random(n)
+        u_censor = rng.random(n)
+        rows = np.flatnonzero(u_cure < self.p_uncured)
+        u = u_latency[rows, None]
+        s, size = self.step, self.times.size
+        below = s * (self.block_ends[rows] <= u).sum(axis=1)
+        # every column before ``below`` is at or below the uniform, and
+        # the count is at most ``below + s`` (or the row's end), so the
+        # run of s columns from ``start``, moved left to stay inside the
+        # row, holds the rest of it
+        start = np.minimum(below, size - s)
+        picks = start + (self.runs[rows * size + start] <= u).sum(axis=1)
+        y = np.full(n, np.inf)
+        y[rows] = self.times[np.minimum(picks, size - 1)]
+        c = self.censoring.pick(u_censor)
+        return y, c
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One bootstrap resample from the pilot-smoothed cure model.
+
+        Covariates are kept fixed at ``xs``.  Censoring times are drawn
+        from the Kaplan-Meier estimate of the censoring distribution
+        (with any leftover mass placed at the largest observed time, so
+        draws are always finite); survival times are infinite with the
+        pilot cure probability and otherwise drawn from the pilot
+        latency jumps.  Returns the observed times and event flags, in
+        the order of ``xs``.
+        """
+        y, c = self.draw_latent(rng)
+        return np.minimum(y, c), (y <= c).astype(np.int64)
 
 
 @dataclass(frozen=True)

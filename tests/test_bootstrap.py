@@ -1,5 +1,7 @@
 """Bootstrap bandwidth selector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,9 +26,12 @@ from npmixcure.bootstrap import (
     _JumpDistribution,
     _ResamplingKit,
 )
+from npmixcure.cli import _covariate_seed
 from npmixcure.cure import _latency_from_curve
 from npmixcure.models import trial_rng
 from npmixcure.survival import StepSurvivalCurve
+
+from helpers import ReferenceKit
 
 
 def _sparse_event_sample():
@@ -147,7 +152,8 @@ class TestJumpDistribution:
 def _resample(sample, g, rng):
     # a fresh kit per resample, so kit building is checked too
     kit = _ResamplingKit.build(sample, g)
-    return CensoredSample(kit.xs, *kit.draw(rng))
+    t, delta = kit.draw([rng])
+    return CensoredSample(kit.xs, t[0], delta[0])
 
 
 class TestResample:
@@ -171,19 +177,21 @@ class TestResample:
         assert np.all(np.isfinite(star.t))
 
     def test_cured_fraction_tracks_pilot_probabilities(self):
-        from npmixcure.bootstrap import _ResamplingKit
-
         sample = generate(model1(), 60, trial_rng(404, 2))
         kit = _ResamplingKit.build(sample, 5.0)
         rng = np.random.default_rng(44)
         reps = 400
-        cured = 0
-        for _ in range(reps):
-            y, _c = kit.draw_latent(rng)
-            cured += np.isinf(y).sum()
+        # censoring uniforms just below one censor at the largest time,
+        # after every latency jump, so the censored draws are the cured
+        top = np.full(sample.n, np.nextafter(1.0, 0.0))
+        assert np.all(kit.censoring.pick(top) >= sample.t_max_uncensored())
+        _t, delta = kit.draw([_Uniforms(*rng.random((2, sample.n)), top)
+                              for _ in range(reps)])
+        cured = np.sum(delta == 0)
+        p_uncured = ReferenceKit.build(sample, 5.0).p_uncured
         total = reps * sample.n
-        expect = np.mean(1.0 - kit.p_uncured)
-        se = np.sqrt(np.mean(kit.p_uncured * (1.0 - kit.p_uncured)) / total)
+        expect = np.mean(1.0 - p_uncured)
+        se = np.sqrt(np.mean(p_uncured * (1.0 - p_uncured)) / total)
         assert abs(cured / total - expect) < 4.0 * se
 
     @pytest.mark.parametrize("n", [1, 40, 1600])
@@ -196,12 +204,11 @@ class TestResample:
         else:
             sample = generate(model1(), n, trial_rng(505, n))
         kit = _ResamplingKit.build(sample, 6.0)
-        for seed in range(6):
-            t, delta = kit.draw(np.random.default_rng(seed))
-            assert t.shape == delta.shape == (n,)
-            assert delta.dtype == np.int64
-            assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
-            assert np.all((delta == 0) | (delta == 1))
+        t, delta = kit.draw([np.random.default_rng(seed) for seed in range(6)])
+        assert t.shape == delta.shape == (6, n)
+        assert delta.dtype == np.int64
+        assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
+        assert np.all((delta == 0) | (delta == 1))
 
 
 class TestMiseStar:
@@ -271,6 +278,36 @@ class TestMiseStar:
             with pytest.raises(ValueError, match="weight_upper"):
                 BootstrapConfig(B=5, grid=grid, seed=1, weight_upper=bad)
 
+    def test_integer_settings_are_validated(self):
+        grid = log_grid(1.0, 10.0, 3)
+        for field, bad in (("B", 2.5), ("B", True), ("B", "5"),
+                           ("time_grid_size", 2.5), ("time_grid_size", True),
+                           ("seed", 1.0), ("seed", False), ("seed", -1)):
+            settings = {"B": 5, "seed": 1, field: bad}
+            with pytest.raises(ValueError, match=field):
+                BootstrapConfig(grid=grid, **settings)
+        # numpy integers and the command line's per-covariate seeds pass
+        cfg = BootstrapConfig(B=np.int64(5), grid=grid, seed=np.uint64(3),
+                              time_grid_size=np.int32(50))
+        assert cfg.B == 5
+        BootstrapConfig(B=5, grid=grid, seed=_covariate_seed(2**32, 7))
+
+    def test_mise_star_memory_stays_below_the_pilot_matrix(self):
+        # the select-large benchmark selection (n=1600, B=50, grid
+        # 1:12:15); its pilot fits as one (n, E) float matrix would take
+        # 8 n E bytes, and the selection's traced peak must stay below
+        sample = generate(model1(), 1600, trial_rng(1, 0))
+        cfg = BootstrapConfig(B=50, grid=log_grid(1.0, 12.0, 15),
+                              seed=_covariate_seed(1, 0))
+        matrix = 8 * sample.n * np.unique(sample.t[sample.delta == 1]).size
+        tracemalloc.start()
+        try:
+            mise_star(sample, 4.0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix
+
     def test_first_minimum_wins_ties(self):
         grid = log_grid(1.0, 8.0, 4)
         values = np.array([3.0, 2.0, 2.0, 5.0])
@@ -293,7 +330,7 @@ def _mise_star_loop(sample, x, config):
     g = pilot_bandwidth(sample.x, config.pilot_c)
     tgrid = np.linspace(0.0, sample.t_max_uncensored(), config.time_grid_size)
     pilot_values = latency_estimate(sample, x, g).latency.evaluate(tgrid)
-    kit = _ResamplingKit.build(sample, g)
+    kit = ReferenceKit.build(sample, g)
     ise = np.full((config.B, grid.size), np.nan)
     children = np.random.SeedSequence(config.seed).spawn(config.B)
     for j, child in enumerate(children):
@@ -358,10 +395,10 @@ class TestBatchedGridFits:
         monkeypatch.setattr(bootstrap, "_RESAMPLE_CHUNK_BYTES",
                             chunk * 8 * 2 * sample.n)
         kit = _ResamplingKit.build(sample, pilot_bandwidth(sample.x))
-        with_events = np.array([
-            kit.draw(np.random.default_rng(child))[1].any()
-            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)
-        ])
+        _t, delta = kit.draw([
+            np.random.default_rng(child)
+            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)])
+        with_events = delta.any(axis=1)
         assert not with_events[32:34].any()
         values, failures = _mise_star_loop(sample, 0.0, cfg)
         curve = mise_star(sample, 0.0, cfg)
@@ -394,10 +431,10 @@ class TestBatchedGridFits:
             B=40, grid=BandwidthGrid(np.array([1.0, 20.0])), seed=0
         )
         kit = _ResamplingKit.build(sample, pilot_bandwidth(sample.x))
-        eventless = sum(
-            not kit.draw(np.random.default_rng(child))[1].any()
-            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)
-        )
+        _t, delta = kit.draw([
+            np.random.default_rng(child)
+            for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)])
+        eventless = np.sum(~delta.any(axis=1))
         assert eventless > 0
         values, failures = _mise_star_loop(sample, 0.0, cfg)
         curve = mise_star(sample, 0.0, cfg)
@@ -442,8 +479,25 @@ def _pick_loop_latent(sample, g, u_cure, u_latency, u_censor):
     return y, censoring.pick(u_censor), p_uncured
 
 
+def _assert_draw_equals(kit, u_cure, u_latency, u_censor, y_ref, c_ref):
+    # the observed draw, then the latent times alone: censoring every
+    # draw at the largest time shows the survival times, and curing
+    # every observation shows the censoring times
+    n = u_cure.size
+    top = np.full(n, np.nextafter(1.0, 0.0))
+    t, delta = kit.draw([_Uniforms(u_cure, u_latency, u_censor),
+                         _Uniforms(u_cure, u_latency, top),
+                         _Uniforms(np.ones(n), u_latency, u_censor)])
+    assert np.array_equal(t[0], np.minimum(y_ref, c_ref))
+    assert np.array_equal(delta[0], (y_ref <= c_ref).astype(np.int64))
+    uncured = np.isfinite(y_ref)
+    assert np.array_equal(delta[1], uncured.astype(np.int64))
+    assert np.array_equal(t[1][uncured], y_ref[uncured])
+    assert np.array_equal(t[2], c_ref) and not delta[2].any()
+
+
 class TestVectorisedDraw:
-    """draw_latent counts cumulative masses instead of picking per row."""
+    """draw counts cumulative masses instead of picking per row."""
 
     @pytest.mark.parametrize("make", [
         lambda: CensoredSample(np.array([3.0]), np.array([2.0]),
@@ -456,23 +510,23 @@ class TestVectorisedDraw:
         sample = make()
         g = 6.0
         kit = _ResamplingKit.build(sample, g)
+        ref = ReferenceKit.build(sample, g)
         rng = np.random.default_rng(sample.n)
         u_cure, u_latency, u_censor = rng.random((3, sample.n))
         # every third uniform sits exactly on a cumulative mass, which
         # belongs to the next atom
         on_mass = np.arange(0, sample.n, 3)
-        picks = rng.integers(0, kit.times.size, on_mass.size)
-        u_latency[on_mass] = kit.cums[on_mass, picks]
+        picks = rng.integers(0, ref.times.size, on_mass.size)
+        u_latency[on_mass] = ref.cums[on_mass, picks]
         u_censor[on_mass] = kit.censoring.cum[
             rng.integers(0, kit.censoring.cum.size, on_mass.size)]
-        y, c = kit.draw_latent(_Uniforms(u_cure, u_latency, u_censor))
         y_ref, c_ref, p_ref = _pick_loop_latent(
             sample, g, u_cure, u_latency, u_censor)
-        assert np.array_equal(kit.p_uncured, p_ref)
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(c, c_ref)
+        assert np.array_equal(ref.p_uncured, p_ref)
+        assert np.array_equal(kit.times, ref.times)
+        _assert_draw_equals(kit, u_cure, u_latency, u_censor, y_ref, c_ref)
         if make is _sparse_event_sample:
-            assert np.any(kit.p_uncured == 0.0)
+            assert np.any(p_ref == 0.0)
 
     @staticmethod
     def _on_and_below_masses(sample, g, kit, on_mass):
@@ -483,11 +537,9 @@ class TestVectorisedDraw:
                              np.nextafter(on_mass, -np.inf))
         u_cure = np.zeros(n)
         u_censor = np.random.default_rng(n).random(n)
-        y, c = kit.draw_latent(_Uniforms(u_cure, u_latency, u_censor))
         y_ref, c_ref, _ = _pick_loop_latent(
             sample, g, u_cure, u_latency, u_censor)
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(c, c_ref)
+        _assert_draw_equals(kit, u_cure, u_latency, u_censor, y_ref, c_ref)
 
     @pytest.mark.parametrize("make", [
         lambda: generate(model1(), 40, trial_rng(909, 2)),
@@ -495,21 +547,23 @@ class TestVectorisedDraw:
         _one_event_time_sample,
     ], ids=["n40", "n1600", "E1"])
     def test_uniforms_on_block_boundaries(self, make):
-        # the search's coarse pass compares at columns s-1, 2s-1, ...,
+        # the reference's coarse pass compares at columns s-1, 2s-1, ...,
         # and the last column ends the last block
         sample = make()
         kit = _ResamplingKit.build(sample, 6.0)
-        size, s = kit.times.size, kit.step
+        ref = ReferenceKit.build(sample, 6.0)
+        size, s = ref.times.size, ref.step
         columns = np.append(np.arange(s - 1, size, s), size - 1)
         rows = np.arange(sample.n)
         self._on_and_below_masses(
-            sample, 6.0, kit, kit.cums[rows, columns[rows % columns.size]])
+            sample, 6.0, kit, ref.cums[rows, columns[rows % columns.size]])
         if make is _one_event_time_sample:
             assert size == 1
 
     @pytest.mark.parametrize("size", range(1, 13))
     def test_every_number_of_jump_times(self, size):
-        # blocks of one to four columns, the last one whole or not
+        # searches of one to twelve columns: reference blocks of one to
+        # four columns, the last one whole or not
         rng = np.random.default_rng(size)
         n = 3 * size + 4
         sample = CensoredSample(
@@ -522,5 +576,6 @@ class TestVectorisedDraw:
         kit = _ResamplingKit.build(sample, 6.0)
         assert kit.times.size == size
         rows = np.arange(n)
-        self._on_and_below_masses(sample, 6.0, kit,
-                                  kit.cums[rows, rows % size])
+        self._on_and_below_masses(
+            sample, 6.0, kit,
+            ReferenceKit.build(sample, 6.0).cums[rows, rows % size])

@@ -102,6 +102,14 @@ class TestTrueMise:
             with pytest.raises(ValueError, match="weight_upper"):
                 ExperimentConfig(seed=1, weight_upper=bad)
 
+    def test_integer_settings_are_validated(self):
+        for settings in ({"seed": 2.0}, {"seed": True}, {"seed": -1},
+                         {"seed": 1, "time_grid_size": 50.0},
+                         {"seed": 1, "time_grid_size": False}):
+            with pytest.raises(ValueError, match=next(reversed(settings))):
+                ExperimentConfig(**settings)
+        assert ExperimentConfig(seed=np.int64(0)).seed == 0
+
 
 class TestTrueMiseSurface:
     def test_diagonal_reproduces_one_bandwidth_curve_bitwise(self):

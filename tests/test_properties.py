@@ -1,5 +1,5 @@
-"""Property-based checks of the conditional product-limit estimator and
-of the command-line sample round trip."""
+"""Property-based checks of the conditional product-limit estimator, of
+the bootstrap's resample draw and of the command-line sample round trip."""
 
 import contextlib
 import io
@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,8 @@ from npmixcure import (
     model1,
     model2,
 )
+from npmixcure import bootstrap
+from npmixcure.bootstrap import _ResamplingKit
 from npmixcure.cli import main
 from npmixcure.kernels import epanechnikov
 from npmixcure.models import trial_rng
@@ -31,8 +34,9 @@ from npmixcure.survival import (
     StepSurvivalCurve,
     _at_event_times,
     _beran_rows,
-    _product_limit,
 )
+
+from helpers import ReferenceKit
 
 # derandomized and without an example database: every run checks the
 # same examples and writes nothing
@@ -225,11 +229,44 @@ def test_resample_stack_equals_separate_fits(stack, points):
     rows = np.argwhere(fitted)
     for (r, k), curve, top in zip(rows, on_grid[fitted], cured[fitted]):
         weights = raw[r, k] / raw[r, k].sum()
-        times, values = _at_event_times(
-            t[r], delta[r], _product_limit(delta[r], weights[None]))
+        times, values = _at_event_times(t[r], delta[r], weights[None])
         step = StepSurvivalCurve(times, values[0])
         assert np.array_equal(curve, step.evaluate(tgrid))
         assert top == values[0, -1]
+
+
+@st.composite
+def _kit_samples(draw):
+    """Samples of 1 to 60 rows on coarse covariate and time lattices.
+
+    Times and covariates are heavily tied, and with a pilot bandwidth
+    below the covariate spacing most kernel weights are zero and a
+    covariate value without events has uncured probability zero.
+    """
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = (rng.random(n) < draw(st.floats(0.1, 0.9))).astype(int)
+    delta[draw(st.integers(0, n - 1))] = 1
+    return CensoredSample(rng.integers(0, 8, n).astype(float),
+                          rng.integers(1, 5, n).astype(float), delta)
+
+
+@_SETTINGS
+@given(_kit_samples(), st.sampled_from([0.5, 1.5, 6.0]), st.integers(1, 7),
+       st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_streamed_draw_equals_reference_draws(sample, g, b, rows, seed):
+    # every resample of a selection drawn in one pass over the pilot
+    # fits, ``rows`` rows at a time (one, or a count not dividing n),
+    # equals the reference kit's draws, one resample at a time
+    streams = np.random.SeedSequence(seed).spawn(b)
+    ref = ReferenceKit.build(sample, g)
+    draws = [ref.draw(np.random.default_rng(child)) for child in streams]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bootstrap, "_KIT_CHUNK_BYTES", 8 * sample.n * rows)
+        t, delta = _ResamplingKit.build(sample, g).draw(
+            [np.random.default_rng(child) for child in streams])
+    assert np.array_equal(t, np.array([d[0] for d in draws]))
+    assert np.array_equal(delta, np.array([d[1] for d in draws]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

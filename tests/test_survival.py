@@ -14,7 +14,7 @@ from npmixcure import (
     nw_weights,
 )
 from npmixcure.kernels import epanechnikov
-from npmixcure.survival import _at_event_times, _beran_rows, _product_limit
+from npmixcure.survival import _at_event_times, _beran_rows
 
 from helpers import beran_brute, km_grouped, random_censored_sample
 
@@ -223,8 +223,7 @@ class TestBatchedProductLimit:
         hs = np.array([0.05, 0.3, 1.0, 2.5, 40.0])
         weights = np.asfortranarray(nw_weights(x, ordered.x, hs))
         assert not weights.flags.c_contiguous
-        times, values = _at_event_times(
-            ordered.t, ordered.delta, _product_limit(ordered.delta, weights))
+        times, values = _at_event_times(ordered.t, ordered.delta, weights)
         tgrid = np.linspace(0.0, 5.0, 23)
         raw = np.asfortranarray(epanechnikov((x - ordered.x) / hs[:, None]))
         on_grid, final, fitted = _beran_rows(
