@@ -205,6 +205,11 @@ def pilot_bandwidth(xs: np.ndarray, c: float = 0.75) -> float:
     return c * span * xs.size ** (-1.0 / 9.0)
 
 
+# buckets of the censoring inverse transform, a power of two so that
+# ``u * _BUCKETS`` and ``k / _BUCKETS`` are exact
+_BUCKETS = 1 << 14
+
+
 class _JumpDistribution:
     """Discrete distribution given by atom times and cumulative masses."""
 
@@ -230,16 +235,33 @@ class _JumpDistribution:
             cum = np.append(cum, 1.0)
         return cls(times, cum)
 
-    def pick(self, u):
-        """Inverse transform of uniforms in [0, 1)."""
-        idx = np.searchsorted(self.cum, u, side="right")
-        idx = np.minimum(idx, self.times.size - 1)
-        return self.times[idx]
+    def index(self, u):
+        """Atom indices of the inverse transform of uniforms in [0, 1]: the
+        first atom whose cumulative mass exceeds each uniform, else the
+        last.
+
+        ``count[k]`` counts the masses at most ``k / 2^14``.  A uniform in
+        bucket ``k`` (floor of ``u 2^14``, u = 1.0 in the last bucket) has
+        between ``count[k]`` and ``count[k + 1]`` masses at or below it,
+        so only the uniforms of the buckets where those differ are
+        searched.
+        """
+        count = np.searchsorted(
+            self.cum, np.arange(_BUCKETS + 1) / _BUCKETS,
+            side="right").astype(np.int32)
+        bucket = np.minimum((u * _BUCKETS).astype(np.int32), _BUCKETS - 1)
+        idx = count[bucket]
+        split = (count[1:] != count[:-1])[bucket]
+        idx[split] = np.searchsorted(self.cum, u[split], side="right")
+        return np.minimum(idx, self.times.size - 1)
 
 
 # rows of pilot fits computed together; a chunk's (rows, n) weight
-# matrices stay near this size however large the sample
+# matrices stay near this size, but hold at least _KIT_MIN_ROWS rows:
+# past n = 2048 the numpy calls of many small chunks cost more than the
+# larger matrices
 _KIT_CHUNK_BYTES = 1 << 18
+_KIT_MIN_ROWS = 16
 # resamples fitted together; a chunk's (resamples * K, n) weight block
 # stays near this size (twice it measured 0.7 MiB more peak RSS on a
 # B=50, n=1600 selection)
@@ -268,8 +290,13 @@ class _ResamplingKit:
     Holds the censoring-time distribution, the pilot bandwidth ``g`` and
     the sample's time order with its event columns and distinct event
     times ``times``, where every pilot latency curve jumps: nothing that
-    depends on the covariate of the selection.  The pilot fits at the
-    observations' covariates are not stored but made by :meth:`draw`.
+    depends on the covariate of the selection.  A resampled time is
+    always one of ``times`` or a censoring atom, so it is held as its
+    rank in ``atoms``, the sorted distinct union of both;
+    ``event_ranks`` and ``censoring_ranks`` give the ranks of their
+    atoms, and rank ``atoms.size`` stands for a cured (infinite) time.
+    The pilot fits at the observations' covariates are not stored but
+    made by :meth:`draw`.
     """
 
     @classmethod
@@ -277,11 +304,23 @@ class _ResamplingKit:
         sample.t_max_uncensored()  # raises: no events, no latency to draw
         kit = cls()
         kit.xs, kit.g, kit.ordered = sample.x.copy(), g, sample.sort_by_time()
-        kit.events, kit.last, kit.times = _event_columns(
+        kit.events, last, kit.times = _event_columns(
             kit.ordered.t, kit.ordered.delta)
+        # without tied event times every event column is the last at
+        # its time, and the pass needs no gather
+        kit.last = last if last.size < kit.events.size else None
         kit.censoring = _JumpDistribution.from_curve(
             kaplan_meier(sample, 1 - sample.delta),
             residual_time=float(sample.t.max()))
+        atoms = np.sort(np.concatenate([kit.times, kit.censoring.times]))
+        keep = np.ones(atoms.size, dtype=bool)
+        keep[1:] = atoms[1:] > atoms[:-1]
+        kit.atoms = atoms[keep]
+        # narrow enough for the sort keys 2 rank + 1 of mise_star
+        dtype = np.min_scalar_type(2 * kit.atoms.size + 1)
+        kit.event_ranks, kit.censoring_ranks = (
+            np.searchsorted(kit.atoms, times).astype(dtype)
+            for times in (kit.times, kit.censoring.times))
         return kit
 
     def draw(self, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -292,12 +331,15 @@ class _ResamplingKit:
         ``xs``; observation ``i`` is uncured with the pilot uncured
         probability at ``xs[i]``, and then its survival time is the first
         pilot latency jump whose cumulative mass exceeds its uniform (as
-        :meth:`_JumpDistribution.pick` inverts), else infinite.  Censoring
-        times come from the Kaplan-Meier estimate of the censoring
-        distribution, leftover mass at the largest observed time.  One
-        pass over the observations makes their pilot fits, and each
-        answers the searches of every resample that drew it uncured.
-        Returns observed times and event flags, (B, n) arrays.
+        :meth:`_JumpDistribution.index` inverts), else infinite.
+        Censoring times come from the Kaplan-Meier estimate of the
+        censoring distribution, leftover mass at the largest observed
+        time.  One pass over the observations makes their pilot fits, and
+        each answers the searches of every resample that drew it uncured.
+        Returns the ranks in ``atoms`` of the observed times and the
+        boolean event flags, (B, n) arrays: ranks keep the order of the
+        times, so the smaller rank is the observed time and a survival
+        rank at most the censoring rank is an event.
         """
         n, size = self.xs.size, self.times.size
         u_cure = np.empty((len(rngs), n))
@@ -305,12 +347,14 @@ class _ResamplingKit:
         for j, rng in enumerate(rngs):
             u_cure[j] = rng.random(n)
             u_latency[j] = rng.random(n)
-        y = np.full(u_cure.shape, np.inf)
-        rows = max(1, _KIT_CHUNK_BYTES // (8 * n))
+        ranks = np.full(u_cure.shape, self.atoms.size,
+                        dtype=self.event_ranks.dtype)
+        rows = max(_KIT_MIN_ROWS, _KIT_CHUNK_BYTES // (8 * n))
         for lo in range(0, n, rows):
             weights = nw_weights(self.xs[lo:lo + rows], self.ordered.x, self.g)
-            cums = _product_limit(
-                self.ordered.delta, weights, self.events).take(self.last, axis=1)
+            cums = _product_limit(self.ordered.delta, weights, self.events)
+            if self.last is not None:
+                cums = cums.take(self.last, axis=1)
             cured = cums[:, -1]
             p = 1.0 - cured
             # each row's cumulative latency masses, a nondecreasing row;
@@ -319,13 +363,16 @@ class _ResamplingKit:
                 cums = 1.0 - (cums - cured[:, None]) / p[:, None]
             j, i = np.nonzero(u_cure[:, lo:lo + rows] < p)
             count = _count_at_or_below(cums, i, u_latency[j, lo + i])
-            y[j, lo + i] = self.times[np.minimum(count, size - 1)]
+            ranks[j, lo + i] = self.event_ranks[np.minimum(count, size - 1)]
         del u_latency
         u_censor = u_cure
         for j, rng in enumerate(rngs):
             u_censor[j] = rng.random(n)
-        c = self.censoring.pick(u_censor)
-        return np.minimum(y, c), (y <= c).astype(np.int64)
+        censored = self.censoring_ranks[self.censoring.index(u_censor)]
+        del u_censor, u_cure
+        events = ranks <= censored
+        np.minimum(ranks, censored, out=ranks)
+        return ranks, events
 
 
 def mise_star(
@@ -355,22 +402,27 @@ def mise_star(
     pilot_values = pilot_fit.latency.evaluate(tgrid)
 
     streams = np.random.SeedSequence(config.seed).spawn(config.B)
-    t_star, delta_star = _ResamplingKit.build(sample, g).draw(
+    kit = _ResamplingKit.build(sample, g)
+    ranks, events = kit.draw(
         [np.random.default_rng(child) for child in streams])
+    # time order, events first within ties: one stable (radix) sort of
+    # small integer keys per resample, the order of ``lexsort``
+    keys = 2 * ranks + 1 - events
+    del ranks, events
     # covariates stay fixed across resamples, so the kernel values at x
     # are computed once and only their columns follow each time order
     raw = epanechnikov((x - sample.x) / grid[:, None])
     ise = np.empty((config.B, grid.size))
     chunk = max(1, _RESAMPLE_CHUNK_BYTES // (8 * raw.size))
     for lo in range(0, config.B, chunk):
-        t, delta = t_star[lo:lo + chunk], delta_star[lo:lo + chunk]
-        order = np.lexsort((-delta, t), axis=-1)
+        order = np.argsort(keys[lo:lo + chunk], kind="stable")
+        ordered = np.sort(keys[lo:lo + chunk], kind="stable")
+        raw_ordered = np.empty(order.shape[:1] + raw.shape)
+        for r, resample_order in enumerate(order):
+            # the indices are valid: "clip" spares a buffered ``out``
+            raw.take(resample_order, axis=1, out=raw_ordered[r], mode="clip")
         curves, plateaus, fitted = _beran_rows(
-            np.take_along_axis(t, order, axis=-1),
-            np.take_along_axis(delta, order, axis=-1),
-            np.take_along_axis(raw[None], order[:, None], axis=-1),
-            tgrid,
-        )
+            kit.atoms[ordered >> 1], (ordered & 1) == 0, raw_ordered, tgrid)
         rows = np.arange(fitted.size)
         ise[lo:lo + chunk] = _latency_ise(
             curves.reshape(rows.size, -1), plateaus.reshape(-1),

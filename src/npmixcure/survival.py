@@ -129,8 +129,9 @@ def _product_limit(delta_sorted, weights, columns=slice(None)):
     """
     remaining = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
     weights, remaining = weights[..., columns], remaining[..., columns]
-    active = ((delta_sorted[..., columns] == 1) & (weights > 0.0)
-              & (remaining > 0.0))
+    # the remaining weight is a sequential sum of nonnegative weights that
+    # includes the column's own, so it is positive where the weight is
+    active = (delta_sorted[..., columns] == 1) & (weights > 0.0)
     with np.errstate(invalid="ignore"):  # 0/0 past a row's last weight
         factors = np.where(active, 1.0 - weights / remaining, 1.0)
     return np.cumprod(factors, axis=-1)

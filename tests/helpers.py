@@ -7,10 +7,14 @@ tracer is loaded here too, for the tests that run the package under it.
 
 ``ReferenceKit`` is the bootstrap's earlier resampling kit: every pilot
 latency curve stored as a row of an (n, E) matrix of cumulative
-masses, searched in two levels for one resample at a time.  The
+masses, searched in two levels for one resample at a time, and its
+censoring times picked by a plain ``searchsorted`` (:func:`pick`).  The
 package's kit draws every resample of a selection in one pass over the
-pilot fits, and the tests hold its draws equal to this kit's bit for
-bit.
+pilot fits, as ranks into a table of atoms, and the tests hold its
+draws equal to this kit's bit for bit.  ``mise_star_loop`` fits this
+kit's resamples one bandwidth at a time, the reference of the batched
+grid fits, and ``product_limit_reference`` is the product-limit formula
+with its earlier, redundant positive-remaining-weight test.
 
 The oracle's reference routes live here as well: ``phi`` and
 ``phi2_terms``.  ``Phi`` vanishes on the diagonal ``y = x``, which the
@@ -31,7 +35,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from npmixcure import numerics
-from npmixcure.bootstrap import _KIT_CHUNK_BYTES, _JumpDistribution
+from npmixcure.bootstrap import (
+    _KIT_CHUNK_BYTES,
+    _JumpDistribution,
+    pilot_bandwidth,
+)
+from npmixcure.cure import latency_estimate
 from npmixcure.exceptions import EstimationError
 from npmixcure.kernels import nw_weights
 from npmixcure.models import ModelSpec
@@ -147,6 +156,25 @@ def draw_conditional(spec, x, n, rng):
     return t, delta
 
 
+def product_limit_reference(delta_sorted, weights, columns=slice(None)):
+    """``survival._product_limit`` with its earlier activity test, which
+    also required a positive remaining weight."""
+    remaining = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
+    weights, remaining = weights[..., columns], remaining[..., columns]
+    active = ((delta_sorted[..., columns] == 1) & (weights > 0.0)
+              & (remaining > 0.0))
+    with np.errstate(invalid="ignore"):  # 0/0 past a row's last weight
+        factors = np.where(active, 1.0 - weights / remaining, 1.0)
+    return np.cumprod(factors, axis=-1)
+
+
+def pick(dist, u):
+    """Inverse transform of uniforms by a plain search: the atom time of
+    the first cumulative mass above each uniform, else the last atom."""
+    idx = np.searchsorted(dist.cum, u, side="right")
+    return dist.times[np.minimum(idx, dist.times.size - 1)]
+
+
 def _at_event_times(t_sorted, delta_sorted, survival):
     """Distinct event times and the curves' values there.
 
@@ -227,10 +255,10 @@ class ReferenceKit:
         An observation drawn uncured takes as survival time the first
         jump whose cumulative mass exceeds its uniform: the count of its
         ``cums`` row at or below the uniform (the inverse transform of
-        :meth:`_JumpDistribution.pick`).  The row is nondecreasing, so
-        the count is found in two steps: over the blocks' last columns,
-        which counts the whole blocks at or below the uniform, then
-        inside the one block that remains.
+        :func:`pick`).  The row is nondecreasing, so the count is found
+        in two steps: over the blocks' last columns, which counts the
+        whole blocks at or below the uniform, then inside the one block
+        that remains.
         """
         n = self.xs.size
         u_cure = rng.random(n)
@@ -248,7 +276,7 @@ class ReferenceKit:
         picks = start + (self.runs[rows * size + start] <= u).sum(axis=1)
         y = np.full(n, np.inf)
         y[rows] = self.times[np.minimum(picks, size - 1)]
-        c = self.censoring.pick(u_censor)
+        c = pick(self.censoring, u_censor)
         return y, c
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +292,36 @@ class ReferenceKit:
         """
         y, c = self.draw_latent(rng)
         return np.minimum(y, c), (y <= c).astype(np.int64)
+
+
+def mise_star_loop(sample, x, config):
+    """Reference: one fit per (resample, bandwidth), each evaluated alone.
+
+    Returns the curve's values and failures, or raises like mise_star.
+    """
+    grid = config.grid.values
+    g = pilot_bandwidth(sample.x, config.pilot_c)
+    tgrid = np.linspace(0.0, sample.t_max_uncensored(), config.time_grid_size)
+    pilot_values = latency_estimate(sample, x, g).latency.evaluate(tgrid)
+    kit = ReferenceKit.build(sample, g)
+    ise = np.full((config.B, grid.size), np.nan)
+    children = np.random.SeedSequence(config.seed).spawn(config.B)
+    for j, child in enumerate(children):
+        star = CensoredSample(kit.xs, *kit.draw(np.random.default_rng(child)))
+        for l, h in enumerate(grid):
+            try:
+                fit = latency_estimate(star, x, float(h))
+            except EstimationError:
+                continue
+            diff = fit.latency.evaluate(tgrid) - pilot_values
+            ise[j, l] = np.trapezoid(diff * diff, tgrid)
+    succeeded = np.sum(~np.isnan(ise), axis=0)
+    if np.any(succeeded == 0):
+        bad = grid[succeeded == 0]
+        raise EstimationError(
+            f"every resample failed at bandwidth(s) {bad.tolist()}"
+        )
+    return np.nansum(ise, axis=0) / succeeded, config.B - succeeded
 
 
 @dataclass(frozen=True)

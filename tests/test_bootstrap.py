@@ -31,7 +31,7 @@ from npmixcure.cure import _latency_from_curve
 from npmixcure.models import trial_rng
 from npmixcure.survival import StepSurvivalCurve
 
-from helpers import ReferenceKit
+from helpers import ReferenceKit, mise_star_loop, pick
 
 
 def _sparse_event_sample():
@@ -133,27 +133,68 @@ class TestJumpDistribution:
         assert_allclose(dist.times, [1.0, 2.0, 3.0])
         assert_allclose(dist.cum, [0.4, 0.7, 1.0])
         u = np.array([0.0, 0.39, 0.4, 0.69, 0.7, 0.999])
-        assert_allclose(dist.pick(u), [1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+        assert_allclose(dist.times[dist.index(u)],
+                        [1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
 
     def test_residual_mass_goes_to_given_atom(self):
         curve = StepSurvivalCurve(np.array([1.0]), np.array([0.5]))
         dist = _JumpDistribution.from_curve(curve, residual_time=9.0)
         assert_allclose(dist.times, [1.0, 9.0])
         assert_allclose(dist.cum, [0.5, 1.0])
-        assert dist.pick(np.array([0.49]))[0] == 1.0
-        assert dist.pick(np.array([0.5]))[0] == 9.0
+        assert dist.times[dist.index(np.array([0.49]))][0] == 1.0
+        assert dist.times[dist.index(np.array([0.5]))][0] == 9.0
 
     def test_empty_curve(self):
         empty = StepSurvivalCurve(np.array([]), np.array([]))
         dist = _JumpDistribution.from_curve(empty, residual_time=7.0)
-        assert_allclose(dist.pick(np.array([0.0, 0.5, 0.99])), 7.0)
+        assert_allclose(dist.times[dist.index(np.array([0.0, 0.5, 0.99]))],
+                        7.0)
+
+    @staticmethod
+    def _masses(case):
+        edge = 1.0 / bootstrap._BUCKETS
+        if case == "censoring":
+            # the censoring distribution of a sample, atoms off the edges
+            sample = generate(model1(), 1600, trial_rng(909, 4))
+            return _ResamplingKit.build(sample, 6.0).censoring.cum
+        if case == "on-edges":
+            # atoms on bucket edges, the first and last among them, one
+            # mass repeated and an atom just above an edge
+            return np.array([0.0, edge, 3 * edge, 3 * edge,
+                             np.nextafter(0.5, 1.0), 0.5 + edge, 1.0 - edge,
+                             1.0, 1.0])
+        if case == "one-atom":
+            return np.array([1.0])
+        if case == "one-atom-below-one":
+            return np.array([0.3])
+        # more atoms than buckets
+        return np.sort(np.random.default_rng(7).random(40000))
+
+    @pytest.mark.parametrize("case", ["censoring", "on-edges", "one-atom",
+                                      "one-atom-below-one", "dense"])
+    def test_bucketed_index_equals_plain_search(self, case):
+        # uniforms at 0, on every bucket edge k / 2^14 and just below it,
+        # at 1 - 2^-53 and 1.0, on every mass and just below it
+        cum = self._masses(case)
+        dist = _JumpDistribution(np.arange(cum.size, dtype=float), cum)
+        edges = np.arange(bootstrap._BUCKETS + 1) / bootstrap._BUCKETS
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0), 1.0], edges,
+            np.nextafter(edges[1:], 0.0), cum,
+            np.nextafter(cum[cum > 0.0], 0.0),
+            np.random.default_rng(cum.size).random(1001),
+        ])
+        u = u[:u.size // 2 * 2].reshape(2, -1)
+        expect = np.minimum(np.searchsorted(cum, u, side="right"),
+                            cum.size - 1)
+        assert np.array_equal(dist.index(u), expect)
 
 
 def _resample(sample, g, rng):
     # a fresh kit per resample, so kit building is checked too
     kit = _ResamplingKit.build(sample, g)
-    t, delta = kit.draw([rng])
-    return CensoredSample(kit.xs, t[0], delta[0])
+    ranks, delta = kit.draw([rng])
+    return CensoredSample(kit.xs, kit.atoms[ranks[0]], delta[0])
 
 
 class TestResample:
@@ -184,9 +225,10 @@ class TestResample:
         # censoring uniforms just below one censor at the largest time,
         # after every latency jump, so the censored draws are the cured
         top = np.full(sample.n, np.nextafter(1.0, 0.0))
-        assert np.all(kit.censoring.pick(top) >= sample.t_max_uncensored())
-        _t, delta = kit.draw([_Uniforms(*rng.random((2, sample.n)), top)
-                              for _ in range(reps)])
+        assert np.all(kit.censoring.times[kit.censoring.index(top)]
+                      >= sample.t_max_uncensored())
+        _ranks, delta = kit.draw([
+            _Uniforms(*rng.random((2, sample.n)), top) for _ in range(reps)])
         cured = np.sum(delta == 0)
         p_uncured = ReferenceKit.build(sample, 5.0).p_uncured
         total = reps * sample.n
@@ -204,9 +246,11 @@ class TestResample:
         else:
             sample = generate(model1(), n, trial_rng(505, n))
         kit = _ResamplingKit.build(sample, 6.0)
-        t, delta = kit.draw([np.random.default_rng(seed) for seed in range(6)])
+        ranks, delta = kit.draw([np.random.default_rng(seed)
+                                 for seed in range(6)])
+        t = kit.atoms[ranks]
         assert t.shape == delta.shape == (6, n)
-        assert delta.dtype == np.int64
+        assert delta.dtype == bool
         assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
         assert np.all((delta == 0) | (delta == 1))
 
@@ -321,36 +365,6 @@ class TestMiseStar:
         assert curve.selected == grid.values[1]
 
 
-def _mise_star_loop(sample, x, config):
-    """Reference: one fit per (resample, bandwidth), each evaluated alone.
-
-    Returns the curve's values and failures, or raises like mise_star.
-    """
-    grid = config.grid.values
-    g = pilot_bandwidth(sample.x, config.pilot_c)
-    tgrid = np.linspace(0.0, sample.t_max_uncensored(), config.time_grid_size)
-    pilot_values = latency_estimate(sample, x, g).latency.evaluate(tgrid)
-    kit = ReferenceKit.build(sample, g)
-    ise = np.full((config.B, grid.size), np.nan)
-    children = np.random.SeedSequence(config.seed).spawn(config.B)
-    for j, child in enumerate(children):
-        star = CensoredSample(kit.xs, *kit.draw(np.random.default_rng(child)))
-        for l, h in enumerate(grid):
-            try:
-                fit = latency_estimate(star, x, float(h))
-            except EstimationError:
-                continue
-            diff = fit.latency.evaluate(tgrid) - pilot_values
-            ise[j, l] = np.trapezoid(diff * diff, tgrid)
-    succeeded = np.sum(~np.isnan(ise), axis=0)
-    if np.any(succeeded == 0):
-        bad = grid[succeeded == 0]
-        raise EstimationError(
-            f"every resample failed at bandwidth(s) {bad.tolist()}"
-        )
-    return np.nansum(ise, axis=0) / succeeded, config.B - succeeded
-
-
 class TestBatchedGridFits:
     """mise_star fits each resample at every bandwidth in one batch."""
 
@@ -365,7 +379,7 @@ class TestBatchedGridFits:
                  (at_event, log_grid(0.01, 30.0, 8))]
         for x, grid in cases:
             cfg = BootstrapConfig(B=12, grid=grid, seed=seed)
-            values, failures = _mise_star_loop(sample, x, cfg)
+            values, failures = mise_star_loop(sample, x, cfg)
             curve = mise_star(sample, x, cfg)
             assert np.array_equal(curve.values, values)
             assert np.array_equal(curve.failures, failures)
@@ -378,7 +392,7 @@ class TestBatchedGridFits:
         cfg = BootstrapConfig(B=12, grid=log_grid(0.01, 30.0, 6), seed=3)
         monkeypatch.setattr(bootstrap, "_RESAMPLE_CHUNK_BYTES",
                             chunk * 8 * 6 * sample.n)
-        values, failures = _mise_star_loop(sample, at_event, cfg)
+        values, failures = mise_star_loop(sample, at_event, cfg)
         curve = mise_star(sample, at_event, cfg)
         assert np.array_equal(curve.values, values)
         assert np.array_equal(curve.failures, failures)
@@ -395,12 +409,12 @@ class TestBatchedGridFits:
         monkeypatch.setattr(bootstrap, "_RESAMPLE_CHUNK_BYTES",
                             chunk * 8 * 2 * sample.n)
         kit = _ResamplingKit.build(sample, pilot_bandwidth(sample.x))
-        _t, delta = kit.draw([
+        _ranks, delta = kit.draw([
             np.random.default_rng(child)
             for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)])
         with_events = delta.any(axis=1)
         assert not with_events[32:34].any()
-        values, failures = _mise_star_loop(sample, 0.0, cfg)
+        values, failures = mise_star_loop(sample, 0.0, cfg)
         curve = mise_star(sample, 0.0, cfg)
         assert np.array_equal(curve.values, values)
         assert np.array_equal(curve.failures, failures)
@@ -410,7 +424,7 @@ class TestBatchedGridFits:
         sample = generate(model1(), 1600, trial_rng(808, 4))
         cfg = BootstrapConfig(B=3, grid=log_grid(1.0, 12.0, 12), seed=4)
         assert bootstrap._RESAMPLE_CHUNK_BYTES // (8 * 12 * 1600) <= 1
-        values, failures = _mise_star_loop(sample, 4.0, cfg)
+        values, failures = mise_star_loop(sample, 4.0, cfg)
         curve = mise_star(sample, 4.0, cfg)
         assert np.array_equal(curve.values, values)
         assert np.array_equal(curve.failures, failures)
@@ -419,7 +433,7 @@ class TestBatchedGridFits:
         sample = generate(model1(), 40, trial_rng(808, 0))
         cfg = BootstrapConfig(B=6, grid=log_grid(1e-3, 30.0, 5), seed=4)
         with pytest.raises(EstimationError) as looped:
-            _mise_star_loop(sample, 5.0, cfg)
+            mise_star_loop(sample, 5.0, cfg)
         with pytest.raises(EstimationError) as batched:
             mise_star(sample, 5.0, cfg)
         assert str(batched.value) == str(looped.value)
@@ -431,12 +445,12 @@ class TestBatchedGridFits:
             B=40, grid=BandwidthGrid(np.array([1.0, 20.0])), seed=0
         )
         kit = _ResamplingKit.build(sample, pilot_bandwidth(sample.x))
-        _t, delta = kit.draw([
+        _ranks, delta = kit.draw([
             np.random.default_rng(child)
             for child in np.random.SeedSequence(cfg.seed).spawn(cfg.B)])
         eventless = np.sum(~delta.any(axis=1))
         assert eventless > 0
-        values, failures = _mise_star_loop(sample, 0.0, cfg)
+        values, failures = mise_star_loop(sample, 0.0, cfg)
         curve = mise_star(sample, 0.0, cfg)
         assert np.array_equal(curve.values, values)
         assert np.array_equal(curve.failures, failures)
@@ -474,9 +488,9 @@ def _pick_loop_latent(sample, g, u_cure, u_latency, u_censor):
         if u_cure[i] < p_uncured[i]:
             # the latency ends at zero, so no residual atom is added
             latency = _latency_from_curve(curve, cured)
-            y[i] = _JumpDistribution.from_curve(latency, t_top).pick(
-                u_latency[i])
-    return y, censoring.pick(u_censor), p_uncured
+            y[i] = pick(_JumpDistribution.from_curve(latency, t_top),
+                        u_latency[i])
+    return y, pick(censoring, u_censor), p_uncured
 
 
 def _assert_draw_equals(kit, u_cure, u_latency, u_censor, y_ref, c_ref):
@@ -485,9 +499,10 @@ def _assert_draw_equals(kit, u_cure, u_latency, u_censor, y_ref, c_ref):
     # every observation shows the censoring times
     n = u_cure.size
     top = np.full(n, np.nextafter(1.0, 0.0))
-    t, delta = kit.draw([_Uniforms(u_cure, u_latency, u_censor),
-                         _Uniforms(u_cure, u_latency, top),
-                         _Uniforms(np.ones(n), u_latency, u_censor)])
+    ranks, delta = kit.draw([_Uniforms(u_cure, u_latency, u_censor),
+                             _Uniforms(u_cure, u_latency, top),
+                             _Uniforms(np.ones(n), u_latency, u_censor)])
+    t = kit.atoms[ranks]
     assert np.array_equal(t[0], np.minimum(y_ref, c_ref))
     assert np.array_equal(delta[0], (y_ref <= c_ref).astype(np.int64))
     uncured = np.isfinite(y_ref)

@@ -3,30 +3,34 @@ the bootstrap's resample draw and of the command-line sample round trip."""
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npmixcure import (
+    BootstrapConfig,
     CensoredSample,
     DatasetSchema,
     DegenerateCureError,
     EmptyNeighborhoodError,
+    EstimationError,
     NoUncensoredError,
     beran,
     generate,
     ingest,
     kaplan_meier,
     latency_estimate,
+    mise_star,
     model1,
     model2,
 )
 from npmixcure import bootstrap
-from npmixcure.bootstrap import _ResamplingKit
+from npmixcure.bootstrap import BandwidthGrid, _ResamplingKit
 from npmixcure.cli import main
 from npmixcure.kernels import epanechnikov
 from npmixcure.models import trial_rng
@@ -36,7 +40,7 @@ from npmixcure.survival import (
     _beran_rows,
 )
 
-from helpers import ReferenceKit
+from helpers import ReferenceKit, mise_star_loop
 
 # derandomized and without an example database: every run checks the
 # same examples and writes nothing
@@ -263,10 +267,67 @@ def test_streamed_draw_equals_reference_draws(sample, g, b, rows, seed):
     draws = [ref.draw(np.random.default_rng(child)) for child in streams]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bootstrap, "_KIT_CHUNK_BYTES", 8 * sample.n * rows)
-        t, delta = _ResamplingKit.build(sample, g).draw(
+        patch.setattr(bootstrap, "_KIT_MIN_ROWS", 1)
+        kit = _ResamplingKit.build(sample, g)
+        ranks, delta = kit.draw(
             [np.random.default_rng(child) for child in streams])
+    t = kit.atoms[ranks]
     assert np.array_equal(t, np.array([d[0] for d in draws]))
     assert np.array_equal(delta, np.array([d[1] for d in draws]))
+
+
+# a censored pair at x=0 whose pilot fits hold no event, so it is always
+# cured and censored, and an event at x=5 whose time 2 is also a
+# censoring atom: it is censored at 1 with probability 1/3, and at seed
+# 5 two of the seven resamples are censored throughout
+_ALL_CENSORED_ROWS = CensoredSample(
+    np.array([0.0, 0.0, 5.0]), np.array([1.0, 2.0, 2.0]), np.array([0, 0, 1]))
+
+
+@_SETTINGS
+@example(CensoredSample(np.array([3.0]), np.array([2.0]), np.array([1])),
+         1.5, 3, 0)
+@example(_ALL_CENSORED_ROWS, 0.5, 7, 5)
+@given(_kit_samples(), st.sampled_from([0.5, 1.5, 6.0]), st.integers(1, 7),
+       st.integers(0, 2**32 - 1))
+def test_ranked_resamples_on_tied_samples(sample, g, b, seed):
+    # the ranks and flags give the reference kit's draws, their sort keys
+    # the time order of lexsort, and mise_star at two covariate values
+    # of one sample the curves of one fit per resample and bandwidth
+    streams = np.random.SeedSequence(seed).spawn(b)
+    ref = ReferenceKit.build(sample, g)
+    draws = [ref.draw(np.random.default_rng(child)) for child in streams]
+    t, delta = (np.array([d[k] for d in draws]) for k in (0, 1))
+    kit = _ResamplingKit.build(sample, g)
+    ranks, events = kit.draw(
+        [np.random.default_rng(child) for child in streams])
+    assert np.array_equal(kit.atoms[ranks], t)
+    assert np.array_equal(events, delta)
+    assert np.array_equal(np.argsort(2 * ranks + 1 - events, kind="stable"),
+                          np.lexsort((-delta, t), axis=-1))
+    config = BootstrapConfig(B=b, grid=BandwidthGrid([1.0, 3.0, 9.0]),
+                             seed=seed, time_grid_size=9)
+    for x in (float(sample.x[0]), float(sample.x.max()) + 0.5):
+        try:
+            values, failures = mise_star_loop(sample, x, config)
+        except EstimationError as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                mise_star(sample, x, config)
+            continue
+        curve = mise_star(sample, x, config)
+        assert np.array_equal(curve.values, values)
+        assert np.array_equal(curve.failures, failures)
+
+
+def test_tied_examples_cover_their_cases():
+    # the explicit example above draws rows censored throughout, from a
+    # time that is both an event and a censoring atom
+    kit = _ResamplingKit.build(_ALL_CENSORED_ROWS, 0.5)
+    ranks, events = kit.draw([np.random.default_rng(child) for child in
+                              np.random.SeedSequence(5).spawn(7)])
+    assert np.sum(~events.any(axis=1)) == 2
+    assert np.isin(kit.event_ranks, kit.censoring_ranks).all()
+    assert np.any(events & (kit.atoms[ranks] == 2.0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

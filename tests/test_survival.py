@@ -14,9 +14,14 @@ from npmixcure import (
     nw_weights,
 )
 from npmixcure.kernels import epanechnikov
-from npmixcure.survival import _at_event_times, _beran_rows
+from npmixcure.survival import _at_event_times, _beran_rows, _product_limit
 
-from helpers import beran_brute, km_grouped, random_censored_sample
+from helpers import (
+    beran_brute,
+    km_grouped,
+    product_limit_reference,
+    random_censored_sample,
+)
 
 
 class TestCensoredSample:
@@ -235,6 +240,33 @@ class TestBatchedProductLimit:
             assert np.array_equal(values[k], curve.values)
             assert np.array_equal(on_grid[k], curve.evaluate(tgrid))
             assert final[k] == curve.evaluate(sample.t_max_uncensored())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_the_remaining_weight_test(self, seed):
+        # a positive weight always has a positive remaining weight, so
+        # the earlier test of both changes no bit: kernel rows with zeros
+        # inside and past their last weight, an all-zero row, tied times,
+        # every column or the event columns alone, one shared order or a
+        # stack of samples each with its own flags
+        sample = self._tied_sample(seed)
+        ordered = sample.sort_by_time()
+        hs = np.array([0.05, 0.3, 2.5, 40.0])
+        raw = epanechnikov((float(sample.x[0]) - ordered.x) / hs[:, None])
+        raw[:, -1] = 0.0
+        raw = np.vstack([raw, np.zeros(sample.n)])
+        total = raw.sum(axis=1)
+        weights = raw / np.where(total > 0.0, total, 1.0)[:, None]
+        assert np.all(np.any(weights[:-1] == 0.0, axis=1))
+        events = np.flatnonzero(ordered.delta == 1)
+        flags = np.stack([ordered.delta, 1 - ordered.delta])
+        flags[1, -1] = 1
+        for delta, w in ((ordered.delta, weights),
+                         (flags[:, None, :], np.stack([weights, weights]))):
+            for columns in (slice(None), events):
+                new = _product_limit(delta, w, columns)
+                old = product_limit_reference(delta, w, columns)
+                assert new.dtype == old.dtype and new.shape == old.shape
+                assert new.tobytes() == old.tobytes()
 
     def test_rows_without_weight_are_not_fitted(self):
         sample = self._tied_sample(3)
