@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -711,6 +712,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="npmixcure",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,12 @@ def ingest(
     deltas: list[int] = []
     rows_read = 0
     with handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter)
+        try:
+            reader = csv.reader(handle, delimiter=schema.delimiter)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"invalid delimiter {schema.delimiter!r}: {exc}"
+            ) from None
         if schema.header:
             try:
                 fieldnames = [name.strip() for name in next(reader)]
@@ -157,7 +163,7 @@ def ingest(
                 raise DataError(
                     f"{path} line {line}: time {row[i_t]!r} is not a number"
                 ) from None
-            if not np.isfinite(t) or t < 0.0:
+            if not math.isfinite(t) or t < 0.0:
                 raise DataError(
                     f"{path} line {line}: time must be finite and nonnegative, "
                     f"got {row[i_t]!r}"
@@ -173,7 +179,7 @@ def ingest(
                 raise DataError(
                     f"{path} line {line}: covariate {row[i_x]!r} is not a number"
                 ) from None
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 raise DataError(f"{path} line {line}: covariate must be finite")
             xs.append(x)
             ts.append(t)
@@ -200,6 +206,12 @@ def ingest(
 
 
 def _cell(value) -> str:
+    # the exact types of almost every cell first; bool is not int here
+    kind = type(value)
+    if kind is float or kind is np.float64:
+        return format_float(value)
+    if kind is int or kind is np.int64:
+        return str(int(value))
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):

@@ -22,10 +22,18 @@ SECOND_MOMENT = 0.2
 SQUARE_INTEGRAL = 0.6
 
 
+def _from_squares(k):
+    """Kernel values from squared arguments, in place in ``k``."""
+    np.subtract(1.0, k, out=k)
+    np.maximum(0.0, k, out=k)
+    return np.multiply(0.75, k, out=k)
+
+
 def epanechnikov(u) -> np.ndarray:
     """Kernel density ``0.75 (1 - u^2)``, zero outside (-1, 1)."""
     u = np.asarray(u, dtype=float)
-    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+    k = _from_squares(np.multiply(u, u, out=np.empty(u.shape)))
+    return k if k.ndim else k[()]
 
 
 def nw_weights(x, xs: np.ndarray, h) -> np.ndarray:
@@ -60,7 +68,12 @@ def nw_weights(x, xs: np.ndarray, h) -> np.ndarray:
     if xs.size == 0:
         raise ValueError("xs must be nonempty")
     points = np.asarray(x, dtype=float)
-    raw = epanechnikov((points[..., None] - xs) / hs[..., None])
+    # the kernel's ufuncs in its order, in one buffer of the full shape
+    raw = np.empty(np.broadcast_shapes(points.shape + (1,), xs.shape,
+                                       hs.shape + (1,)))
+    np.subtract(points[..., None], xs, out=raw)
+    np.divide(raw, hs[..., None], out=raw)
+    _from_squares(np.multiply(raw, raw, out=raw))
     total = raw.sum(axis=-1, keepdims=True)
     empty = total[..., 0] <= 0.0
     if empty.any():
@@ -71,4 +84,4 @@ def nw_weights(x, xs: np.ndarray, h) -> np.ndarray:
         raise EmptyNeighborhoodError(
             f"no observation within bandwidth {h} of x={x}"
         )
-    return raw / total
+    return np.divide(raw, total, out=raw)

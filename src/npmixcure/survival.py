@@ -116,7 +116,7 @@ def _product_limit(delta_sorted, weights, columns=slice(None)):
     """Product-limit curves of the rows of a weight array.
 
     ``weights`` is a (..., n) array whose last axis follows the time
-    order of ``delta_sorted``, which broadcasts against it; each row
+    order of ``delta_sorted``, which broadcasts to its shape; each row
     sums to one (or is all zero, which yields the constant curve).  A
     zero remaining-weight denominator contributes a factor of exactly
     one, as does any censored observation.
@@ -129,12 +129,18 @@ def _product_limit(delta_sorted, weights, columns=slice(None)):
     """
     remaining = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
     weights, remaining = weights[..., columns], remaining[..., columns]
-    # the remaining weight is a sequential sum of nonnegative weights that
-    # includes the column's own, so it is positive where the weight is
-    active = (delta_sorted[..., columns] == 1) & (weights > 0.0)
-    with np.errstate(invalid="ignore"):  # 0/0 past a row's last weight
-        factors = np.where(active, 1.0 - weights / remaining, 1.0)
-    return np.cumprod(factors, axis=-1)
+    # the factors overwrite the remaining weights, an array of our own.
+    # The remaining weight is a sequential sum of nonnegative weights that
+    # includes the column's own, so it is positive where the weight is: a
+    # zero weight gives 1 - 0, and only past a row's last weight is 0/0
+    with np.errstate(invalid="ignore"):
+        factors = np.divide(weights, remaining, out=remaining)
+    np.subtract(1.0, factors, out=factors)
+    np.fmin(factors, 1.0, out=factors)  # exact below one; NaN becomes one
+    censored = delta_sorted[..., columns] != 1
+    if censored.any():
+        np.copyto(factors, 1.0, where=censored)
+    return np.cumprod(factors, axis=-1, out=factors)
 
 
 def _event_columns(t_sorted, delta_sorted):

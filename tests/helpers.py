@@ -14,7 +14,11 @@ pilot fits, as ranks into a table of atoms, and the tests hold its
 draws equal to this kit's bit for bit.  ``mise_star_loop`` fits this
 kit's resamples one bandwidth at a time, the reference of the batched
 grid fits, and ``product_limit_reference`` is the product-limit formula
-with its earlier, redundant positive-remaining-weight test.
+with its earlier, redundant positive-remaining-weight test and a fresh
+array from every step.  ``epanechnikov_reference`` and
+``nw_weights_reference`` compute the kernel the same way, where the
+package computes it in place in one buffer.  ``cell_reference`` is
+the CSV writer's cell formatting without its exact-type shortcuts.
 
 The oracle's reference routes live here as well: ``phi`` and
 ``phi2_terms``.  ``Phi`` vanishes on the diagonal ``y = x``, which the
@@ -41,7 +45,7 @@ from npmixcure.bootstrap import (
     pilot_bandwidth,
 )
 from npmixcure.cure import latency_estimate
-from npmixcure.exceptions import EstimationError
+from npmixcure.exceptions import EmptyNeighborhoodError, EstimationError
 from npmixcure.kernels import nw_weights
 from npmixcure.models import ModelSpec
 from npmixcure.oracle import _TOL, _guard, _pow2
@@ -166,6 +170,46 @@ def product_limit_reference(delta_sorted, weights, columns=slice(None)):
     with np.errstate(invalid="ignore"):  # 0/0 past a row's last weight
         factors = np.where(active, 1.0 - weights / remaining, 1.0)
     return np.cumprod(factors, axis=-1)
+
+
+def epanechnikov_reference(u):
+    """``kernels.epanechnikov`` with a fresh array from every ufunc."""
+    u = np.asarray(u, dtype=float)
+    return 0.75 * np.maximum(0.0, 1.0 - u * u)
+
+
+def nw_weights_reference(x, xs, h):
+    """``kernels.nw_weights`` with a fresh array from every ufunc."""
+    hs = np.asarray(h, dtype=float)
+    if not (np.isfinite(hs) & (hs > 0.0)).all():
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
+    xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise ValueError("xs must be nonempty")
+    points = np.asarray(x, dtype=float)
+    raw = epanechnikov_reference((points[..., None] - xs) / hs[..., None])
+    total = raw.sum(axis=-1, keepdims=True)
+    empty = total[..., 0] <= 0.0
+    if empty.any():
+        if raw.ndim > 1:
+            k = int(np.argmax(empty))
+            x = float(np.broadcast_to(points, empty.shape)[k])
+            h = float(np.broadcast_to(hs, empty.shape)[k])
+        raise EmptyNeighborhoodError(
+            f"no observation within bandwidth {h} of x={x}"
+        )
+    return raw / total
+
+
+def cell_reference(value) -> str:
+    """``io_utils._cell`` as a chain of ``isinstance`` tests alone."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
 def pick(dist, u):

@@ -742,6 +742,14 @@ class TestConfigAndErrors:
                      "--covariate-col", "height", "--x", "5",
                      "--h", "10"]) == 3
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_invalid_delimiter_is_exit_2(self, _outdir, capsys, tmp_path,
+                                         delimiter):
+        path, _ = _sample_csv(tmp_path)
+        assert main(["estimate", "--data", str(path), "--delimiter",
+                     delimiter, "--x", "2", "--h", "5"]) == 2
+        assert f"invalid delimiter {delimiter!r}" in capsys.readouterr().err
+
     def test_no_subcommand_is_exit_2(self, _outdir, capsys):
         assert main([]) == 2
 
@@ -758,3 +766,31 @@ class TestConfigAndErrors:
         assert rc == 0
         assert (nested / "deep.csv").exists()
         assert (nested / "deep.csv.meta.json").exists()
+
+
+class TestParserCache:
+    def test_one_parser_carries_nothing_between_calls(self, _outdir, capsys,
+                                                      tmp_path):
+        path, _ = _sample_csv(tmp_path)
+        data = ["--data", str(path)]
+        calls = [
+            ["estimate", *data, "--x", "2", "--x", "5", "--h", "10"],
+            ["estimate", *data, "--x", "5", "--h", "10"],
+            ["selectbw", *data, "--x", "5", "--grid", "8:60:3", "--B", "8"],
+        ]
+        first = []
+        for k, argv in enumerate(calls):
+            cli._build_parser.cache_clear()
+            assert main([*argv, "--out", f"first{k}.csv"]) == 0
+            first.append(_written(_outdir, f"first{k}.csv"))
+        assert cli._build_parser() is cli._build_parser()
+        assert main([*calls[0], "--out", "again0.csv"]) == 0
+        # argparse stops this call after taking its --x values
+        with pytest.raises(SystemExit) as rejected:
+            main(["estimate", *data, "--x", "7", "--format", "xml"])
+        assert rejected.value.code == 2
+        for k in (1, 2):
+            assert main([*calls[k], "--out", f"again{k}.csv"]) == 0
+        for k in range(3):
+            assert _written(_outdir, f"again{k}.csv") == first[k]
+        assert _read_meta(_outdir / "again1.csv")["config"]["x"] == [5.0]

@@ -8,7 +8,15 @@ from numpy.testing import assert_allclose
 
 from npmixcure import DatasetSchema, format_float, ingest
 from npmixcure.exceptions import ConfigError, DataError
-from npmixcure.io_utils import write_csv, write_json_table, write_meta, write_table
+from npmixcure.io_utils import (
+    _cell,
+    write_csv,
+    write_json_table,
+    write_meta,
+    write_table,
+)
+
+from helpers import cell_reference
 
 
 def _write(tmp_path, name, text):
@@ -64,6 +72,13 @@ class TestIngest:
         report = ingest(path, DatasetSchema(delimiter=";"))
         assert report.rows_kept == 2
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_invalid_delimiter_is_config_error(self, tmp_path, delimiter):
+        path = _write(tmp_path, "t.csv", "age,time,delta\n50,1.5,1\n")
+        with pytest.raises(ConfigError,
+                           match=f"invalid delimiter {delimiter!r}"):
+            ingest(path, DatasetSchema(delimiter=delimiter))
+
     def test_group_filter(self, tmp_path):
         path = _write(
             tmp_path, "grouped.csv",
@@ -104,6 +119,23 @@ class TestIngest:
         path = _write(tmp_path, "t.csv", "age,time,delta\n50,-1.0,1\n")
         with pytest.raises(DataError, match="nonnegative"):
             ingest(path, DatasetSchema())
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-1"])
+    def test_nonfinite_or_negative_time_message(self, tmp_path, time):
+        path = _write(tmp_path, "t.csv",
+                      f"age,time,delta\n50,1.0,1\n61,{time},0\n")
+        with pytest.raises(DataError) as raised:
+            ingest(path, DatasetSchema())
+        assert str(raised.value) == (
+            f"{path} line 3: time must be finite and nonnegative, "
+            f"got {time!r}"
+        )
+
+    def test_infinite_covariate_message(self, tmp_path):
+        path = _write(tmp_path, "t.csv", "age,time,delta\n50,1.0,1\ninf,2,0\n")
+        with pytest.raises(DataError) as raised:
+            ingest(path, DatasetSchema())
+        assert str(raised.value) == f"{path} line 3: covariate must be finite"
 
     def test_bad_delta_rejected(self, tmp_path):
         path = _write(tmp_path, "t.csv", "age,time,delta\n50,1.0,2\n")
@@ -160,6 +192,19 @@ class TestWriters:
         write_csv(path, ("v",), [(value,)])
         line = path.read_text().splitlines()[1]
         assert float(line) == float(value)
+
+    def test_cells_equal_the_isinstance_chain(self):
+        values = [
+            True, False, np.bool_(True), np.bool_(False),
+            0, -5, 2**70, np.int64(-3), np.int32(7),
+            0.1, -0.0, 1e300, float("nan"), float("-inf"),
+            np.float64(1.0 / 3.0), np.float32(0.1), "text",
+        ]
+        for value in values:
+            assert _cell(value) == cell_reference(value), value
+        assert [_cell(v) for v in (True, np.bool_(False), np.int32(7),
+                                   np.float32(0.5), -0.0)] == [
+            "1", "0", "7", "0.5", "-0.0"]
 
     def test_json_table_structure(self, tmp_path):
         path = tmp_path / "out.json"

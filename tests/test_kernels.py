@@ -2,10 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
 from npmixcure import EmptyNeighborhoodError, nw_weights
 from npmixcure.kernels import SECOND_MOMENT, SQUARE_INTEGRAL, epanechnikov
+
+from helpers import epanechnikov_reference, nw_weights_reference
+
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+# quarters: the ends x - h and x + h of a window are exact, so u = -1 and
+# u = 1 exactly
+_POINTS = st.floats(-30.0, 30.0) | st.integers(-120, 120).map(lambda i: i / 4)
+_BANDWIDTHS = (st.floats(0.01, 40.0)
+               | st.integers(1, 160).map(lambda i: i / 4))
+
+
+@st.composite
+def _weight_problems(draw):
+    """``x`` and ``h`` each a scalar or K values; covariates that include
+    the ends of the first pair's window."""
+    k = draw(st.integers(1, 4))
+
+    def scalar_or_k(values):
+        if draw(st.booleans()):
+            return draw(values)
+        return np.array(draw(st.lists(values, min_size=k, max_size=k)))
+
+    x, h = scalar_or_k(_POINTS), scalar_or_k(_BANDWIDTHS)
+    x0, h0 = float(np.ravel(x)[0]), float(np.ravel(h)[0])
+    ends = draw(st.lists(st.sampled_from([x0 - h0, x0 + h0]), max_size=2))
+    xs = draw(st.lists(_POINTS, min_size=1, max_size=30))
+    return x, np.array(xs + ends), h
 
 
 class TestEpanechnikov:
@@ -40,6 +71,20 @@ class TestEpanechnikov:
         assert SECOND_MOMENT == 0.2
         assert SQUARE_INTEGRAL == 0.6
 
+    @_SETTINGS
+    @given(st.floats() | arrays(np.float64, array_shapes(min_dims=0),
+                                elements=st.floats()))
+    @example(np.array(1.0))
+    @example(np.array([-1.0, 1.0, -0.0, np.inf]))
+    def test_bit_for_bit_equal_to_the_reference(self, u):
+        before = np.array(u)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan
+            got, expected = epanechnikov(u), epanechnikov_reference(u)
+        assert type(got) is type(expected)
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert np.asarray(u).tobytes() == before.tobytes()
+
 
 class TestNwWeights:
     def test_hand_computed_weights(self):
@@ -59,6 +104,28 @@ class TestNwWeights:
         with pytest.raises(EmptyNeighborhoodError,
                            match="bandwidth 2.0 of x=100.0"):
             nw_weights(100.0, np.array([0.0, 1.0]), 2.0)
+
+    @_SETTINGS
+    @given(_weight_problems())
+    @example((0.5, np.array([-0.5, 1.5, 0.75]), 1.0))
+    @example((np.array([0.0, 4.0]), np.array([-2.0, 2.0, 1.0]), 2.0))
+    @example((3.0, np.array([2.5, 3.5, 9.0]), np.array([0.5, 8.0])))
+    def test_bit_for_bit_equal_to_the_reference(self, problem):
+        before = [np.array(a) for a in problem]
+        try:
+            expected = nw_weights_reference(*problem)
+        except EmptyNeighborhoodError as err:
+            with pytest.raises(EmptyNeighborhoodError) as raised:
+                nw_weights(*problem)
+            assert str(raised.value) == str(err)
+        else:
+            got = nw_weights(*problem)
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert got.flags.owndata and got.flags.c_contiguous
+        for a, b in zip(problem, before):
+            assert np.asarray(a).tobytes() == b.tobytes()
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError):

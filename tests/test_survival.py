@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from npmixcure import (
@@ -208,6 +211,19 @@ class TestBeran:
         assert curve.evaluate(9.5) == 0.5
 
 
+@st.composite
+def _weight_stacks(draw):
+    """Per-sample event flags, shape (2, 1, n), and (2, K, n) weight rows
+    that sum to one or are all zero, with zeros anywhere in a row."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 25))
+    raw = draw(arrays(np.float64, (2, k, n),
+                      elements=st.sampled_from([0.0, 1.0])
+                      | st.floats(1e-3, 10.0)))
+    total = raw.sum(axis=-1, keepdims=True)
+    flags = draw(arrays(np.int64, (2, 1, n), elements=st.integers(0, 1)))
+    return flags, raw / np.where(total > 0.0, total, 1.0)
+
+
 class TestBatchedProductLimit:
     """One (K, n) weight matrix gives K curves over a shared time order."""
 
@@ -267,6 +283,23 @@ class TestBatchedProductLimit:
                 old = product_limit_reference(delta, w, columns)
                 assert new.dtype == old.dtype and new.shape == old.shape
                 assert new.tobytes() == old.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(_weight_stacks())
+    def test_bytes_equal_the_reference_on_random_weights(self, stack):
+        # the event columns of the first sample hold censored columns of
+        # the second, so the stacked pass takes both factor rules
+        flags, weights = stack
+        before = weights.copy()
+        events = np.flatnonzero(flags[0, 0] == 1)
+        for delta, w in ((flags[0, 0], weights[0]), (flags, weights)):
+            for columns in (slice(None), events):
+                new = _product_limit(delta, w, columns)
+                old = product_limit_reference(delta, w, columns)
+                assert new.dtype == old.dtype and new.shape == old.shape
+                assert new.tobytes() == old.tobytes()
+        assert weights.tobytes() == before.tobytes()
 
     def test_rows_without_weight_are_not_fitted(self):
         sample = self._tied_sample(3)
