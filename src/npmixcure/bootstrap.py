@@ -22,7 +22,7 @@ import numpy as np
 
 from .cure import _latency_ise, latency_estimate
 from .exceptions import EstimationError
-from .kernels import epanechnikov, nw_weights
+from .kernels import _kernel_rows, epanechnikov
 from .survival import (
     CensoredSample,
     StepSurvivalCurve,
@@ -256,47 +256,55 @@ class _JumpDistribution:
         return np.minimum(idx, self.times.size - 1)
 
 
-# rows of pilot fits computed together; a chunk's (rows, n) weight
-# matrices stay near this size, but hold at least _KIT_MIN_ROWS rows:
-# past n = 2048 the numpy calls of many small chunks cost more than the
-# larger matrices
+# rows of pilot fits computed together; a chunk's (rows, window) kernel
+# and product-limit matrices stay near this size, but hold at least
+# _KIT_MIN_ROWS rows: past n = 2048 the numpy calls of many small chunks
+# cost more than the larger matrices.  The rows' kernel totals are summed
+# over blocks of full (rows, n) rows of this size, or of _KIT_MIN_ROWS rows
 _KIT_CHUNK_BYTES = 1 << 18
 _KIT_MIN_ROWS = 16
 # resamples fitted together; a chunk's (resamples * K, n) weight block
 # stays near this size (twice it measured 0.7 MiB more peak RSS on a
 # B=50, n=1600 selection)
 _RESAMPLE_CHUNK_BYTES = 1 << 18
+# covariate values drawn together; the draw's two (x values * B, n)
+# arrays of uniforms stay within this size
+_DRAW_BYTES = 1 << 25
 
 
 def _count_at_or_below(cums, rows, u):
     """How many entries of the nondecreasing row ``cums[rows[k]]`` are at
-    most ``u[k]``, for every k: one binary search of all the rows, moving
-    up by each power of two in turn, a probe past the end stopping there.
+    most ``u[k]``, for every k: one binary search of all the rows.
+
+    The rows share their length, so the searches halve alike: each probe
+    moves a row's position up or not, the span that holds its count
+    shrinks the same either way, and no probe leaves the row.
     """
     size = cums.shape[1]
-    flat, base = cums.reshape(-1), rows * size - 1
-    count = np.zeros(rows.size, dtype=np.intp)
-    step = 1 << (size.bit_length() - 1)
-    while step:
-        probe = np.minimum(count + step, size)
-        count = np.where(flat[base + probe] <= u, probe, count)
-        step >>= 1
-    return count
+    flat, start = cums.reshape(-1), rows * size
+    at, span = start.copy(), size
+    while span > 1:
+        half = span // 2
+        at += half * (flat[at + half] <= u)
+        span -= half
+    return at - start + (flat[at] <= u)
 
 
 class _ResamplingKit:
     """What every bootstrap resample of a sample is drawn from.
 
-    Holds the censoring-time distribution, the pilot bandwidth ``g`` and
-    the sample's time order with its event columns and distinct event
-    times ``times``, where every pilot latency curve jumps: nothing that
-    depends on the covariate of the selection.  A resampled time is
-    always one of ``times`` or a censoring atom, so it is held as its
-    rank in ``atoms``, the sorted distinct union of both;
-    ``event_ranks`` and ``censoring_ranks`` give the ranks of their
-    atoms, and rank ``atoms.size`` stands for a cured (infinite) time.
-    The pilot fits at the observations' covariates are not stored but
-    made by :meth:`draw`.
+    Holds the censoring-time distribution, the pilot bandwidth ``g``, the
+    covariates in their order (``x_order``, ``x_sorted``) and the
+    sample's time order with its event columns and distinct event times
+    ``times``, where every pilot latency curve jumps, and the column of
+    the last event at each of them: nothing that depends on the
+    covariate of the selection.  A resampled time is always one of
+    ``times`` or a censoring atom, so it is held as its rank in
+    ``atoms``, the sorted distinct union of both; ``event_ranks`` and
+    ``censoring_ranks`` give the ranks of their atoms, and rank
+    ``atoms.size`` stands for a cured (infinite) time.  The pilot fits
+    at the observations' covariates are not stored but made by
+    :meth:`draw`.
     """
 
     @classmethod
@@ -304,11 +312,11 @@ class _ResamplingKit:
         sample.t_max_uncensored()  # raises: no events, no latency to draw
         kit = cls()
         kit.xs, kit.g, kit.ordered = sample.x.copy(), g, sample.sort_by_time()
-        kit.events, last, kit.times = _event_columns(
+        kit.x_order = np.argsort(kit.xs)
+        kit.x_sorted = kit.xs[kit.x_order]
+        events, last, kit.times = _event_columns(
             kit.ordered.t, kit.ordered.delta)
-        # without tied event times every event column is the last at
-        # its time, and the pass needs no gather
-        kit.last = last if last.size < kit.events.size else None
+        kit.last_events = events[last]
         kit.censoring = _JumpDistribution.from_curve(
             kaplan_meier(sample, 1 - sample.delta),
             residual_time=float(sample.t.max()))
@@ -334,12 +342,23 @@ class _ResamplingKit:
         :meth:`_JumpDistribution.index` inverts), else infinite.
         Censoring times come from the Kaplan-Meier estimate of the
         censoring distribution, leftover mass at the largest observed
-        time.  One pass over the observations makes their pilot fits, and
-        each answers the searches of every resample that drew it uncured.
+        time.  One pass over the observations in covariate order makes
+        their pilot fits, and each answers the searches of every resample
+        that drew it uncured.
         Returns the ranks in ``atoms`` of the observed times and the
         boolean event flags, (B, n) arrays: ranks keep the order of the
         times, so the smaller rank is the observed time and a survival
         rank at most the censoring rank is an event.
+
+        A chunk of rows is fitted on its window only: the columns whose
+        covariate lies within ``g`` of the chunk's, which hold every
+        column with weight.  Its kernel row totals are summed over the
+        full rows, as :func:`nw_weights` sums them, and the remaining
+        weight of a column adds only zeros from outside the window, so
+        the fit equals the full one at the window's event columns and
+        holds between them.  Event times before the window have mass
+        exactly zero, and a count of window masses ends at the distinct
+        event times before the next window event column.
         """
         n, size = self.xs.size, self.times.size
         u_cure = np.empty((len(rngs), n))
@@ -349,21 +368,59 @@ class _ResamplingKit:
             u_latency[j] = rng.random(n)
         ranks = np.full(u_cure.shape, self.atoms.size,
                         dtype=self.event_ranks.dtype)
-        rows = max(_KIT_MIN_ROWS, _KIT_CHUNK_BYTES // (8 * n))
-        for lo in range(0, n, rows):
-            weights = nw_weights(self.xs[lo:lo + rows], self.ordered.x, self.g)
-            cums = _product_limit(self.ordered.delta, weights, self.events)
-            if self.last is not None:
-                cums = cums.take(self.last, axis=1)
-            cured = cums[:, -1]
+        xs, x_time, delta = self.x_sorted, self.ordered.x, self.ordered.delta
+        g = self.g
+        # a block of full rows of kernel values, zero outside the last
+        # window, that sums a chunk's rows a block at a time
+        full = np.zeros(
+            (min(n, max(_KIT_MIN_ROWS, _KIT_CHUNK_BYTES // (8 * n))), n))
+        inside = np.zeros(n, dtype=bool)
+        lo = 0
+        while lo < n:
+            # w columns of the first row, and about one more per further
+            # row: rows (w + rows) eight-byte entries near _KIT_CHUNK_BYTES
+            w = int(np.searchsorted(xs, xs[lo] + g, side="right")
+                    - np.searchsorted(xs, xs[lo] - g))
+            hi = lo + max(_KIT_MIN_ROWS,
+                          (math.isqrt(w * w + _KIT_CHUNK_BYTES // 2) - w) // 2)
+            points, rows = xs[lo:hi], self.x_order[lo:hi]
+            lo = hi
+            # past the rounded bound x + g, a column's rounded distance to
+            # every row at or below x is at least g, as rounding is
+            # monotone: its kernel value is exactly zero
+            was_inside, inside = inside, ((x_time >= points[0] - g)
+                                          & (x_time <= points[-1] + g))
+            full[:, np.flatnonzero(was_inside > inside)] = 0.0
+            window = np.flatnonzero(inside)
+            at = np.flatnonzero(delta[window] == 1)
+            if not at.size:
+                continue  # no event with weight: every row is cured
+            raw = _kernel_rows(points, x_time[window], np.asarray(g))
+            if window.size < n:
+                total = np.empty((points.size, 1))
+                for r in range(0, points.size, full.shape[0]):
+                    block = full[:min(full.shape[0], points.size - r)]
+                    block[:, window] = raw[r:r + block.shape[0]]
+                    block.sum(axis=-1, keepdims=True,
+                              out=total[r:r + block.shape[0]])
+            else:
+                total = raw.sum(axis=-1, keepdims=True)
+            cums = _product_limit(delta[window],
+                                  np.divide(raw, total, out=raw), at)
+            cured = cums[:, -1].copy()  # cums is transformed in place
             p = 1.0 - cured
             # each row's cumulative latency masses, a nondecreasing row;
             # 0/0 on a row with p == 0, which is never drawn uncured
+            np.subtract(cums, cured[:, None], out=cums)
             with np.errstate(invalid="ignore"):
-                cums = 1.0 - (cums - cured[:, None]) / p[:, None]
-            j, i = np.nonzero(u_cure[:, lo:lo + rows] < p)
-            count = _count_at_or_below(cums, i, u_latency[j, lo + i])
-            ranks[j, lo + i] = self.event_ranks[np.minimum(count, size - 1)]
+                np.divide(cums, p[:, None], out=cums)
+            np.subtract(1.0, cums, out=cums)
+            j, i = np.nonzero(u_cure[:, rows] < p)
+            u = u_latency[j, rows[i]]
+            ends = np.append(
+                np.searchsorted(self.last_events, window[at]), size)
+            count = np.where(u < 0.0, 0, ends[_count_at_or_below(cums, i, u)])
+            ranks[j, rows[i]] = self.event_ranks[np.minimum(count, size - 1)]
         del u_latency
         u_censor = u_cure
         for j, rng in enumerate(rngs):
@@ -375,11 +432,32 @@ class _ResamplingKit:
         return ranks, events
 
 
+def _covariate_seed(seed: int, index: int) -> int:
+    """Independent bootstrap seed per covariate value, reproducibly."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index, 2))
+    return int(seq.generate_state(1)[0])
+
+
+def _covariates(x):
+    """The covariate values of a call, and whether ``x`` was one value.
+
+    Raises
+    ------
+    ValueError
+        If ``x`` is an empty sequence, before any work is done.
+    """
+    single = np.ndim(x) == 0
+    xs = [x] if single else list(x)
+    if not xs:
+        raise ValueError("need at least one covariate value")
+    return xs, single
+
+
 def mise_star(
     sample: CensoredSample,
-    x: float,
+    x,
     config: BootstrapConfig,
-) -> MiseCurve:
+) -> MiseCurve | list:
     """Bootstrap MISE of the latency estimate over a bandwidth grid.
 
     Every resample is fitted at every grid bandwidth; the weighted
@@ -389,29 +467,84 @@ def mise_star(
     the stream spawned as child ``j`` of the seed.  Resamples are drawn
     together and fitted in chunks, each in one product-limit call.
 
+    ``x`` is one covariate value, whose seed is ``config.seed``, giving
+    one :class:`MiseCurve`.  Or it is a nonempty sequence of them, value
+    ``i`` with its own seed ``_covariate_seed(config.seed, i)``, giving a
+    list in the same order: the curve at each value, or the
+    :class:`EstimationError` it failed with.  All values share one kit
+    and one draw of their resamples, and each gets what a call at it
+    alone would.
+
     Raises
     ------
     EstimationError
-        If the pilot bandwidth or fit fails, or every resample fails at
-        some grid bandwidth.
+        With one value: if the pilot bandwidth or fit fails, or every
+        resample fails at some grid bandwidth.
     """
-    grid = config.grid.values
-    g = pilot_bandwidth(sample.x, config.pilot_c)
-    pilot_fit = latency_estimate(sample, x, g)
-    tgrid = _time_grid(sample, config)
-    pilot_values = pilot_fit.latency.evaluate(tgrid)
+    xs, single = _covariates(x)
+    seeds = ([config.seed] if single else
+             [_covariate_seed(config.seed, i) for i in range(len(xs))])
+    curves, pilots = [None] * len(xs), {}
+    try:
+        g = pilot_bandwidth(sample.x, config.pilot_c)
+    except EstimationError as err:
+        curves = [err] * len(xs)
+    else:
+        for i, xv in enumerate(xs):
+            try:
+                pilots[i] = latency_estimate(sample, xv, g).latency
+            except EstimationError as err:
+                curves[i] = err
+    if pilots:  # a pilot fit needs an event, so neither of these fails
+        tgrid = _time_grid(sample, config)
+        kit = _ResamplingKit.build(sample, g)
+    B, live = config.B, list(pilots)
+    group = max(1, _DRAW_BYTES // (16 * B * sample.n))
+    for start in range(0, len(live), group):
+        drawn = live[start:start + group]
+        ranks, events = kit.draw([
+            np.random.default_rng(child) for i in drawn
+            for child in np.random.SeedSequence(seeds[i]).spawn(B)])
+        # time order, events first within ties: one stable (radix) sort of
+        # small integer keys per resample, the order of ``lexsort``
+        keys = 2 * ranks + 1 - events
+        del ranks, events
+        for k, i in enumerate(drawn):
+            try:
+                curves[i] = _resample_curve(
+                    kit, keys[k * B:(k + 1) * B], xs[i],
+                    pilots[i].evaluate(tgrid), tgrid, config)
+            except EstimationError as err:
+                curves[i] = err
+    if not single:
+        return curves
+    if isinstance(curves[0], EstimationError):
+        raise curves[0]
+    return curves[0]
 
-    streams = np.random.SeedSequence(config.seed).spawn(config.B)
-    kit = _ResamplingKit.build(sample, g)
-    ranks, events = kit.draw(
-        [np.random.default_rng(child) for child in streams])
-    # time order, events first within ties: one stable (radix) sort of
-    # small integer keys per resample, the order of ``lexsort``
-    keys = 2 * ranks + 1 - events
-    del ranks, events
+
+def _grid_columns(ordered, bounds, span):
+    """Each resample's last column at or before every grid point, (b, T).
+
+    ``ordered`` holds the (b, n) sorted keys of b resamples, all below
+    ``span``, and ``bounds`` twice the number of atoms at or before each
+    grid point, at most ``span``: a key below a bound is a time at or
+    before the point.  The keys, moved apart by resample, are one sorted
+    array, searched once for every resample's bounds.
+    """
+    resample = np.arange(ordered.shape[0])[:, None]
+    below = np.searchsorted((ordered + span * resample).reshape(-1),
+                            bounds + span * resample)
+    return below - ordered.shape[1] * resample - 1
+
+
+def _resample_curve(kit, keys, x, pilot_values, tgrid, config):
+    """The MISE* curve at ``x`` of the resamples with sort ``keys``."""
+    grid = config.grid.values
     # covariates stay fixed across resamples, so the kernel values at x
     # are computed once and only their columns follow each time order
-    raw = epanechnikov((x - sample.x) / grid[:, None])
+    raw = epanechnikov((x - kit.xs) / grid[:, None])
+    bounds = 2 * np.searchsorted(kit.atoms, tgrid, side="right")
     ise = np.empty((config.B, grid.size))
     chunk = max(1, _RESAMPLE_CHUNK_BYTES // (8 * raw.size))
     for lo in range(0, config.B, chunk):
@@ -421,8 +554,9 @@ def mise_star(
         for r, resample_order in enumerate(order):
             # the indices are valid: "clip" spares a buffered ``out``
             raw.take(resample_order, axis=1, out=raw_ordered[r], mode="clip")
+        last = _grid_columns(ordered, bounds, 2 * kit.atoms.size)
         curves, plateaus, fitted = _beran_rows(
-            kit.atoms[ordered >> 1], (ordered & 1) == 0, raw_ordered, tgrid)
+            (ordered & 1) == 0, raw_ordered, last[:, None])
         rows = np.arange(fitted.size)
         ise[lo:lo + chunk] = _latency_ise(
             curves.reshape(rows.size, -1), plateaus.reshape(-1),
@@ -432,5 +566,5 @@ def mise_star(
     return _mise_curve(
         config.grid, np.nansum(ise, axis=0), np.sum(~np.isnan(ise), axis=0),
         config.B, "resample",
-        pilot_bandwidth=g, weight_upper=float(tgrid[-1]),
+        pilot_bandwidth=kit.g, weight_upper=float(tgrid[-1]),
     )

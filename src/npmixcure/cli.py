@@ -304,12 +304,6 @@ def _model(opts):
     return _MODELS[_require(opts, "model")]()
 
 
-def _covariate_seed(seed: int, index: int) -> int:
-    """Independent bootstrap seed per covariate value, reproducibly."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index, 2))
-    return int(seq.generate_state(1)[0])
-
-
 def _emit(command, opts, stem, columns, rows, summary, **recorded):
     """Write the table and its sidecar; return the table's path.
 
@@ -392,13 +386,21 @@ def _resolve_sample(opts):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _mise_star_at(sample, opts, index, xv):
-    """Bootstrap MISE* curve at the ``index``-th ``--x``, on its own seed."""
+def _mise_stars(sample, opts, xs):
+    """Bootstrap MISE* curves at every ``--x``, each on its own seed, or
+    the error each failed with."""
     config = BootstrapConfig(
-        B=opts["B"], grid=_log_grid(opts["grid"]),
-        seed=_covariate_seed(opts["seed"], index), pilot_c=opts["pilot_c"],
+        B=opts["B"], grid=_log_grid(opts["grid"]), seed=opts["seed"],
+        pilot_c=opts["pilot_c"],
     )
-    return mise_star(sample, xv, config)
+    return mise_star(sample, xs, config)
+
+
+def _raised(result):
+    """``result``, or raise it if it is an error."""
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 def _each_x(xs, rows_at, what):
@@ -450,11 +452,12 @@ def _cmd_estimate(opts):
                               "(required with --h auto)")
 
     selections = []
+    curves = _mise_stars(sample, opts, xs) if auto else None
 
     def rows_at(i, xv):
         h_used = h
         if auto:
-            curve = _mise_star_at(sample, opts, i, xv)
+            curve = _raised(curves[i])
             h_used = curve.selected
             selections.append({
                 "x": xv,
@@ -494,9 +497,10 @@ def _cmd_selectbw(opts):
     xs = _require(opts, "x")
     _require(opts, "grid")
     selections = []
+    curves = _mise_stars(sample, opts, xs)
 
     def rows_at(i, xv):
-        curve = _mise_star_at(sample, opts, i, xv)
+        curve = _raised(curves[i])
         selections.append({
             "x": xv,
             "h_star": curve.selected,

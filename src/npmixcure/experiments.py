@@ -18,6 +18,7 @@ from .bootstrap import (
     MiseCurve,
     _check_integers,
     _check_weight_upper,
+    _covariates,
     _mise_curve,
     _time_grid,
     mise_star,
@@ -126,7 +127,8 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, visit=None):
         raw = epanechnikov(
             (xs[:, None, None] - sample.x[order]) / hs[:, None])
         curves, plateaus, fitted = _beran_rows(
-            sample.t[order], sample.delta[order], raw.reshape(-1, n), tgrid)
+            sample.delta[order], raw.reshape(-1, n),
+            np.searchsorted(sample.t[order], tgrid, side="right")[None] - 1)
         # pairs are combined one x at a time: stacked, the (len(x) * K, T)
         # temporaries outgrow malloc's 128 KiB mmap threshold and measured
         # slower
@@ -138,21 +140,6 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, visit=None):
             sums[i, ok] += ise[ok]
             used[i, ok] += 1
     return sums, used
-
-
-def _covariates(x):
-    """The covariate values of a call, and whether ``x`` was one value.
-
-    Raises
-    ------
-    ValueError
-        If ``x`` is an empty sequence, before any trial is drawn.
-    """
-    single = np.ndim(x) == 0
-    xs = [x] if single else list(x)
-    if not xs:
-        raise ValueError("need at least one covariate value")
-    return xs, single
 
 
 def true_mise(

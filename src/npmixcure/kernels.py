@@ -29,6 +29,17 @@ def _from_squares(k):
     return np.multiply(0.75, k, out=k)
 
 
+def _kernel_rows(points, xs, hs):
+    """Kernel values of the points and bandwidths at ``xs``, one row per
+    pair: the kernel's ufuncs in its order, in one buffer of the full
+    shape."""
+    raw = np.empty(np.broadcast_shapes(points.shape + (1,), xs.shape,
+                                       hs.shape + (1,)))
+    np.subtract(points[..., None], xs, out=raw)
+    np.divide(raw, hs[..., None], out=raw)
+    return _from_squares(np.multiply(raw, raw, out=raw))
+
+
 def epanechnikov(u) -> np.ndarray:
     """Kernel density ``0.75 (1 - u^2)``, zero outside (-1, 1)."""
     u = np.asarray(u, dtype=float)
@@ -68,12 +79,7 @@ def nw_weights(x, xs: np.ndarray, h) -> np.ndarray:
     if xs.size == 0:
         raise ValueError("xs must be nonempty")
     points = np.asarray(x, dtype=float)
-    # the kernel's ufuncs in its order, in one buffer of the full shape
-    raw = np.empty(np.broadcast_shapes(points.shape + (1,), xs.shape,
-                                       hs.shape + (1,)))
-    np.subtract(points[..., None], xs, out=raw)
-    np.divide(raw, hs[..., None], out=raw)
-    _from_squares(np.multiply(raw, raw, out=raw))
+    raw = _kernel_rows(points, xs, hs)
     total = raw.sum(axis=-1, keepdims=True)
     empty = total[..., 0] <= 0.0
     if empty.any():

@@ -163,16 +163,18 @@ def _at_event_times(t_sorted, delta_sorted, weights):
         last, axis=-1)
 
 
-def _beran_rows(t_sorted, delta_sorted, raw, tgrid):
+def _beran_rows(delta_sorted, raw, last):
     """Conditional product-limit curves on a time grid, one per kernel row.
 
     ``raw`` holds nonnegative kernel values, either a (K, n) matrix in
-    the time order of ``t_sorted`` and ``delta_sorted`` (shape (n,)),
-    or a (b, K, n) stack whose sample ``r`` has its own order, given by
-    row ``r`` of the (b, n) ``t_sorted`` and ``delta_sorted``.  Each
-    kernel row is scaled to sum to one as in :func:`nw_weights`.
+    the time order of the (n,) ``delta_sorted``, or a (b, K, n) stack
+    whose sample ``r`` has its own order, given by row ``r`` of a (b, n)
+    ``delta_sorted``.  Each kernel row is scaled to sum to one as in
+    :func:`nw_weights`.  ``last`` gives the grid: the last column at or
+    before each of its T points (-1 before the first column), a (1, T)
+    array for one order or (b, 1, T) for a stack.
 
-    Returns the curves on ``tgrid``, shape ``raw.shape[:-1] + (T,)``,
+    Returns the curves on the grid, shape ``raw.shape[:-1] + (T,)``,
     their plateaus (the value after the last column, shape
     ``raw.shape[:-1]``), and the boolean mask of the rows with positive
     weight, of the same shape.  A row without weight, or of a sample
@@ -183,10 +185,6 @@ def _beran_rows(t_sorted, delta_sorted, raw, tgrid):
     fitted = total > 0.0
     weights = raw / np.where(fitted, total, 1.0)[..., None]
     survival = _product_limit(delta_sorted[..., None, :], weights)
-    # each sample's last column at or before every grid point
-    last = np.array([np.searchsorted(row, tgrid, side="right")
-                     for row in t_sorted.reshape(-1, t_sorted.shape[-1])])
-    last = (last - 1).reshape(t_sorted.shape[:-1] + (1, tgrid.size))
     on_grid = np.where(
         last < 0, 1.0,
         np.take_along_axis(survival, np.maximum(last, 0), axis=-1))

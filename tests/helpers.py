@@ -13,12 +13,17 @@ package's kit draws every resample of a selection in one pass over the
 pilot fits, as ranks into a table of atoms, and the tests hold its
 draws equal to this kit's bit for bit.  ``mise_star_loop`` fits this
 kit's resamples one bandwidth at a time, the reference of the batched
-grid fits, and ``product_limit_reference`` is the product-limit formula
-with its earlier, redundant positive-remaining-weight test and a fresh
-array from every step.  ``epanechnikov_reference`` and
-``nw_weights_reference`` compute the kernel the same way, where the
-package computes it in place in one buffer.  ``cell_reference`` is
-the CSV writer's cell formatting without its exact-type shortcuts.
+grid fits, and ``mise_star_alone`` calls ``mise_star`` at one covariate
+value at a time, the reference of a call at several.
+``product_limit_reference`` is the product-limit formula with its
+earlier, redundant positive-remaining-weight test and a fresh array
+from every step, and ``beran_rows_reference`` reads the grid fits off
+the times with one search per sample, where the package finds each
+sample's grid columns from its integer sort keys.
+``epanechnikov_reference`` and ``nw_weights_reference`` compute the
+kernel the same way, where the package computes it in place in one
+buffer.  ``cell_reference`` is the CSV writer's cell formatting without
+its exact-type shortcuts.
 
 The oracle's reference routes live here as well: ``phi`` and
 ``phi2_terms``.  ``Phi`` vanishes on the diagonal ``y = x``, which the
@@ -32,7 +37,7 @@ names inside the package only, still counts their integrand calls.
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +47,8 @@ from npmixcure import numerics
 from npmixcure.bootstrap import (
     _KIT_CHUNK_BYTES,
     _JumpDistribution,
+    _covariate_seed,
+    mise_star,
     pilot_bandwidth,
 )
 from npmixcure.cure import latency_estimate
@@ -170,6 +177,32 @@ def product_limit_reference(delta_sorted, weights, columns=slice(None)):
     with np.errstate(invalid="ignore"):  # 0/0 past a row's last weight
         factors = np.where(active, 1.0 - weights / remaining, 1.0)
     return np.cumprod(factors, axis=-1)
+
+
+def grid_columns(t_sorted, tgrid):
+    """The last column of each time order at or before every grid point,
+    as ``survival._beran_rows`` takes them: (1, T) for one (n,) order,
+    and (b, 1, T) for a (b, n) stack of orders."""
+    last = np.array([np.searchsorted(row, tgrid, side="right") - 1
+                     for row in t_sorted.reshape(-1, t_sorted.shape[-1])])
+    return last.reshape(t_sorted.shape[:-1] + (1, tgrid.size))
+
+
+def beran_rows_reference(t_sorted, delta_sorted, raw, tgrid):
+    """``survival._beran_rows`` as it read the grid off the times: one
+    search of every sample's times, then a gather along each row."""
+    raw = np.ascontiguousarray(raw)
+    total = raw.sum(axis=-1)
+    fitted = total > 0.0
+    weights = raw / np.where(fitted, total, 1.0)[..., None]
+    survival = _product_limit(delta_sorted[..., None, :], weights)
+    last = np.array([np.searchsorted(row, tgrid, side="right")
+                     for row in t_sorted.reshape(-1, t_sorted.shape[-1])])
+    last = (last - 1).reshape(t_sorted.shape[:-1] + (1, tgrid.size))
+    on_grid = np.where(
+        last < 0, 1.0,
+        np.take_along_axis(survival, np.maximum(last, 0), axis=-1))
+    return on_grid, survival[..., -1].copy(), fitted
 
 
 def epanechnikov_reference(u):
@@ -366,6 +399,33 @@ def mise_star_loop(sample, x, config):
             f"every resample failed at bandwidth(s) {bad.tolist()}"
         )
     return np.nansum(ise, axis=0) / succeeded, config.B - succeeded
+
+
+def mise_star_alone(sample, xs, config):
+    """``mise_star`` at each value of ``xs`` in a call of its own, on the
+    seed a call at all of them gives it, or the error it fails with."""
+    out = []
+    for i, x in enumerate(xs):
+        alone = replace(config, seed=_covariate_seed(config.seed, i))
+        try:
+            out.append(mise_star(sample, x, alone))
+        except EstimationError as err:
+            out.append(err)
+    return out
+
+
+def assert_same_outcomes(several, alone):
+    """The curves (or errors) of a call at several values are those of
+    the calls at each alone."""
+    assert len(several) == len(alone)
+    for got, want in zip(several, alone):
+        if isinstance(want, EstimationError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.failures, want.failures)
+            assert got.pilot_bandwidth == want.pilot_bandwidth
+            assert got.weight_upper == want.weight_upper
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,21 @@ from npmixcure.bootstrap import (
     MiseCurve,
     _JumpDistribution,
     _ResamplingKit,
+    _count_at_or_below,
+    _covariate_seed,
+    _grid_columns,
 )
-from npmixcure.cli import _covariate_seed
 from npmixcure.cure import _latency_from_curve
 from npmixcure.models import trial_rng
 from npmixcure.survival import StepSurvivalCurve
 
-from helpers import ReferenceKit, mise_star_loop, pick
+from helpers import (
+    ReferenceKit,
+    assert_same_outcomes,
+    mise_star_alone,
+    mise_star_loop,
+    pick,
+)
 
 
 def _sparse_event_sample():
@@ -365,6 +373,87 @@ class TestMiseStar:
         assert curve.selected == grid.values[1]
 
 
+class TestSeveralCovariates:
+    """mise_star at several covariate values: one kit, one draw."""
+
+    @staticmethod
+    def _case():
+        # at an observed covariate, between covariates (every resample
+        # fails at h=0.05), far outside (the pilot fit fails), and again
+        # between covariates
+        sample = generate(model1(), 60, trial_rng(707, 0))
+        cfg = BootstrapConfig(B=9, grid=log_grid(0.05, 30.0, 5), seed=11)
+        return sample, [float(sample.x[0]), 2.0, 1e6, 8.0], cfg
+
+    def test_equal_to_one_value_calls(self):
+        sample, xs, cfg = self._case()
+        several = mise_star(sample, xs, cfg)
+        alone = mise_star_alone(sample, xs, cfg)
+        assert_same_outcomes(several, alone)
+        assert isinstance(several[0], MiseCurve)
+        assert "every resample failed at bandwidth(s) [0.05]" in str(
+            several[1])
+        assert "no observation within bandwidth" in str(several[2])
+
+    def test_one_kit_and_one_draw(self, monkeypatch):
+        sample, xs, cfg = self._case()
+        calls = []
+        build, draw = _ResamplingKit.build.__func__, _ResamplingKit.draw
+
+        def counted_build(cls, *args):
+            calls.append("build")
+            return build(cls, *args)
+
+        def counted_draw(kit, rngs):
+            calls.append(len(rngs))
+            return draw(kit, rngs)
+
+        monkeypatch.setattr(_ResamplingKit, "build",
+                            classmethod(counted_build))
+        monkeypatch.setattr(_ResamplingKit, "draw", counted_draw)
+        mise_star(sample, xs, cfg)
+        # the value whose pilot fit fails draws nothing
+        assert calls == ["build", 3 * cfg.B]
+
+    def test_values_drawn_in_groups(self, monkeypatch):
+        # a draw budget of one value's uniforms draws one value at a time
+        sample, xs, cfg = self._case()
+        together = mise_star(sample, xs, cfg)
+        monkeypatch.setattr(bootstrap, "_DRAW_BYTES", 16 * cfg.B * sample.n)
+        assert_same_outcomes(mise_star(sample, xs, cfg), together)
+
+    def test_pilot_bandwidth_failure_fails_every_value(self):
+        sample = CensoredSample(np.full(3, 2.0), np.array([1.0, 2.0, 3.0]),
+                                np.array([1, 0, 1]))
+        cfg = BootstrapConfig(B=4, grid=log_grid(1.0, 4.0, 2), seed=3)
+        several = mise_star(sample, [1.0, 2.0], cfg)
+        assert all("all covariates are identical" in str(err)
+                   for err in several)
+        with pytest.raises(EstimationError, match="identical"):
+            mise_star(sample, 2.0, cfg)
+
+    def test_empty_sequence_is_rejected(self):
+        sample, _, cfg = self._case()
+        with pytest.raises(ValueError, match="at least one"):
+            mise_star(sample, [], cfg)
+
+    def test_memory_stays_below_the_pilot_matrix_per_value(self):
+        # the select-large selection at two covariate values: the pilot
+        # fits as (n, E) float matrices would take 8 n E bytes per value
+        sample = generate(model1(), 1600, trial_rng(1, 0))
+        cfg = BootstrapConfig(B=50, grid=log_grid(1.0, 12.0, 15), seed=1)
+        xs = [4.0, 8.0]
+        matrix = 8 * sample.n * np.unique(sample.t[sample.delta == 1]).size
+        tracemalloc.start()
+        try:
+            curves = mise_star(sample, xs, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(c, MiseCurve) for c in curves)
+        assert peak < len(xs) * matrix
+
+
 class TestBatchedGridFits:
     """mise_star fits each resample at every bandwidth in one batch."""
 
@@ -455,6 +544,43 @@ class TestBatchedGridFits:
         assert np.array_equal(curve.values, values)
         assert np.array_equal(curve.failures, failures)
         assert curve.failures.tolist() == [eventless, eventless]
+
+
+class TestRankedLookups:
+    """The pass's count and the grid fits' columns, against searches."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 33])
+    def test_count_equals_a_search_of_each_row(self, size):
+        # tied masses, zeros first, uniforms on and just below every
+        # mass, below zero and at one
+        rng = np.random.default_rng(size)
+        cums = np.sort(np.round(rng.random((5, size)), 1), axis=1)
+        cums[:, 0] = 0.0
+        u = np.concatenate([cums.ravel(), np.nextafter(cums.ravel(), -1.0),
+                            [-0.5, 0.0, 1.0], rng.random(20)])
+        rows = rng.integers(0, 5, u.size)
+        expect = [np.searchsorted(cums[r], v, side="right")
+                  for r, v in zip(rows, u)]
+        assert np.array_equal(_count_at_or_below(cums, rows, u), expect)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grid_columns_equal_a_search_of_the_times(self, seed):
+        # grid points before every atom, on atoms, between and past them
+        sample = generate(model1(), 40, trial_rng(919, seed))
+        kit = _ResamplingKit.build(sample, 6.0)
+        ranks, events = kit.draw([np.random.default_rng(seed + r)
+                                  for r in range(5)])
+        ordered = np.sort(2 * ranks + 1 - events, kind="stable")
+        tgrid = np.sort(np.concatenate([
+            [kit.atoms[0] / 2, kit.atoms[-1] + 1.0], kit.atoms[::3],
+            np.linspace(0.0, kit.atoms[-1], 17)]))
+        bounds = 2 * np.searchsorted(kit.atoms, tgrid, side="right")
+        times = kit.atoms[ordered >> 1]
+        expect = [np.searchsorted(row, tgrid, side="right") - 1
+                  for row in times]
+        got = _grid_columns(ordered, bounds, 2 * kit.atoms.size)
+        assert np.array_equal(got, expect)
+        assert got.min() == -1 and got.max() == sample.n - 1
 
 
 class _Uniforms:

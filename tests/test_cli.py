@@ -22,7 +22,8 @@ from npmixcure import (
     true_mise,
 )
 from npmixcure import cli
-from npmixcure.cli import _covariate_seed, main
+from npmixcure.bootstrap import _covariate_seed
+from npmixcure.cli import main
 from npmixcure.exceptions import ConfigError, SupportGuardError
 from npmixcure.models import trial_rng
 from npmixcure.oracle import amse
@@ -359,6 +360,34 @@ class TestMise:
         header, rows = _read_csv(_outdir / "surf.csv")
         assert header == ["x", "h1", "h2", "mise", "trials_used"]
         assert len(rows) == 3 * 2
+
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (40, 1)], ids=["n1", "m1"])
+    def test_one_row_or_one_trial(self, _outdir, capsys, n, m):
+        # a one-row trial without an event is skipped, and one trial
+        # scores every bandwidth it fits
+        rc = main(["mise", "--model", "1", "--n", str(n), "--m", str(m),
+                   "--x", "5", "--grid", "10:40:3", "--seed", "3",
+                   "--out", "mise.csv"])
+        assert rc == 0
+        _header, rows = _read_csv(_outdir / "mise.csv")
+        curve = true_mise(model1(), n, m, 5.0, log_grid(10.0, 40.0, 3),
+                          ExperimentConfig(seed=3))
+        assert np.array_equal([float(r[2]) for r in rows], curve.values)
+        assert [int(r[3]) for r in rows] == (m - curve.failures).tolist()
+        assert all(int(r[3]) >= 1 for r in rows)
+
+    def test_grid_below_the_covariate_spacing_is_exit_4(self, _outdir,
+                                                        capsys):
+        # no covariate of a 40-row trial lies within 0.001 of x=5, so
+        # every trial fails at every bandwidth
+        rc = main(["mise", "--model", "1", "--n", "40", "--m", "3",
+                   "--x", "5", "--grid", "0.0001:0.001:3", "--seed", "3",
+                   "--out", "mise.csv"])
+        assert rc == 4
+        assert ("every trial failed at bandwidth(s) [0.0001, "
+                in capsys.readouterr().err)
+        assert not (_outdir / "mise.csv").exists()
 
 
 class TestOracle:

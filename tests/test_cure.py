@@ -17,7 +17,7 @@ from npmixcure.cure import _latency_from_curve, _latency_ise
 from npmixcure.kernels import epanechnikov
 from npmixcure.survival import _beran_rows
 
-from helpers import random_censored_sample
+from helpers import grid_columns, random_censored_sample
 
 
 def _three_point_sample():
@@ -177,7 +177,7 @@ class TestLatencyIse:
         raw = epanechnikov(
             (self.XS[:, None] - ordered.x) / self.HS[:, None])
         curves, plateaus, fitted = _beran_rows(
-            ordered.t, ordered.delta, raw, tgrid)
+            ordered.delta, raw, grid_columns(ordered.t, tgrid))
         rows1, rows2 = (r.ravel() for r in np.meshgrid(
             np.arange(4), np.arange(4), indexing="ij"))
         ise = _latency_ise(curves, plateaus, fitted, truth, tgrid,

@@ -40,7 +40,13 @@ from npmixcure.survival import (
     _beran_rows,
 )
 
-from helpers import ReferenceKit, mise_star_loop
+from helpers import (
+    ReferenceKit,
+    assert_same_outcomes,
+    grid_columns,
+    mise_star_alone,
+    mise_star_loop,
+)
 
 # derandomized and without an example database: every run checks the
 # same examples and writes nothing
@@ -179,7 +185,8 @@ def test_stacked_covariate_rows_equal_separate_fits(sample, xs, hs, points):
     def fit(points_x):
         raw = epanechnikov(
             (np.array(points_x)[:, None, None] - x_sorted) / hs[:, None])
-        return _beran_rows(t, delta, raw.reshape(-1, sample.n), tgrid)
+        return _beran_rows(delta, raw.reshape(-1, sample.n),
+                           grid_columns(t, tgrid))
 
     on_grid, cured, fitted = fit(xs)
     separate = [fit([x]) for x in xs]
@@ -220,8 +227,8 @@ def test_resample_stack_equals_separate_fits(stack, points):
     delta = np.take_along_axis(delta, order, axis=-1)
     raw = np.take_along_axis(raw, order[:, None], axis=-1)
     tgrid = np.linspace(0.0, 5.0, points)
-    on_grid, cured, fitted = _beran_rows(t, delta, raw, tgrid)
-    separate = [_beran_rows(t[r], delta[r], raw[r], tgrid)
+    on_grid, cured, fitted = _beran_rows(delta, raw, grid_columns(t, tgrid))
+    separate = [_beran_rows(delta[r], raw[r], grid_columns(t[r], tgrid))
                 for r in range(t.shape[0])]
     assert np.array_equal(on_grid, np.stack([s[0] for s in separate]))
     assert np.array_equal(cured, np.stack([s[1] for s in separate]))
@@ -260,8 +267,9 @@ def _kit_samples(draw):
        st.integers(1, 60), st.integers(0, 2**32 - 1))
 def test_streamed_draw_equals_reference_draws(sample, g, b, rows, seed):
     # every resample of a selection drawn in one pass over the pilot
-    # fits, ``rows`` rows at a time (one, or a count not dividing n),
-    # equals the reference kit's draws, one resample at a time
+    # fits, in chunks sized from ``rows`` (one row, or counts not
+    # dividing n), equals the reference kit's draws, one resample at a
+    # time
     streams = np.random.SeedSequence(seed).spawn(b)
     ref = ReferenceKit.build(sample, g)
     draws = [ref.draw(np.random.default_rng(child)) for child in streams]
@@ -317,6 +325,69 @@ def test_ranked_resamples_on_tied_samples(sample, g, b, seed):
         curve = mise_star(sample, x, config)
         assert np.array_equal(curve.values, values)
         assert np.array_equal(curve.failures, failures)
+
+
+@_SETTINGS
+@example(_ALL_CENSORED_ROWS, 7, 5)
+@given(_kit_samples(), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_several_values_equal_one_value_calls(sample, b, seed):
+    # one kit and one draw for every value, each on its own seed: the
+    # curves, or the errors, of one call per value; the last value fails
+    # its pilot fit, or every value fails on a one-row sample
+    config = BootstrapConfig(B=b, grid=BandwidthGrid([1.0, 3.0, 9.0]),
+                             seed=seed, time_grid_size=9)
+    xs = [float(sample.x[0]), float(sample.x.max()) + 0.5, 3.5, 1e6]
+    several = mise_star(sample, xs, config)
+    assert_same_outcomes(several, mise_star_alone(sample, xs, config))
+    assert isinstance(several[-1], EstimationError)
+
+
+@st.composite
+def _lattice_samples(draw):
+    """Samples whose covariates sit on a lattice, with a pilot bandwidth
+    below its step or a multiple of it: covariates lie at exactly, or
+    within rounding of, the bandwidth from a row's."""
+    step = draw(st.sampled_from([0.1, 0.3, 1.0, 1000.1]))
+    g = step * draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    offset = draw(st.sampled_from([0.0, -2.5, 1e6]))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = (rng.random(n) < draw(st.floats(0.1, 0.9))).astype(int)
+    delta[draw(st.integers(0, n - 1))] = 1
+    xs = offset + step * rng.integers(0, 8, n)
+    return CensoredSample(xs, rng.integers(1, 5, n).astype(float), delta), g
+
+
+@_SETTINGS
+@given(_lattice_samples(), st.integers(1, 5), st.integers(1, 60),
+       st.integers(0, 2**32 - 1))
+def test_windowed_pass_on_lattice_covariates(case, b, rows, seed):
+    # every chunk fitted on its window of columns equals the reference
+    # kit's full rows, where a column at the window's edge has a zero
+    # weight, or a weight that rounding leaves above zero
+    sample, g = case
+    streams = np.random.SeedSequence(seed).spawn(b)
+    ref = ReferenceKit.build(sample, g)
+    draws = [ref.draw(np.random.default_rng(child)) for child in streams]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bootstrap, "_KIT_CHUNK_BYTES", 8 * sample.n * rows)
+        patch.setattr(bootstrap, "_KIT_MIN_ROWS", 1)
+        kit = _ResamplingKit.build(sample, g)
+        ranks, delta = kit.draw(
+            [np.random.default_rng(child) for child in streams])
+    assert np.array_equal(kit.atoms[ranks], np.array([d[0] for d in draws]))
+    assert np.array_equal(delta, np.array([d[1] for d in draws]))
+
+
+def test_lattice_examples_cover_their_cases():
+    # at a bandwidth of one step, a covariate one step away has weight
+    # zero on the lattice of ones, while on the lattice of 0.1 rounding
+    # leaves some of those weights above zero
+    steps_apart = np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
+    for step, rounded in ((1.0, False), (0.1, True)):
+        xs = step * np.arange(8)
+        weights = epanechnikov((xs[:, None] - xs) / step)
+        assert np.any(weights[steps_apart == 1] > 0.0) == rounded
 
 
 def test_tied_examples_cover_their_cases():

@@ -21,6 +21,8 @@ from npmixcure.survival import _at_event_times, _beran_rows, _product_limit
 
 from helpers import (
     beran_brute,
+    beran_rows_reference,
+    grid_columns,
     km_grouped,
     product_limit_reference,
     random_censored_sample,
@@ -248,7 +250,7 @@ class TestBatchedProductLimit:
         tgrid = np.linspace(0.0, 5.0, 23)
         raw = np.asfortranarray(epanechnikov((x - ordered.x) / hs[:, None]))
         on_grid, final, fitted = _beran_rows(
-            ordered.t, ordered.delta, raw, tgrid)
+            ordered.delta, raw, grid_columns(ordered.t, tgrid))
         assert fitted.all()
         for k, h in enumerate(hs):
             curve = beran(sample, x, h)
@@ -301,6 +303,24 @@ class TestBatchedProductLimit:
                 assert new.tobytes() == old.tobytes()
         assert weights.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grid_columns_equal_the_search_of_the_times(self, seed):
+        # a stack of tied samples, each in its own order, and one of them
+        # alone; grid points before, on and past the times
+        samples = [self._tied_sample(seed * 3 + r) for r in range(3)]
+        orders = [s.sort_by_time() for s in samples]
+        t = np.stack([o.t for o in orders])
+        delta = np.stack([o.delta for o in orders])
+        hs = np.array([0.05, 0.3, 2.5])
+        raw = np.stack([epanechnikov((float(s.x[0]) - o.x) / hs[:, None])
+                        for s, o in zip(samples, orders)])
+        tgrid = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 9.0])
+        for args in ((t, delta, raw), (t[0], delta[0], raw[0])):
+            new = _beran_rows(args[1], args[2], grid_columns(args[0], tgrid))
+            old = beran_rows_reference(*args, tgrid)
+            for a, b in zip(new, old):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_rows_without_weight_are_not_fitted(self):
         sample = self._tied_sample(3)
         ordered = sample.sort_by_time()
@@ -308,7 +328,7 @@ class TestBatchedProductLimit:
         raw = epanechnikov((10.0 - ordered.x) / hs[:, None])
         raw[0] = epanechnikov((0.0 - ordered.x) / hs[0])
         on_grid, final, fitted = _beran_rows(
-            ordered.t, ordered.delta, raw, np.array([0.0, 2.0]))
+            ordered.delta, raw, grid_columns(ordered.t, np.array([0.0, 2.0])))
         assert fitted.tolist() == [True, False, False]
         assert on_grid.shape == (3, 2) and final.shape == (3,)
         assert on_grid[fitted].shape == (1, 2) and final[fitted].shape == (1,)
