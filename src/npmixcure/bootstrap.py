@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cure import _latency_ise, latency_estimate
+from .cure import _latency_ise, _latency_values, latency_estimate
 from .exceptions import EstimationError
 from .kernels import _kernel_rows, epanechnikov
 from .survival import (
@@ -190,6 +190,8 @@ def pilot_bandwidth(xs: np.ndarray, c: float = 0.75) -> float:
 
     Raises
     ------
+    ValueError
+        If ``c`` is not positive and finite, or a covariate is not finite.
     EstimationError
         If the sample has fewer than two covariate values, or they are
         all identical.
@@ -197,6 +199,8 @@ def pilot_bandwidth(xs: np.ndarray, c: float = 0.75) -> float:
     xs = np.asarray(xs, dtype=float)
     if not 0.0 < c < math.inf:
         raise ValueError("pilot constant must be positive and finite")
+    if not np.isfinite(xs).all():
+        raise ValueError("covariates must be finite")
     if xs.size < 2:
         raise EstimationError("need at least two covariate values")
     span = float(xs.max() - xs.min())
@@ -396,24 +400,20 @@ class _ResamplingKit:
             if not at.size:
                 continue  # no event with weight: every row is cured
             raw = _kernel_rows(points, x_time[window], np.asarray(g))
-            if window.size < n:
-                total = np.empty((points.size, 1))
-                for r in range(0, points.size, full.shape[0]):
-                    block = full[:min(full.shape[0], points.size - r)]
-                    block[:, window] = raw[r:r + block.shape[0]]
-                    block.sum(axis=-1, keepdims=True,
-                              out=total[r:r + block.shape[0]])
-            else:
-                total = raw.sum(axis=-1, keepdims=True)
+            total = np.empty((points.size, 1))
+            for r in range(0, points.size, full.shape[0]):
+                block = full[:min(full.shape[0], points.size - r)]
+                block[:, window] = raw[r:r + block.shape[0]]
+                block.sum(axis=-1, keepdims=True,
+                          out=total[r:r + block.shape[0]])
             cums = _product_limit(delta[window],
                                   np.divide(raw, total, out=raw), at)
             cured = cums[:, -1].copy()  # cums is transformed in place
             p = 1.0 - cured
             # each row's cumulative latency masses, a nondecreasing row;
             # 0/0 on a row with p == 0, which is never drawn uncured
-            np.subtract(cums, cured[:, None], out=cums)
             with np.errstate(invalid="ignore"):
-                np.divide(cums, p[:, None], out=cums)
+                _latency_values(cums, cured[:, None], out=cums)
             np.subtract(1.0, cums, out=cums)
             j, i = np.nonzero(u_cure[:, rows] < p)
             u = u_latency[j, rows[i]]
@@ -444,12 +444,15 @@ def _covariates(x):
     Raises
     ------
     ValueError
-        If ``x`` is an empty sequence, before any work is done.
+        If ``x`` is an empty sequence or holds a non-finite value, before
+        any work is done.
     """
     single = np.ndim(x) == 0
     xs = [x] if single else list(x)
     if not xs:
         raise ValueError("need at least one covariate value")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"covariate values must be finite, got {x!r}")
     return xs, single
 
 
@@ -523,27 +526,14 @@ def mise_star(
     return curves[0]
 
 
-def _grid_columns(ordered, bounds, span):
-    """Each resample's last column at or before every grid point, (b, T).
-
-    ``ordered`` holds the (b, n) sorted keys of b resamples, all below
-    ``span``, and ``bounds`` twice the number of atoms at or before each
-    grid point, at most ``span``: a key below a bound is a time at or
-    before the point.  The keys, moved apart by resample, are one sorted
-    array, searched once for every resample's bounds.
-    """
-    resample = np.arange(ordered.shape[0])[:, None]
-    below = np.searchsorted((ordered + span * resample).reshape(-1),
-                            bounds + span * resample)
-    return below - ordered.shape[1] * resample - 1
-
-
 def _resample_curve(kit, keys, x, pilot_values, tgrid, config):
     """The MISE* curve at ``x`` of the resamples with sort ``keys``."""
     grid = config.grid.values
     # covariates stay fixed across resamples, so the kernel values at x
     # are computed once and only their columns follow each time order
     raw = epanechnikov((x - kit.xs) / grid[:, None])
+    # a sort key below twice the number of atoms at or before a grid
+    # point is a time at or before the point
     bounds = 2 * np.searchsorted(kit.atoms, tgrid, side="right")
     ise = np.empty((config.B, grid.size))
     chunk = max(1, _RESAMPLE_CHUNK_BYTES // (8 * raw.size))
@@ -554,7 +544,8 @@ def _resample_curve(kit, keys, x, pilot_values, tgrid, config):
         for r, resample_order in enumerate(order):
             # the indices are valid: "clip" spares a buffered ``out``
             raw.take(resample_order, axis=1, out=raw_ordered[r], mode="clip")
-        last = _grid_columns(ordered, bounds, 2 * kit.atoms.size)
+        # each resample's last column at or before every grid point
+        last = np.array([np.searchsorted(row, bounds) for row in ordered]) - 1
         curves, plateaus, fitted = _beran_rows(
             (ordered & 1) == 0, raw_ordered, last[:, None])
         rows = np.arange(fitted.size)

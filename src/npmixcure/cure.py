@@ -66,20 +66,30 @@ def incidence_estimate(
     return beran(sample, x, h).evaluate(t_top)
 
 
+def _latency_values(values, cured, out=None):
+    """The latency transform ``(S - cured) / (1 - cured)`` of survival
+    ``values``, into ``out`` (a fresh array by default).
+
+    ``cured`` is the incidence value ``1 - p_hat``, broadcast against
+    ``values``; the transform sends the plateau at ``cured`` to zero and
+    the origin to one.
+    """
+    out = np.subtract(values, cured, out=out)
+    return np.divide(out, 1.0 - cured, out=out)
+
+
 def _latency_from_curve(curve: StepSurvivalCurve, cured: float) -> StepSurvivalCurve:
     """Transform a conditional survival curve into a latency curve.
 
-    ``cured`` is the incidence value ``1 - p_hat``.  The transform
-    ``(S - cured) / (1 - cured)`` sends the plateau at ``cured`` to zero
-    and the origin to one.
+    ``cured`` is the incidence value ``1 - p_hat``; the values are those
+    of :func:`_latency_values`.
     """
-    p_hat = 1.0 - cured
-    if p_hat <= 0.0:
+    if 1.0 - cured <= 0.0:
         raise DegenerateCureError(
             "degenerate fit: all estimated mass is cured (p_hat = 0)"
         )
-    values = (curve.values - cured) / p_hat
-    return StepSurvivalCurve(curve.jump_times.copy(), values)
+    return StepSurvivalCurve(curve.jump_times.copy(),
+                             _latency_values(curve.values, cured))
 
 
 def _latency_ise(curves, plateaus, fitted, truth, tgrid, rows1, rows2):
@@ -88,18 +98,16 @@ def _latency_ise(curves, plateaus, fitted, truth, tgrid, rows1, rows2):
     ``curves`` holds (K, T) conditional survival curves on ``tgrid``,
     ``plateaus`` their final levels and ``fitted`` whether each row had
     weight.  Estimate ``k`` transforms the curve of row ``rows1[k]``
-    with the plateau of row ``rows2[k]`` as :func:`_latency_from_curve`
-    does, and its squared distance to ``truth`` is integrated over
+    with the plateau of row ``rows2[k]`` by :func:`_latency_values`, in
+    place, and its squared distance to ``truth`` is integrated over
     ``tgrid`` by the trapezoid rule.  An estimate whose curve row was
     not fitted, or whose ``1 - plateau`` is not positive, fails: its
     error is NaN.
     """
     cured = plateaus[rows2]
-    p_hat = 1.0 - cured
-    ok = fitted[rows1] & (p_hat > 0.0)
+    ok = fitted[rows1] & (1.0 - cured > 0.0)
     values = curves[rows1[ok]]
-    values -= cured[ok, None]
-    values /= p_hat[ok, None]
+    _latency_values(values, cured[ok, None], out=values)
     values -= truth
     values *= values
     ise = np.full(rows1.shape, np.nan)
@@ -111,6 +119,22 @@ def _clamp_monotone(curve: StepSurvivalCurve) -> StepSurvivalCurve:
     """Clip values into [0, 1], then enforce monotonicity by running minimum."""
     values = np.minimum.accumulate(np.clip(curve.values, 0.0, 1.0))
     return StepSurvivalCurve(curve.jump_times.copy(), values)
+
+
+def _latency_fit(sample, x, h1, h2, clamp):
+    """The latency estimate at ``x`` of both public estimators: the
+    curve at ``h1``, the incidence read off it (``h2`` None) or off a
+    second curve at ``h2``, and the result clamped on request."""
+    t_top = sample.t_max_uncensored()
+    curve = beran(sample, x, h1)
+    cured = (curve if h2 is None else beran(sample, x, h2)).evaluate(t_top)
+    latency = _latency_from_curve(curve, cured)
+    if clamp:
+        latency = _clamp_monotone(latency)
+    return CureFit(
+        x=x, h=h1, h2=h2, incidence=cured, latency=latency,
+        t_max_uncensored=t_top, clamped=clamp,
+    )
 
 
 def latency_estimate(
@@ -134,14 +158,7 @@ def latency_estimate(
     DegenerateCureError
         If the estimated uncured probability is zero.
     """
-    t_top = sample.t_max_uncensored()
-    curve = beran(sample, x, h)
-    cured = curve.evaluate(t_top)
-    latency = _latency_from_curve(curve, cured)
-    return CureFit(
-        x=x, h=h, h2=None, incidence=cured, latency=latency,
-        t_max_uncensored=t_top,
-    )
+    return _latency_fit(sample, x, h, None, False)
 
 
 def latency_estimate_two_bw(
@@ -160,13 +177,4 @@ def latency_estimate_two_bw(
     plateau), so no range guarantee is made; pass ``clamp=True`` to clip
     into [0, 1] and restore monotonicity by running minimum.
     """
-    t_top = sample.t_max_uncensored()
-    curve = beran(sample, x, h1)
-    cured = beran(sample, x, h2).evaluate(t_top)
-    latency = _latency_from_curve(curve, cured)
-    if clamp:
-        latency = _clamp_monotone(latency)
-    return CureFit(
-        x=x, h=h1, h2=h2, incidence=cured, latency=latency,
-        t_max_uncensored=t_top, clamped=clamp,
-    )
+    return _latency_fit(sample, x, h1, h2, clamp)

@@ -112,7 +112,10 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, visit=None):
     error; a pair whose fit fails on a trial skips that trial.
 
     Returns the sums and the counts of trials used, (len(xs), K) arrays.
+    Raises ``ValueError`` before any draw if ``m`` is below one.
     """
+    if m < 1:
+        raise ValueError(f"need at least one trial, got m={m}")
     xs = np.asarray(xs, dtype=float)
     sums = np.zeros((xs.size, rows1.size))
     used = np.zeros((xs.size, rows1.size), dtype=np.int64)

@@ -50,16 +50,16 @@ class IngestReport:
         return self.n_censored / self.rows_kept
 
 
-def _positional_index(name: str, label: str) -> int:
-    if not name.isdigit():
-        raise ConfigError(
-            f"schema column {label}={name!r}: without a header row, "
-            "columns are addressed by zero-based index"
-        )
-    return int(name)
-
-
-def _header_index(name: str, fieldnames: list[str], label: str) -> int:
+def _column_index(name: str, fieldnames: list[str] | None, label: str) -> int:
+    """Index of schema column ``name``: by name in the header row
+    ``fieldnames``, or by zero-based position when there is none."""
+    if fieldnames is None:
+        if not name.isdigit():
+            raise ConfigError(
+                f"schema column {label}={name!r}: without a header row, "
+                "columns are addressed by zero-based index"
+            )
+        return int(name)
     try:
         return fieldnames.index(name)
     except ValueError:
@@ -121,28 +121,17 @@ def ingest(
             raise ConfigError(
                 f"invalid delimiter {schema.delimiter!r}: {exc}"
             ) from None
+        fieldnames = None
         if schema.header:
             try:
                 fieldnames = [name.strip() for name in next(reader)]
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
-            i_x = _header_index(schema.covariate, fieldnames, "covariate")
-            i_t = _header_index(schema.time, fieldnames, "time")
-            i_d = _header_index(schema.delta, fieldnames, "delta")
-            i_g = (
-                _header_index(schema.group, fieldnames, "group")
-                if schema.group is not None
-                else None
-            )
-        else:
-            i_x = _positional_index(schema.covariate, "covariate")
-            i_t = _positional_index(schema.time, "time")
-            i_d = _positional_index(schema.delta, "delta")
-            i_g = (
-                _positional_index(schema.group, "group")
-                if schema.group is not None
-                else None
-            )
+        i_x, i_t, i_d, i_g = (
+            None if name is None else _column_index(name, fieldnames, label)
+            for name, label in ((schema.covariate, "covariate"),
+                                (schema.time, "time"), (schema.delta, "delta"),
+                                (schema.group, "group")))
 
         needed = max(i for i in (i_x, i_t, i_d, i_g) if i is not None) + 1
         for row in reader:
@@ -206,15 +195,8 @@ def ingest(
 
 
 def _cell(value) -> str:
-    # the exact types of almost every cell first; bool is not int here
-    kind = type(value)
-    if kind is float or kind is np.float64:
-        return format_float(value)
-    if kind is int or kind is np.int64:
-        return str(int(value))
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    # bool is an int; numpy's bool is not
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_float(value)

@@ -53,9 +53,9 @@ def nw_weights(x, xs: np.ndarray, h) -> np.ndarray:
     Parameters
     ----------
     x : float or array_like
-        Evaluation point, or K evaluation points.
+        Evaluation point, or K evaluation points; each must be finite.
     xs : array_like
-        Observed covariates, nonempty.
+        Observed covariates, nonempty and finite.
     h : float or array_like
         Bandwidth, or K bandwidths; each must be positive.
 
@@ -79,6 +79,8 @@ def nw_weights(x, xs: np.ndarray, h) -> np.ndarray:
     if xs.size == 0:
         raise ValueError("xs must be nonempty")
     points = np.asarray(x, dtype=float)
+    if not (np.isfinite(points).all() and np.isfinite(xs).all()):
+        raise ValueError("x and xs must be finite")
     raw = _kernel_rows(points, xs, hs)
     total = raw.sum(axis=-1, keepdims=True)
     empty = total[..., 0] <= 0.0

@@ -186,13 +186,14 @@ def phi_y_derivatives(
 
     The base step is ``max(1e-4, 1e-4 |x|)``; reported values use the
     halved step, and the base-step values are kept so callers can
-    verify stability.  ``t`` may be an array of times; the fields are
-    then arrays.  Both steps share one quadrature call.
+    verify stability.  ``t`` may be an array of times, of any shape; the
+    fields are then arrays of that shape.  Both steps share one
+    quadrature call.
     """
     _guard(spec, t, x)
     steps = [0.5 * _fd_step(x), _fd_step(x)]
     # the phi1 row of each step stays empty
-    upper = np.concatenate([_upper_limits(spec, np.atleast_1d(t), x, step)
+    upper = np.concatenate([_upper_limits(spec, np.ravel(t), x, step)
                             * [[1.0], [1.0], [0.0]] for step in steps])
     values = adaptive_simpson(_diagonal_integrands(spec, [x] * len(steps), steps),
                               0.0, upper, _TOL)
@@ -341,8 +342,9 @@ def amse(
     in :func:`bias_variance_terms`, whose one call supplies the terms;
     each entry then equals a call at that one point.
     """
-    if h <= 0.0 or n < 1:
-        raise ValueError("need h > 0 and n >= 1")
+    # a range test, since NaN passes ``<= 0``
+    if not 0.0 < h < math.inf or n < 1:
+        raise ValueError("need finite h > 0 and n >= 1")
     terms = bias_variance_terms(spec, t, x)
     # _pow2: the C pow bits of the scalar b**2
     bias_term = 0.25 * h**4 * SECOND_MOMENT**2 * _pow2(terms.b)

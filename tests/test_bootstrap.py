@@ -27,15 +27,17 @@ from npmixcure.bootstrap import (
     _ResamplingKit,
     _count_at_or_below,
     _covariate_seed,
-    _grid_columns,
+    _resample_curve,
 )
-from npmixcure.cure import _latency_from_curve
+from npmixcure.cure import _latency_from_curve, _latency_ise
+from npmixcure.kernels import epanechnikov
 from npmixcure.models import trial_rng
-from npmixcure.survival import StepSurvivalCurve
+from npmixcure.survival import StepSurvivalCurve, _beran_rows
 
 from helpers import (
     ReferenceKit,
     assert_same_outcomes,
+    grid_columns,
     mise_star_alone,
     mise_star_loop,
     pick,
@@ -127,6 +129,9 @@ class TestPilotBandwidth:
         for c in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 pilot_bandwidth(np.array([0.0, 1.0]), c=c)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pilot_bandwidth(np.array([0.0, bad, 1.0]))
 
 
 class TestJumpDistribution:
@@ -437,6 +442,17 @@ class TestSeveralCovariates:
         with pytest.raises(ValueError, match="at least one"):
             mise_star(sample, [], cfg)
 
+    @pytest.mark.parametrize("x", [np.nan, [5.0, np.nan], [np.inf]])
+    def test_nonfinite_value_is_rejected_before_any_fit(self, monkeypatch,
+                                                        x):
+        sample, _, cfg = self._case()
+        calls = []
+        monkeypatch.setattr(bootstrap, "pilot_bandwidth",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="must be finite"):
+            mise_star(sample, x, cfg)
+        assert calls == []
+
     def test_memory_stays_below_the_pilot_matrix_per_value(self):
         # the select-large selection at two covariate values: the pilot
         # fits as (n, E) float matrices would take 8 n E bytes per value
@@ -570,17 +586,29 @@ class TestRankedLookups:
         kit = _ResamplingKit.build(sample, 6.0)
         ranks, events = kit.draw([np.random.default_rng(seed + r)
                                   for r in range(5)])
-        ordered = np.sort(2 * ranks + 1 - events, kind="stable")
+        keys = 2 * ranks + 1 - events
         tgrid = np.sort(np.concatenate([
             [kit.atoms[0] / 2, kit.atoms[-1] + 1.0], kit.atoms[::3],
             np.linspace(0.0, kit.atoms[-1], 17)]))
-        bounds = 2 * np.searchsorted(kit.atoms, tgrid, side="right")
-        times = kit.atoms[ordered >> 1]
-        expect = [np.searchsorted(row, tgrid, side="right") - 1
-                  for row in times]
-        got = _grid_columns(ordered, bounds, 2 * kit.atoms.size)
-        assert np.array_equal(got, expect)
-        assert got.min() == -1 and got.max() == sample.n - 1
+        config = BootstrapConfig(B=5, grid=log_grid(3.0, 30.0, 4), seed=0)
+        pilot = latency_estimate(sample, 5.0, 6.0).latency.evaluate(tgrid)
+        got = _resample_curve(kit, keys, 5.0, pilot, tgrid, config)
+        # each resample fitted in its time order, events first in ties, on
+        # the columns of a search of its times
+        order = np.argsort(keys, axis=1, kind="stable")
+        ordered = np.take_along_axis(keys, order, axis=1)
+        last = grid_columns(kit.atoms[ordered >> 1], tgrid)
+        assert last.min() == -1 and last.max() == sample.n - 1
+        raw = epanechnikov(
+            (5.0 - kit.xs[order][:, None]) / config.grid.values[:, None])
+        curves, plateaus, fitted = _beran_rows(
+            np.take_along_axis(events, order, axis=1), raw, last)
+        rows = np.arange(len(config.grid))
+        ise = np.array([_latency_ise(*fit, pilot, tgrid, rows, rows)
+                        for fit in zip(curves, plateaus, fitted)])
+        used = np.sum(~np.isnan(ise), axis=0)
+        assert np.array_equal(got.values, np.nansum(ise, axis=0) / used)
+        assert np.array_equal(got.failures, 5 - used)
 
 
 class _Uniforms:

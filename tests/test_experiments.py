@@ -283,9 +283,26 @@ class TestTrialsGeneratedOnce:
     @pytest.mark.parametrize("front", ["curve", "surface"])
     def test_no_covariate_draws_no_trial(self, calls, front):
         grid, cfg = log_grid(10.0, 50.0, 3), ExperimentConfig(seed=55)
-        with pytest.raises(ValueError, match="at least one covariate"):
+        for x, match in [([], "at least one covariate"),
+                         ((), "at least one covariate"),
+                         ([5.0, np.nan], "must be finite"),
+                         (np.nan, "must be finite")]:
+            with pytest.raises(ValueError, match=match):
+                if front == "curve":
+                    true_mise(model1(), 40, 5, x, grid, cfg)
+                else:
+                    true_mise_two_bw(model1(), 40, 5, x, grid, grid, cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("front", ["curve", "surface", "study"])
+    def test_no_trial_is_rejected_before_any_draw(self, calls, front):
+        grid, cfg = log_grid(10.0, 50.0, 3), ExperimentConfig(seed=55)
+        with pytest.raises(ValueError, match="at least one trial"):
             if front == "curve":
-                true_mise(model1(), 40, 5, [], grid, cfg)
+                true_mise(model1(), 40, 0, 5.0, grid, cfg)
+            elif front == "surface":
+                true_mise_two_bw(model1(), 40, 0, 5.0, grid, grid, cfg)
             else:
-                true_mise_two_bw(model1(), 40, 5, (), grid, grid, cfg)
+                bootstrap_vs_optimal(model1(), 40, 0, 5.0, grid, B=4,
+                                     config=cfg)
         assert calls == []

@@ -136,3 +136,11 @@ class TestNwWeights:
             with pytest.raises(ValueError):
                 nw_weights(0.0, np.array([0.0]),
                            np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_covariate_rejected(self, bad):
+        # a NaN point would give NaN weights, not an empty neighbourhood
+        for x, xs in [(bad, [0.0, 1.0]), ([0.5, bad], [0.0, 1.0]),
+                      (0.5, [0.0, bad])]:
+            with pytest.raises(ValueError, match="must be finite"):
+                nw_weights(x, np.array(xs), 1.0)

@@ -374,7 +374,7 @@ def test_broadcast_points_equal_scalar_calls(data):
     spec = (model1, model2)[model - 1]()
     t_shape, x_shape = data.draw(st.sampled_from([
         ((3,), ()), ((), (2,)), ((3,), (3,)), ((1, 2), (2, 1)),
-        ((2, 1), (2,)), ((), ())]))
+        ((2, 1), (2,)), ((), ()), ((2, 1), ()), ((1, 2), ())]))
     t = np.array(data.draw(st.lists(st.sampled_from(_TIMES[model]),
                                     min_size=int(np.prod(t_shape)),
                                     max_size=int(np.prod(t_shape)))),
@@ -414,6 +414,15 @@ def test_broadcast_points_equal_scalar_calls(data):
     assert got.tolist() == expected
     assert all(np.array_equal(getattr(rep.terms, name), getattr(batch, name))
                for name in names)
+    if x.ndim == 0:
+        # phi_y_derivatives takes times of any shape at one x
+        batch = phi_y_derivatives(spec, t, float(x))
+        ones = [phi_y_derivatives(spec, tv, float(x))
+                for tv in t.ravel().tolist()]
+        for name in ("first", "second", "first_coarse", "second_coarse"):
+            assert np.shape(getattr(batch, name)) == t.shape
+            assert np.ravel(getattr(batch, name)).tolist() == [
+                getattr(one, name) for one in ones]
 
 
 class TestAmse:
@@ -438,8 +447,9 @@ class TestAmse:
 
     def test_validation(self):
         spec = model1()
-        with pytest.raises(ValueError):
-            amse(spec, 1.0, 5.0, 0.0, 200)
+        for h in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                amse(spec, 1.0, 5.0, h, 200)
         with pytest.raises(ValueError):
             amse(spec, 1.0, 5.0, 10.0, 0)
 
