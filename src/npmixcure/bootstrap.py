@@ -22,7 +22,7 @@ import numpy as np
 
 from .cure import _latency_ise, _latency_values, latency_estimate
 from .exceptions import EstimationError
-from .kernels import _kernel_rows, epanechnikov
+from .kernels import _kernel_rows
 from .survival import (
     CensoredSample,
     StepSurvivalCurve,
@@ -70,8 +70,6 @@ def log_grid(lo: float, hi: float, count: int) -> BandwidthGrid:
         raise ValueError("count must be at least 1")
     if lo <= 0.0 or hi < lo:
         raise ValueError("need 0 < lo <= hi")
-    if count == 1:
-        return BandwidthGrid(np.asarray([lo]))
     return BandwidthGrid(np.geomspace(lo, hi, count))
 
 
@@ -93,30 +91,29 @@ class BootstrapConfig:
     time_grid_size: int = 100
 
     def __post_init__(self):
-        _check_integers(self, "B", "time_grid_size")
+        _check_scoring(self, "B")
         if self.B < 1:
             raise ValueError("B must be at least 1")
         if not 0.0 < self.pilot_c < math.inf:
             raise ValueError("pilot_c must be positive and finite")
-        if self.time_grid_size < 2:
-            raise ValueError("time_grid_size must be at least 2")
-        _check_weight_upper(self.weight_upper)
 
 
-def _check_integers(config, *names):
+def _check_scoring(config, *names):
+    """Check the seed, the integer fields ``names`` and the MISE weight
+    window (``time_grid_size``, ``weight_upper``) of ``config``."""
     # a float, a bool or a negative seed would fail only inside the fit
-    for name in ("seed",) + names:
+    for name in ("seed", "time_grid_size") + names:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if config.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {config.seed}")
-
-
-def _check_weight_upper(weight_upper):
+    if config.time_grid_size < 2:
+        raise ValueError("time_grid_size must be at least 2")
     # a range test, since NaN passes ``<= 0``; a NaN or infinite window
     # would make every integrated error NaN, which marks a failed fit
-    if weight_upper is not None and not 0.0 < weight_upper < math.inf:
+    upper = config.weight_upper
+    if upper is not None and not 0.0 < upper < math.inf:
         raise ValueError("weight_upper must be positive and finite")
 
 
@@ -229,12 +226,9 @@ class _JumpDistribution:
         not consumed by the jumps (a final plateau above zero) goes to
         an extra atom at ``residual_time``.
         """
-        if curve.jump_times.size == 0:
-            return cls(np.asarray([residual_time], dtype=float),
-                       np.asarray([1.0]))
         times = curve.jump_times
         cum = 1.0 - curve.values
-        if curve.values[-1] > 0.0:
+        if not curve.values.size or curve.values[-1] > 0.0:
             times = np.append(times, residual_time)
             cum = np.append(cum, 1.0)
         return cls(times, cum)
@@ -432,6 +426,13 @@ class _ResamplingKit:
         return ranks, events
 
 
+def _raised(result):
+    """``result``, or raise it if it is an error."""
+    if isinstance(result, EstimationError):
+        raise result
+    return result
+
+
 def _covariate_seed(seed: int, index: int) -> int:
     """Independent bootstrap seed per covariate value, reproducibly."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index, 2))
@@ -519,11 +520,7 @@ def mise_star(
                     pilots[i].evaluate(tgrid), tgrid, config)
             except EstimationError as err:
                 curves[i] = err
-    if not single:
-        return curves
-    if isinstance(curves[0], EstimationError):
-        raise curves[0]
-    return curves[0]
+    return _raised(curves[0]) if single else curves
 
 
 def _resample_curve(kit, keys, x, pilot_values, tgrid, config):
@@ -531,7 +528,7 @@ def _resample_curve(kit, keys, x, pilot_values, tgrid, config):
     grid = config.grid.values
     # covariates stay fixed across resamples, so the kernel values at x
     # are computed once and only their columns follow each time order
-    raw = epanechnikov((x - kit.xs) / grid[:, None])
+    raw = _kernel_rows(np.asarray(x, dtype=float), kit.xs, grid)
     # a sort key below twice the number of atoms at or before a grid
     # point is a time at or before the point
     bounds = 2 * np.searchsorted(kit.atoms, tgrid, side="right")

@@ -29,7 +29,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, log_grid, mise_star
+from .bootstrap import BootstrapConfig, _raised, log_grid, mise_star
 from .cure import latency_estimate, latency_estimate_two_bw
 from .exceptions import ConfigError, DataError, EstimationError
 from .experiments import ExperimentConfig, true_mise, true_mise_two_bw
@@ -56,7 +56,7 @@ def _as_int(value, flag):
         raise ConfigError(f"{flag} must be an integer, got {value!r}")
     try:
         out = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{flag} must be an integer, got {value!r}") from None
     if isinstance(value, float) and value != out:
         raise ConfigError(f"{flag} must be an integer, got {value!r}")
@@ -68,40 +68,31 @@ def _as_float(value, flag):
         raise ConfigError(f"{flag} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{flag} must be a number, got {value!r}") from None
 
 
-def _finite(value, flag):
-    out = _as_float(value, flag)
-    if not math.isfinite(out):
-        raise ConfigError(f"{flag} must be finite, got {out}")
-    return out
-
-
-def _time(value, flag):
-    """A time point; ``inf`` means the full support."""
-    out = _as_float(value, flag)
-    if math.isnan(out) or out == -math.inf:
-        raise ConfigError(f"{flag} must be a number or inf, got {out}")
-    return out
+def _checked(convert, ok, rule):
+    """Converter: ``convert``, then a ConfigError unless ``ok`` holds."""
+    def check(value, flag):
+        out = convert(value, flag)
+        if not ok(out):
+            raise ConfigError(f"{flag} must be {rule}, got {out}")
+        return out
+    return check
 
 
 def _at_least(low):
     """Converter to an integer no smaller than ``low``."""
-    def convert(value, flag):
-        out = _as_int(value, flag)
-        if out < low:
-            raise ConfigError(f"{flag} must be at least {low}, got {out}")
-        return out
-    return convert
+    return _checked(_as_int, lambda out: out >= low, f"at least {low}")
 
 
-def _positive(value, flag):
-    out = _as_float(value, flag)
-    if not 0.0 < out < math.inf:
-        raise ConfigError(f"{flag} must be positive and finite, got {out}")
-    return out
+_finite = _checked(_as_float, math.isfinite, "finite")
+# a time point; inf means the full support
+_time = _checked(_as_float, lambda out: out > -math.inf, "a number or inf")
+_positive = _checked(_as_float, lambda out: 0.0 < out < math.inf,
+                     "positive and finite")
+_model_id = _checked(_as_int, _MODELS.__contains__, "1 or 2")
 
 
 def _text(value, flag):
@@ -115,13 +106,6 @@ def _switch(value, flag):
     if not isinstance(value, bool):
         raise ConfigError(f"{flag} must be true or false, got {value!r}")
     return value
-
-
-def _model_id(value, flag):
-    mid = _as_int(value, flag)
-    if mid not in _MODELS:
-        raise ConfigError(f"{flag} must be 1 or 2, got {value!r}")
-    return mid
 
 
 def _bandwidth(value, flag):
@@ -396,11 +380,10 @@ def _mise_stars(sample, opts, xs):
     return mise_star(sample, xs, config)
 
 
-def _raised(result):
-    """``result``, or raise it if it is an error."""
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+def _selection(x, curve, **fields):
+    """The sidecar record of the bandwidth ``curve`` selects at ``x``."""
+    return {"x": x, "h_star": curve.selected,
+            "pilot_bandwidth": curve.pilot_bandwidth, **fields}
 
 
 def _each_x(xs, rows_at, what):
@@ -459,12 +442,8 @@ def _cmd_estimate(opts):
         if auto:
             curve = _raised(curves[i])
             h_used = curve.selected
-            selections.append({
-                "x": xv,
-                "h_star": h_used,
-                "pilot_bandwidth": curve.pilot_bandwidth,
-                "resample_failures": int(curve.failures.sum()),
-            })
+            selections.append(_selection(
+                xv, curve, resample_failures=int(curve.failures.sum())))
         if h2 is not None:
             fit = latency_estimate_two_bw(
                 sample, xv, h_used, h2, clamp=opts["clamp"])
@@ -501,12 +480,8 @@ def _cmd_selectbw(opts):
 
     def rows_at(i, xv):
         curve = _raised(curves[i])
-        selections.append({
-            "x": xv,
-            "h_star": curve.selected,
-            "pilot_bandwidth": curve.pilot_bandwidth,
-            "weight_upper": curve.weight_upper,
-        })
+        selections.append(
+            _selection(xv, curve, weight_upper=curve.weight_upper))
         return [(xv, h, v, int(f)) for h, v, f in
                 zip(curve.grid.values, curve.values, curve.failures)]
 
@@ -581,21 +556,19 @@ def _cmd_oracle(opts):
     kept = [point for i, point in enumerate(lattice) if i not in refused]
     failures = [{"t": lattice[i][0], "x": lattice[i][1], "error": refused[i]}
                 for i in sorted(refused)]
-    rows = []
-    if kept:
-        report = amse(spec, *np.array(kept).T, h, n)
-        terms = report.terms
-        values = zip(*(part.tolist() for part in (
-            terms.b1, terms.b2, terms.v1, terms.v2, terms.v3,
-            report.bias_term, report.variance_term, report.amse)))
-        rows = [(tv, xv, h, n, *row) for (tv, xv), row in zip(kept, values)]
-    if not rows:
+    if not kept:
         raise EstimationError(
             "oracle evaluation failed at every point: "
             + "; ".join(
                 f"(t={f['t']}, x={f['x']}): {f['error']}" for f in failures
             )
         )
+    report = amse(spec, *np.array(kept).T, h, n)
+    terms = report.terms
+    values = zip(*(part.tolist() for part in (
+        terms.b1, terms.b2, terms.v1, terms.v2, terms.v3,
+        report.bias_term, report.variance_term, report.amse)))
+    rows = [(tv, xv, h, n, *row) for (tv, xv), row in zip(kept, values)]
 
     columns = (
         "t", "x", "h", "n", "b1", "b2", "v1", "v2", "v3",
@@ -607,10 +580,13 @@ def _cmd_oracle(opts):
     return EXIT_OK
 
 
-_SYNTH_STAGES = (1, 2, 3, 4)
-_SYNTH_TOTALS = (62, 167, 133, 52)
-_SYNTH_CENSORED = (44, 92, 53, 16)
-_SYNTH_TIME_SCALE = {1: 60.0, 2: 45.0, 3: 25.0, 4: 12.0}
+# stage, patients, censored, time scale (months)
+_SYNTH_GROUPS = (
+    (1, 62, 44, 60.0),
+    (2, 167, 92, 45.0),
+    (3, 133, 53, 25.0),
+    (4, 52, 16, 12.0),
+)
 
 
 def _cmd_synth_data(opts):
@@ -623,11 +599,8 @@ def _cmd_synth_data(opts):
     rng = np.random.default_rng(opts["seed"])
 
     rows = []
-    for stage, total, censored in zip(
-        _SYNTH_STAGES, _SYNTH_TOTALS, _SYNTH_CENSORED
-    ):
+    for stage, total, censored, scale in _SYNTH_GROUPS:
         ages = rng.integers(23, 104, size=total)
-        scale = _SYNTH_TIME_SCALE[stage]
         n_event = total - censored
         times = np.concatenate([
             np.round(rng.exponential(scale, size=n_event) + 0.1, 2),
@@ -642,15 +615,15 @@ def _cmd_synth_data(opts):
             for i in order
         )
 
-    total_rows = sum(_SYNTH_TOTALS)
-    total_censored = sum(_SYNTH_CENSORED)
+    total_rows = sum(group[1] for group in _SYNTH_GROUPS)
+    total_censored = sum(group[2] for group in _SYNTH_GROUPS)
     summary = {
         "rows": total_rows,
         "n_censored": total_censored,
         "censoring_fraction": total_censored / total_rows,
         "per_group": [
             {"stage": s, "patients": t, "censored": c}
-            for s, t, c in zip(_SYNTH_STAGES, _SYNTH_TOTALS, _SYNTH_CENSORED)
+            for s, t, c, _ in _SYNTH_GROUPS
         ],
     }
     out = _emit("synth-data", opts, "synthetic_cancer",

@@ -16,8 +16,7 @@ from .bootstrap import (
     BandwidthGrid,
     BootstrapConfig,
     MiseCurve,
-    _check_integers,
-    _check_weight_upper,
+    _check_scoring,
     _covariates,
     _mise_curve,
     _time_grid,
@@ -25,7 +24,7 @@ from .bootstrap import (
 )
 from .cure import _latency_ise
 from .exceptions import EstimationError
-from .kernels import epanechnikov
+from .kernels import _kernel_rows
 from .models import ModelSpec, generate, trial_rng
 from .survival import _beran_rows
 
@@ -60,10 +59,7 @@ class ExperimentConfig:
     time_grid_size: int = 100
 
     def __post_init__(self):
-        _check_integers(self, "time_grid_size")
-        if self.time_grid_size < 2:
-            raise ValueError("time_grid_size must be at least 2")
-        _check_weight_upper(self.weight_upper)
+        _check_scoring(self)
 
 
 @dataclass
@@ -112,10 +108,11 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, visit=None):
     error; a pair whose fit fails on a trial skips that trial.
 
     Returns the sums and the counts of trials used, (len(xs), K) arrays.
-    Raises ``ValueError`` before any draw if ``m`` is below one.
+    Raises ``ValueError`` before any draw if ``n`` or ``m`` is below one.
     """
-    if m < 1:
-        raise ValueError(f"need at least one trial, got m={m}")
+    if n < 1 or m < 1:
+        raise ValueError(
+            f"need at least one trial of at least one row, got n={n}, m={m}")
     xs = np.asarray(xs, dtype=float)
     sums = np.zeros((xs.size, rows1.size))
     used = np.zeros((xs.size, rows1.size), dtype=np.int64)
@@ -127,8 +124,7 @@ def _mise_sums(spec, n, m, xs, hs, rows1, rows2, config, visit=None):
         tgrid = _time_grid(sample, config)
         order = np.lexsort((-sample.delta, sample.t))
         # row i * L + l is xs[i] at hs[l]
-        raw = epanechnikov(
-            (xs[:, None, None] - sample.x[order]) / hs[:, None])
+        raw = _kernel_rows(xs[:, None], sample.x[order], hs)
         curves, plateaus, fitted = _beran_rows(
             sample.delta[order], raw.reshape(-1, n),
             np.searchsorted(sample.t[order], tgrid, side="right")[None] - 1)
@@ -265,7 +261,7 @@ def bootstrap_vs_optimal(
     and one run of the selector, and each selection is scored by the
     ratio of its true MISE to the grid minimum.
     """
-    selected_index = np.full(m, -1, dtype=np.int64)
+    picks = []  # the selected grid index on each trial, in order; -1 failed
 
     def select(j, sample):
         bconfig = BootstrapConfig(
@@ -277,16 +273,16 @@ def bootstrap_vs_optimal(
             time_grid_size=config.time_grid_size,
         )
         try:
-            curve = mise_star(sample, x, bconfig)
+            picks.append(mise_star(sample, x, bconfig).argmin_index)
         except EstimationError:
-            return
-        selected_index[j] = curve.argmin_index
+            picks.append(-1)
 
     rows = np.arange(len(grid))
     sums, used = _mise_sums(spec, n, m, [x], grid.values, rows, rows,
                             config, select)
     mise = _mise_curve(grid, sums[0], used[0], m, "trial",
                        weight_upper=config.weight_upper, trials=m)
+    selected_index = np.array(picks, dtype=np.int64)
     ok = selected_index >= 0
     ratios = mise.values[selected_index[ok]] / mise.values.min()
     histogram = np.bincount(selected_index[ok], minlength=len(grid))

@@ -68,6 +68,38 @@ def _column_index(name: str, fieldnames: list[str] | None, label: str) -> int:
         ) from None
 
 
+def _number(text: str, what: str, path, line: int) -> float:
+    """The float in cell ``text``, the ``what`` of line ``line``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(
+            f"{path} line {line}: {what} {text!r} is not a number"
+        ) from None
+
+
+def _rows(reader, path, encoding: str):
+    """The rows of ``reader``, reading ``path``; a row that cannot be read
+    or decoded is a DataError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # the file is decoded a chunk at a time, so the reader may not have
+        # reached the line of the bad byte: find it in the raw bytes
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode(encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{path} line {line}: cannot decode as {encoding}: {exc.reason}"
+        ) from None
+
+
 def ingest(
     path,
     schema: DatasetSchema,
@@ -121,10 +153,11 @@ def ingest(
             raise ConfigError(
                 f"invalid delimiter {schema.delimiter!r}: {exc}"
             ) from None
+        rows = _rows(reader, path, handle.encoding)
         fieldnames = None
         if schema.header:
             try:
-                fieldnames = [name.strip() for name in next(reader)]
+                fieldnames = [name.strip() for name in next(rows)]
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
         i_x, i_t, i_d, i_g = (
@@ -134,7 +167,7 @@ def ingest(
                                 (schema.group, "group")))
 
         needed = max(i for i in (i_x, i_t, i_d, i_g) if i is not None) + 1
-        for row in reader:
+        for row in rows:
             if not row or all(not cell.strip() for cell in row):
                 continue
             rows_read += 1
@@ -146,12 +179,7 @@ def ingest(
                 )
             if wanted is not None and row[i_g].strip() not in wanted:
                 continue
-            try:
-                t = float(row[i_t])
-            except ValueError:
-                raise DataError(
-                    f"{path} line {line}: time {row[i_t]!r} is not a number"
-                ) from None
+            t = _number(row[i_t], "time", path, line)
             if not math.isfinite(t) or t < 0.0:
                 raise DataError(
                     f"{path} line {line}: time must be finite and nonnegative, "
@@ -162,12 +190,7 @@ def ingest(
                 raise DataError(
                     f"{path} line {line}: delta must be 0 or 1, got {d_text!r}"
                 )
-            try:
-                x = float(row[i_x])
-            except ValueError:
-                raise DataError(
-                    f"{path} line {line}: covariate {row[i_x]!r} is not a number"
-                ) from None
+            x = _number(row[i_x], "covariate", path, line)
             if not math.isfinite(x):
                 raise DataError(f"{path} line {line}: covariate must be finite")
             xs.append(x)

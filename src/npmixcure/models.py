@@ -127,8 +127,10 @@ def _logistic(z):
 MODEL1_TAU0 = 4.605
 
 
-def _model1_lambda(x):
-    return np.exp((np.asarray(x, dtype=float) + 20.0) / 40.0)
+def _model1_rate(x):
+    """Latency rate ``lam(x)`` and truncation mass ``exp(-lam(x) tau0)``."""
+    lam = np.exp((np.asarray(x, dtype=float) + 20.0) / 40.0)
+    return lam, np.exp(-lam * MODEL1_TAU0)
 
 
 def model1() -> ModelSpec:
@@ -148,22 +150,19 @@ def model1() -> ModelSpec:
 
     def s0(t, x):
         t = np.asarray(t, dtype=float)
-        lam = _model1_lambda(x)
-        tail = np.exp(-lam * MODEL1_TAU0)
+        lam, tail = _model1_rate(x)
         raw = (np.exp(-lam * np.minimum(t, MODEL1_TAU0)) - tail) / (1.0 - tail)
         return np.where(t >= MODEL1_TAU0, 0.0, np.where(t < 0.0, 1.0, raw))
 
     def latency_quantile(u, x, sizes=None):
         # s0(t) = u  <=>  t = -log(tail + u (1 - tail)) / lam
         u = np.asarray(u, dtype=float)
-        lam = _model1_lambda(x)
-        tail = np.exp(-lam * MODEL1_TAU0)
+        lam, tail = _model1_rate(x)
         return -np.log(tail + u * (1.0 - tail)) / lam
 
     def latency_density(t, x):
         t = np.asarray(t, dtype=float)
-        lam = _model1_lambda(x)
-        tail = np.exp(-lam * MODEL1_TAU0)
+        lam, tail = _model1_rate(x)
         dens = lam * np.exp(-lam * t) / (1.0 - tail)
         return np.where((t < 0.0) | (t > MODEL1_TAU0), 0.0, dens)
 

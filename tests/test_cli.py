@@ -647,8 +647,71 @@ class TestConfigAndErrors:
     def test_missing_required_setting(self, _outdir, capsys):
         assert main(["simulate", "--model", "1"]) == 2
 
-    def test_bad_model_number(self, _outdir, capsys):
+    def test_bad_model_number(self, _outdir, capsys, tmp_path):
         assert main(["simulate", "--model", "7", "--n", "10"]) == 2
+        # a flag string and a config number report the converted value
+        assert "--model must be 1 or 2, got 7\n" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": 3}))
+        assert main(["simulate", "--config", str(cfg), "--n", "10"]) == 2
+        assert "--model must be 1 or 2, got 3\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", math.inf, "--n must be an integer, got inf"),
+        ("m", math.inf, "--m must be an integer, got inf"),
+        ("seed", -math.inf, "--seed must be an integer, got -inf"),
+        ("model", math.inf, "--model must be an integer, got inf"),
+        ("grid", [10, 40, math.inf], "--grid must be an integer, got inf"),
+        ("weight_upper", 10**400, "--weight-upper must be a number, got 1"),
+    ], ids=["n", "m", "seed", "model", "grid-count", "huge-float"])
+    def test_overflowing_config_number_is_exit_2(self, _outdir, capsys,
+                                                 tmp_path, key, value,
+                                                 message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": 1, "n": 40, "m": 2, "x": 5,
+                                   "grid": "10:40:3", key: value}))
+        assert main(["mise", "--config", str(cfg), "--out", "o.csv"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (_outdir / "o.csv").exists()
+
+    def test_config_file_holding_a_list(self, _outdir, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"model": 1, "n": 20}]))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert ("config file must hold a flat JSON object"
+                in capsys.readouterr().err)
+
+    def test_unreadable_config_path(self, _outdir, capsys, tmp_path):
+        assert main(["simulate", "--config", str(tmp_path / "none.json")]) == 2
+        assert (f"cannot read config file {tmp_path / 'none.json'}"
+                in capsys.readouterr().err)
+        assert main(["simulate", "--config", str(tmp_path)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_format_outside_its_choices(self, _outdir, capsys,
+                                               tmp_path):
+        # argparse checks the flag's choices; the option checks the config's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": 1, "n": 5, "format": "xml"}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert ("--format must be one of csv, json, got 'xml'"
+                in capsys.readouterr().err)
+        assert not list(_outdir.glob("simulate*"))
+
+    def test_oracle_rejects_automatic_bandwidth(self, _outdir, capsys):
+        assert main(["oracle", "--model", "1", "--t", "1", "--x", "5",
+                     "--h", "auto", "--n", "400", "--out", "o.csv"]) == 2
+        assert "oracle needs a numeric --h" in capsys.readouterr().err
+        assert not (_outdir / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--x", "5", "--h", "10"],
+        ["selectbw", "--x", "5", "--grid", "5:40:3"],
+    ], ids=["estimate", "selectbw"])
+    def test_no_data_source_is_exit_2(self, _outdir, capsys, argv):
+        assert main(argv) == 2
+        assert ("need a data source: --data FILE or --model {1,2}"
+                in capsys.readouterr().err)
 
     def test_bad_grid_spec(self, _outdir, capsys):
         assert main(["mise", "--model", "1", "--n", "10", "--m", "1",
@@ -764,6 +827,38 @@ class TestConfigAndErrors:
     def test_missing_data_file_is_exit_3(self, _outdir, capsys):
         assert main(["estimate", "--data", "/definitely/not/here.csv",
                      "--x", "5", "--h", "10"]) == 3
+
+    def test_undecodable_byte_is_exit_3(self, _outdir, capsys, tmp_path):
+        # past the first chunk the file is decoded in, so the line must be
+        # found from the byte, not from the rows read so far
+        path, _ = _sample_csv(tmp_path, n=600)
+        with open(path) as handle:
+            encoding = handle.encoding
+        try:
+            b"\xe9".decode(encoding)
+        except UnicodeDecodeError:
+            pass
+        else:
+            pytest.skip(f"a lone \\xe9 byte decodes as {encoding}")
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert sum(map(len, lines[:500])) > 8192
+        lines[500] = lines[500].replace(b",", b"\xe9,", 1)
+        path.write_bytes(b"".join(lines))
+        assert main(["estimate", "--data", str(path), "--x", "5",
+                     "--h", "10", "--out", "e.csv"]) == 3
+        assert (f"error: {path} line 501: cannot decode as {encoding}: "
+                in capsys.readouterr().err)
+        assert not (_outdir / "e.csv").exists()
+
+    def test_oversized_field_is_exit_3(self, _outdir, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("age,time,delta\n5,1.0,1\n6," + "7" * 140000
+                        + ",0\n8,2.0,1\n")
+        assert main(["estimate", "--data", str(path), "--x", "5",
+                     "--h", "10", "--out", "e.csv"]) == 3
+        assert (f"error: {path} line 3: field larger than field limit "
+                in capsys.readouterr().err)
+        assert not (_outdir / "e.csv").exists()
 
     def test_bad_column_is_exit_3(self, _outdir, capsys, tmp_path):
         path, _ = _sample_csv(tmp_path)

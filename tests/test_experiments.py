@@ -217,6 +217,20 @@ def _two_pass_study(spec, n, m, x, grid, B, config):
 
 
 class TestSelectorStudy:
+    def test_every_selection_failing(self):
+        # one row per trial: the pilot bandwidth needs two covariate
+        # values, so every selection fails while the true MISE is scored
+        study = bootstrap_vs_optimal(
+            model1(), 1, 4, 5.0, log_grid(30.0, 60.0, 3), B=4,
+            config=ExperimentConfig(seed=55),
+        )
+        assert study.selected_index.tolist() == [-1] * 4
+        assert study.selected_index.dtype == np.int64
+        assert study.selector_failures == 4
+        assert study.ratios.size == 0
+        assert study.histogram.tolist() == [0, 0, 0]
+        assert np.all(np.isfinite(study.mise.values))
+
     def test_smoke_and_ratio_floor(self):
         # ratios compare the selection against the same grid's minimum,
         # so they can never drop below 1
@@ -297,12 +311,14 @@ class TestTrialsGeneratedOnce:
     @pytest.mark.parametrize("front", ["curve", "surface", "study"])
     def test_no_trial_is_rejected_before_any_draw(self, calls, front):
         grid, cfg = log_grid(10.0, 50.0, 3), ExperimentConfig(seed=55)
-        with pytest.raises(ValueError, match="at least one trial"):
-            if front == "curve":
-                true_mise(model1(), 40, 0, 5.0, grid, cfg)
-            elif front == "surface":
-                true_mise_two_bw(model1(), 40, 0, 5.0, grid, grid, cfg)
-            else:
-                bootstrap_vs_optimal(model1(), 40, 0, 5.0, grid, B=4,
-                                     config=cfg)
+        for n, m in [(40, 0), (40, -1), (0, 3), (-2, 3)]:
+            with pytest.raises(ValueError, match=f"at least one trial of at "
+                               f"least one row, got n={n}, m={m}"):
+                if front == "curve":
+                    true_mise(model1(), n, m, 5.0, grid, cfg)
+                elif front == "surface":
+                    true_mise_two_bw(model1(), n, m, 5.0, grid, grid, cfg)
+                else:
+                    bootstrap_vs_optimal(model1(), n, m, 5.0, grid, B=4,
+                                         config=cfg)
         assert calls == []
