@@ -40,7 +40,7 @@ from .experiments import (
     true_mise,
     true_mise_two_bw,
 )
-from .io_utils import DatasetSchema, IngestReport, format_float, ingest
+from .io_utils import DatasetSchema, IngestReport, ingest
 from .kernels import nw_weights
 from .models import (
     ExponentialCensoring,

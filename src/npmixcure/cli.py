@@ -154,7 +154,6 @@ class _Option(NamedTuple):
     default: Any = None
     help: str = ""
     repeat: bool = False
-    choices: tuple | None = None
 
     @property
     def key(self) -> str:
@@ -164,13 +163,7 @@ class _Option(NamedTuple):
         if self.repeat:
             items = value if isinstance(value, list) else [value]
             return [self.convert(item, self.flag) for item in items]
-        out = self.convert(value, self.flag)
-        if self.choices is not None and out not in self.choices:
-            raise ConfigError(
-                f"{self.flag} must be one of {', '.join(self.choices)}, "
-                f"got {out!r}"
-            )
-        return out
+        return self.convert(value, self.flag)
 
 
 _OPTIONS = {option.key: option for option in (
@@ -219,8 +212,9 @@ _OPTIONS = {option.key: option for option in (
     _Option("--seed", _at_least(0), 1, "master random seed (default 1)"),
     _Option("--out", _text, help="output file (relative paths resolve "
             f"against ${_OUTDIR_ENV} or the working directory)"),
-    _Option("--format", _text, "csv", "table format (default csv)",
-            choices=("csv", "json")),
+    _Option("--format", _checked(_text, ("csv", "json").__contains__,
+                                 "csv or json"),
+            "csv", "table format: csv or json (default csv)"),
     _Option("--config", _text, help="flat JSON file with defaults for any "
             "flag of this subcommand (explicit flags win)"),
 )}
@@ -710,7 +704,7 @@ def _build_parser():
             elif option.convert is _switch:
                 extra = {"action": "store_true", "default": None}
             else:
-                extra = {"choices": option.choices}
+                extra = {}
             cmd.add_argument(option.flag, dest=key, help=option.help, **extra)
     return parser
 

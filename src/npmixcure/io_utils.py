@@ -13,11 +13,6 @@ from .exceptions import ConfigError, DataError
 from .survival import CensoredSample
 
 
-def format_float(value) -> str:
-    """Shortest decimal string that parses back to the same float."""
-    return repr(float(value))
-
-
 @dataclass(frozen=True)
 class DatasetSchema:
     """Column mapping for delimited survival data files.
@@ -217,13 +212,21 @@ def ingest(
     )
 
 
-def _cell(value) -> str:
-    # bool is an int; numpy's bool is not
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return str(int(value))
+def _jsonable(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
     if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    return str(value)
+        return float(value)
+    return value
+
+
+def _cell(value) -> str:
+    """A CSV cell: the JSON scalar as text (a float's shortest repr), a
+    bool as 0 or 1."""
+    value = _jsonable(value)
+    return str(int(value) if isinstance(value, bool) else value)
 
 
 def write_csv(path, columns, rows) -> None:
@@ -233,16 +236,6 @@ def write_csv(path, columns, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-
-
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 def write_json_table(path, columns, rows) -> None:

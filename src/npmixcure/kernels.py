@@ -13,7 +13,6 @@ from .exceptions import EmptyNeighborhoodError
 __all__ = [
     "SECOND_MOMENT",
     "SQUARE_INTEGRAL",
-    "epanechnikov",
     "nw_weights",
 ]
 
@@ -22,29 +21,18 @@ SECOND_MOMENT = 0.2
 SQUARE_INTEGRAL = 0.6
 
 
-def _from_squares(k):
-    """Kernel values from squared arguments, in place in ``k``."""
-    np.subtract(1.0, k, out=k)
-    np.maximum(0.0, k, out=k)
-    return np.multiply(0.75, k, out=k)
-
-
 def _kernel_rows(points, xs, hs):
-    """Kernel values of the points and bandwidths at ``xs``, one row per
-    pair: the kernel's ufuncs in its order, in one buffer of the full
-    shape."""
+    """Kernel values ``0.75 (1 - u^2)``, zero outside (-1, 1), of
+    ``u = (points - xs) / hs`` at ``xs``, one row per pair of a point and
+    a bandwidth, each ufunc in place in one buffer of the full shape."""
     raw = np.empty(np.broadcast_shapes(points.shape + (1,), xs.shape,
                                        hs.shape + (1,)))
     np.subtract(points[..., None], xs, out=raw)
     np.divide(raw, hs[..., None], out=raw)
-    return _from_squares(np.multiply(raw, raw, out=raw))
-
-
-def epanechnikov(u) -> np.ndarray:
-    """Kernel density ``0.75 (1 - u^2)``, zero outside (-1, 1)."""
-    u = np.asarray(u, dtype=float)
-    k = _from_squares(np.multiply(u, u, out=np.empty(u.shape)))
-    return k if k.ndim else k[()]
+    np.multiply(raw, raw, out=raw)
+    np.subtract(1.0, raw, out=raw)
+    np.maximum(0.0, raw, out=raw)
+    return np.multiply(0.75, raw, out=raw)
 
 
 def nw_weights(x, xs: np.ndarray, h) -> np.ndarray:

@@ -119,25 +119,28 @@ def adaptive_simpson(
     return float(result[0]) if scalar else result.reshape(shape)
 
 
+_PANELS = 64  # of the composite Simpson rule; even
+
+
 def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,
-                      b: float, panels: int = 64):
-    """Composite Simpson rule with a fixed even number of panels.
+                      b: float):
+    """Composite Simpson rule on ``_PANELS`` equal panels.
 
     Suited to integrands that are themselves quadrature results, where
     adaptive refinement would chase evaluation noise.  ``f`` is called
     once, on the whole grid; when it returns several rows (grid along
     the last axis), each row is integrated and an array comes back.
+    An empty interval (``b <= a``) integrates to 0.0 and is never
+    evaluated.
     """
     if b <= a:
         return 0.0
-    if panels % 2:
-        panels += 1
-    grid = np.linspace(a, b, panels + 1)
+    grid = np.linspace(a, b, _PANELS + 1)
     fx = np.asarray(f(grid), dtype=float)
-    weights = np.ones(panels + 1)
+    weights = np.ones(_PANELS + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    total = (b - a) / (3.0 * panels) * (weights * fx).sum(axis=-1)
+    total = (b - a) / (3.0 * _PANELS) * (weights * fx).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 

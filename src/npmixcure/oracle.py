@@ -342,9 +342,9 @@ def amse(
     in :func:`bias_variance_terms`, whose one call supplies the terms;
     each entry then equals a call at that one point.
     """
-    # a range test, since NaN passes ``<= 0``
-    if not 0.0 < h < math.inf or n < 1:
-        raise ValueError("need finite h > 0 and n >= 1")
+    # range tests, since NaN passes ``<= 0``
+    if not (0.0 < h < math.inf and 1 <= n < math.inf):
+        raise ValueError("need finite h > 0 and finite n >= 1")
     terms = bias_variance_terms(spec, t, x)
     # _pow2: the C pow bits of the scalar b**2
     bias_term = 0.25 * h**4 * SECOND_MOMENT**2 * _pow2(terms.b)
@@ -384,8 +384,8 @@ def h_amise(spec: ModelSpec, x: float, n: int) -> float:
     adaptive refinement.  Deterministic in all its inputs, so the
     ``n^(-1/5)`` scaling is exact across calls.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n < math.inf:  # a range test, since NaN passes ``< 1``
+        raise ValueError("n must be finite and at least 1")
     hi = _s0_quantile_time(spec, x, 0.05)
     lo = 0.01 * hi
 
@@ -397,7 +397,7 @@ def h_amise(spec: ModelSpec, x: float, n: int) -> float:
         return np.stack([_pow2(terms.b), terms.v])
 
     int_b_sq, int_v = map(float, composite_simpson(
-        squared_bias_and_variance, lo, hi, 64))
+        squared_bias_and_variance, lo, hi))
     if int_b_sq <= 0.0:
         raise ValueError("bias integral vanished; no finite optimum")
     ratio = SQUARE_INTEGRAL * int_v / (SECOND_MOMENT**2 * int_b_sq)

@@ -99,17 +99,10 @@ class StepSurvivalCurve:
 
     def evaluate(self, t):
         """Evaluate the step function at ``t`` (scalar or array)."""
-        t_arr = np.asarray(t, dtype=float)
-        if self.jump_times.size == 0:
-            out = np.ones(t_arr.shape)
-        else:
-            idx = np.searchsorted(self.jump_times, t_arr, side="right") - 1
-            out = np.where(
-                idx < 0, 1.0, self.values[np.maximum(idx, 0)]
-            )
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+        # the number of jumps at or before t indexes the values after 1.0
+        out = np.concatenate(([1.0], self.values))[
+            np.searchsorted(self.jump_times, t, side="right")]
+        return float(out) if np.ndim(t) == 0 else out
 
 
 def _product_limit(delta_sorted, weights, columns=slice(None)):
@@ -211,16 +204,9 @@ def kaplan_meier(sample: CensoredSample, event_flags=None) -> StepSurvivalCurve:
     """
     if event_flags is None:
         event_flags = sample.delta
-    event_flags = np.asarray(event_flags, dtype=np.int64)
-    if event_flags.shape != sample.t.shape:
-        raise ValueError("event_flags must match the sample length")
-    if not np.all((event_flags == 0) | (event_flags == 1)):
-        raise ValueError("event_flags must contain only 0 and 1")
-    order = np.lexsort((-event_flags, sample.t))
-    n = sample.n
-    t_sorted, flags_sorted = sample.t[order], event_flags[order]
-    times, values = _at_event_times(t_sorted, flags_sorted,
-                                    np.full((1, n), 1.0 / n))
+    ordered = CensoredSample(sample.x, sample.t, event_flags).sort_by_time()
+    times, values = _at_event_times(ordered.t, ordered.delta,
+                                    np.full((1, sample.n), 1.0 / sample.n))
     return StepSurvivalCurve(times, values[0])
 
 

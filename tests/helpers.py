@@ -21,9 +21,10 @@ from every step, and ``beran_rows_reference`` reads the grid fits off
 the times with one search per sample, where the package finds each
 sample's grid columns from its integer sort keys.
 ``epanechnikov_reference`` and ``nw_weights_reference`` compute the
-kernel the same way, where the package computes it in place in one
-buffer.  ``cell_reference`` is the CSV writer's cell formatting without
-its exact-type shortcuts.
+kernel with the same ufuncs in the same order, where the package
+computes it in place in one buffer.  ``cell_reference`` is the CSV
+writer's cell formatting as a chain of ``isinstance`` tests, where the
+package writes the JSON writer's scalar as text.
 
 The oracle's reference routes live here as well: ``phi`` and
 ``phi2_terms``.  ``Phi`` vanishes on the diagonal ``y = x``, which the
@@ -206,7 +207,8 @@ def beran_rows_reference(t_sorted, delta_sorted, raw, tgrid):
 
 
 def epanechnikov_reference(u):
-    """``kernels.epanechnikov`` with a fresh array from every ufunc."""
+    """The kernel ``0.75 (1 - u^2)``, zero outside (-1, 1), with the
+    ufuncs of ``kernels._kernel_rows`` and a fresh array from each."""
     u = np.asarray(u, dtype=float)
     return 0.75 * np.maximum(0.0, 1.0 - u * u)
 

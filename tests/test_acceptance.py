@@ -32,7 +32,6 @@ from npmixcure import (
     true_mise_two_bw,
 )
 from npmixcure.exceptions import EstimationError
-from npmixcure.kernels import epanechnikov
 from npmixcure.models import trial_rng
 from npmixcure.oracle import (
     amse,
@@ -40,7 +39,13 @@ from npmixcure.oracle import (
     phi1,
 )
 
-from helpers import beran_brute, phi, phi2_terms, random_censored_sample
+from helpers import (
+    beran_brute,
+    epanechnikov_reference,
+    phi,
+    phi2_terms,
+    random_censored_sample,
+)
 
 
 def test_criterion_01_model_marginals():
@@ -86,7 +91,8 @@ def test_criterion_02_product_limit_reductions():
             curve = beran(CensoredSample(xs, ts, deltas), x, h)
         except EmptyNeighborhoodError:
             continue
-        ref_times, ref_values = beran_brute(xs, ts, deltas, x, h, epanechnikov)
+        ref_times, ref_values = beran_brute(xs, ts, deltas, x, h,
+                                            epanechnikov_reference)
         assert np.max(np.abs(curve.evaluate(ref_times) - ref_values)) <= 1e-12
         checked += 1
 

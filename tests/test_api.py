@@ -1,10 +1,12 @@
-"""The package's public surface, and the README examples that use it.
+"""The package's public surface, the README examples that use it, and
+no definition that nothing uses.
 
 Widening it is a deliberate edit of ``PUBLIC_NAMES``; the estimator has
 one kernel and the oracle fixed time integrals, so no public callable
 takes a kernel or an integration range.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -26,7 +28,7 @@ PUBLIC_NAMES = [
     "MiseSurface", "ModelSpec", "NoUncensoredError",
     "NpmixcureError", "PhiDerivatives", "SelectorStudy", "StepSurvivalCurve",
     "SupportGuardError", "UniformCovariate", "__version__", "amse", "beran",
-    "bias_variance_terms", "bootstrap_vs_optimal", "format_float", "generate",
+    "bias_variance_terms", "bootstrap_vs_optimal", "generate",
     "h_amise", "incidence_estimate", "ingest", "kaplan_meier",
     "latency_estimate", "latency_estimate_two_bw", "log_grid", "mise_star",
     "model1", "model2", "nw_weights", "phi1",
@@ -62,6 +64,27 @@ def test_no_public_callable_takes_a_removed_parameter():
         assert not params & REMOVED_PARAMETERS, name
         checked += 1
     assert checked > len(PUBLIC_NAMES) // 2
+
+
+def test_every_module_level_definition_is_used():
+    # a def or class of the package that no public name, package name,
+    # attribute or import refers to is dead code
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in Path(npmixcure.__file__).parent.glob("*.py")}
+    named = set(npmixcure.__all__)
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = [f"{module}.{node.name}" for module, tree in modules.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in named]
+    assert not unused
 
 
 def test_readme_python_examples_run():

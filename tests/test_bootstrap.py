@@ -30,13 +30,13 @@ from npmixcure.bootstrap import (
     _resample_curve,
 )
 from npmixcure.cure import _latency_from_curve, _latency_ise
-from npmixcure.kernels import epanechnikov
 from npmixcure.models import trial_rng
 from npmixcure.survival import StepSurvivalCurve, _beran_rows
 
 from helpers import (
     ReferenceKit,
     assert_same_outcomes,
+    epanechnikov_reference,
     grid_columns,
     mise_star_alone,
     mise_star_loop,
@@ -599,7 +599,7 @@ class TestRankedLookups:
         ordered = np.take_along_axis(keys, order, axis=1)
         last = grid_columns(kit.atoms[ordered >> 1], tgrid)
         assert last.min() == -1 and last.max() == sample.n - 1
-        raw = epanechnikov(
+        raw = epanechnikov_reference(
             (5.0 - kit.xs[order][:, None]) / config.grid.values[:, None])
         curves, plateaus, fitted = _beran_rows(
             np.take_along_axis(events, order, axis=1), raw, last)

@@ -674,6 +674,23 @@ class TestConfigAndErrors:
         assert message in capsys.readouterr().err
         assert not (_outdir / "o.csv").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", True, "--n must be an integer, got True"),
+        ("n", 2.5, "--n must be an integer, got 2.5"),
+        ("weight_upper", True, "--weight-upper must be a number, got True"),
+        ("out", ["a"], "--out must be a string, got ['a']"),
+    ], ids=["n-bool", "n-fraction", "weight-upper-bool", "out-list"])
+    def test_config_value_of_the_wrong_type_is_exit_2(self, _outdir, capsys,
+                                                      tmp_path, key, value,
+                                                      message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": 1, "n": 40, "m": 2, "x": 5,
+                                   "grid": "10:40:3", "out": "o.csv",
+                                   key: value}))
+        assert main(["mise", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in _outdir.iterdir()] == ["cfg.json"]
+
     def test_config_file_holding_a_list(self, _outdir, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([{"model": 1, "n": 20}]))
@@ -690,11 +707,11 @@ class TestConfigAndErrors:
 
     def test_config_format_outside_its_choices(self, _outdir, capsys,
                                                tmp_path):
-        # argparse checks the flag's choices; the option checks the config's
+        # a config value goes through the flag's converter
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": 1, "n": 5, "format": "xml"}))
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert ("--format must be one of csv, json, got 'xml'"
+        assert ("--format must be csv or json, got xml\n"
                 in capsys.readouterr().err)
         assert not list(_outdir.glob("simulate*"))
 
@@ -716,6 +733,9 @@ class TestConfigAndErrors:
     def test_bad_grid_spec(self, _outdir, capsys):
         assert main(["mise", "--model", "1", "--n", "10", "--m", "1",
                      "--x", "5", "--grid", "10:40"]) == 2
+        assert main(["mise", "--model", "1", "--n", "10", "--m", "1",
+                     "--x", "5", "--grid", "40:10:3"]) == 2
+        assert "--grid: need 0 < lo <= hi" in capsys.readouterr().err
 
     def test_nonpositive_bandwidth(self, _outdir, capsys, tmp_path):
         path, _ = _sample_csv(tmp_path)
@@ -878,8 +898,12 @@ class TestConfigAndErrors:
         assert main([]) == 2
 
     def test_argparse_rejects_unknown_choice(self, _outdir, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--model", "1", "--n", "5", "--format", "xml"])
+        # the flag fails as its config value does
+        assert main(["simulate", "--model", "1", "--n", "5",
+                     "--format", "xml"]) == 2
+        assert ("--format must be csv or json, got xml\n"
+                in capsys.readouterr().err)
+        assert not list(_outdir.glob("simulate*"))
 
     def test_outdir_env_resolves_relative_paths(self, _outdir, capsys,
                                                 monkeypatch, tmp_path):
@@ -911,7 +935,7 @@ class TestParserCache:
         assert main([*calls[0], "--out", "again0.csv"]) == 0
         # argparse stops this call after taking its --x values
         with pytest.raises(SystemExit) as rejected:
-            main(["estimate", *data, "--x", "7", "--format", "xml"])
+            main(["estimate", *data, "--x", "7", "--bogus"])
         assert rejected.value.code == 2
         for k in (1, 2):
             assert main([*calls[k], "--out", f"again{k}.csv"]) == 0

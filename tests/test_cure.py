@@ -14,10 +14,13 @@ from npmixcure import (
     latency_estimate_two_bw,
 )
 from npmixcure.cure import _latency_from_curve, _latency_ise
-from npmixcure.kernels import epanechnikov
 from npmixcure.survival import _beran_rows
 
-from helpers import grid_columns, random_censored_sample
+from helpers import (
+    epanechnikov_reference,
+    grid_columns,
+    random_censored_sample,
+)
 
 
 def _three_point_sample():
@@ -174,7 +177,7 @@ class TestLatencyIse:
 
     def _scores(self, sample, truth, tgrid):
         ordered = sample.sort_by_time()
-        raw = epanechnikov(
+        raw = epanechnikov_reference(
             (self.XS[:, None] - ordered.x) / self.HS[:, None])
         curves, plateaus, fitted = _beran_rows(
             ordered.delta, raw, grid_columns(ordered.t, tgrid))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from npmixcure import DatasetSchema, format_float, ingest
+from npmixcure import DatasetSchema, ingest
 from npmixcure.exceptions import ConfigError, DataError
 from npmixcure.io_utils import (
     _cell,
@@ -27,12 +27,13 @@ def _write(tmp_path, name, text):
 
 class TestFormatFloat:
     def test_round_trips_exactly(self):
+        # a float cell is the shortest string that parses back to it
         rng = np.random.default_rng(3)
         for v in rng.uniform(-1e6, 1e6, 200):
-            assert float(format_float(v)) == v
-        assert format_float(0.1) == "0.1"
-        assert format_float(1.0) == "1.0"
-        assert float(format_float(1.0 / 3.0)) == 1.0 / 3.0
+            assert float(_cell(v)) == v
+        assert _cell(0.1) == "0.1"
+        assert _cell(1.0) == "1.0"
+        assert float(_cell(1.0 / 3.0)) == 1.0 / 3.0
 
 
 class TestIngest:
@@ -211,6 +212,15 @@ class TestWriters:
         write_json_table(path, ("x", "k"), [(np.float64(0.5), np.int64(3))])
         payload = json.loads(path.read_text())
         assert payload == {"columns": ["x", "k"], "rows": [[0.5, 3]]}
+
+    def test_json_table_bool_and_str_cells(self, tmp_path):
+        # a bool stays a JSON boolean, not the integer it subclasses
+        path = tmp_path / "out.json"
+        write_json_table(path, ("ok", "bad", "name"),
+                         [(True, np.bool_(False), "curve")])
+        rows = json.loads(path.read_text())["rows"]
+        assert rows == [[True, False, "curve"]]
+        assert [type(v) for v in rows[0]] == [bool, bool, str]
 
     def test_dispatch_and_unknown_format(self, tmp_path):
         write_table(tmp_path / "a.csv", "csv", ("x",), [(1.0,)])

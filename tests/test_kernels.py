@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
 from npmixcure import EmptyNeighborhoodError, nw_weights
-from npmixcure.kernels import SECOND_MOMENT, SQUARE_INTEGRAL, epanechnikov
+from npmixcure.kernels import SECOND_MOMENT, SQUARE_INTEGRAL, _kernel_rows
 
 from helpers import epanechnikov_reference, nw_weights_reference
 
@@ -39,26 +39,45 @@ def _weight_problems(draw):
     return x, np.array(xs + ends), h
 
 
+@st.composite
+def _kernel_problems(draw):
+    """Points of up to two dimensions, 1-d covariates, and one bandwidth
+    or one per point; any float, NaN and inf included."""
+    points = draw(arrays(np.float64, array_shapes(min_dims=0, max_dims=2),
+                         elements=st.floats()))
+    xs = draw(arrays(np.float64, array_shapes(max_dims=1),
+                     elements=st.floats()))
+    hs = draw(arrays(np.float64, draw(st.sampled_from([(), points.shape])),
+                     elements=st.floats()))
+    return points, xs, hs
+
+
+def _kernel(u):
+    """The kernel at ``u``, as ``_kernel_rows`` computes ``(u - 0) / 1``."""
+    return _kernel_rows(np.asarray(u, dtype=float), np.zeros(1),
+                        np.ones(()))[..., 0]
+
+
 class TestEpanechnikov:
     def test_pointwise_values(self):
         # 0.75 (1 - u^2) on [-1, 1]: K(0) = 0.75, K(0.5) = 0.75 * 0.75
-        assert epanechnikov(0.0) == 0.75
-        assert epanechnikov(0.5) == 0.5625
-        assert epanechnikov(1.0) == 0.0
-        assert epanechnikov(-1.0) == 0.0
-        assert epanechnikov(3.7) == 0.0
+        assert _kernel(0.0) == 0.75
+        assert _kernel(0.5) == 0.5625
+        assert _kernel(1.0) == 0.0
+        assert _kernel(-1.0) == 0.0
+        assert _kernel(3.7) == 0.0
 
     def test_symmetry(self):
         u = np.linspace(0.0, 1.5, 40)
         assert_allclose(
-            epanechnikov(u), epanechnikov(-u)
+            _kernel(u), _kernel(-u)
         )
 
     def test_moments_match_quadrature(self):
         # trapezoid on a fine grid: mass 1, second moment 0.2, square
         # integral 0.6
         u = np.linspace(-1.0, 1.0, 200001)
-        k = epanechnikov(u)
+        k = _kernel(u)
         assert_allclose(np.trapezoid(k, u), 1.0, atol=1e-9)
         assert_allclose(
             np.trapezoid(u * u * k, u), SECOND_MOMENT, atol=1e-9
@@ -72,18 +91,20 @@ class TestEpanechnikov:
         assert SQUARE_INTEGRAL == 0.6
 
     @_SETTINGS
-    @given(st.floats() | arrays(np.float64, array_shapes(min_dims=0),
-                                elements=st.floats()))
-    @example(np.array(1.0))
-    @example(np.array([-1.0, 1.0, -0.0, np.inf]))
-    def test_bit_for_bit_equal_to_the_reference(self, u):
-        before = np.array(u)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan
-            got, expected = epanechnikov(u), epanechnikov_reference(u)
-        assert type(got) is type(expected)
-        assert np.shape(got) == np.shape(expected)
-        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
-        assert np.asarray(u).tobytes() == before.tobytes()
+    @given(_kernel_problems())
+    @example((np.array(1.0), np.array([0.0]), np.array(1.0)))
+    @example((np.array([-1.0, 1.0, -0.0, np.inf]), np.array([0.0, np.nan]),
+              np.array([1.0, 1.0, 2.0, 0.5])))
+    def test_bit_for_bit_equal_to_the_reference(self, problem):
+        points, xs, hs = problem
+        before = [a.tobytes() for a in problem]
+        with np.errstate(all="ignore"):  # inf, nan and zero bandwidths
+            got = _kernel_rows(points, xs, hs)
+            expected = epanechnikov_reference(
+                (points[..., None] - xs) / hs[..., None])
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert [a.tobytes() for a in problem] == before
 
 
 class TestNwWeights:
@@ -136,6 +157,10 @@ class TestNwWeights:
             with pytest.raises(ValueError):
                 nw_weights(0.0, np.array([0.0]),
                            np.array([1.0, bad]))
+
+    def test_empty_covariates_rejected(self):
+        with pytest.raises(ValueError, match="xs must be nonempty"):
+            nw_weights(0.0, np.array([]), 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_covariate_rejected(self, bad):

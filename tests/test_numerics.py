@@ -160,7 +160,7 @@ def test_adaptive_simpson_rejects_infinite_limits():
 
 def test_composite_simpson_error_bound():
     # composite error for x^4 on [0,1] with 64 panels is below 1e-8
-    value = composite_simpson(lambda x: x**4, 0.0, 1.0, panels=64)
+    value = composite_simpson(lambda x: x**4, 0.0, 1.0)
     assert abs(value - 0.2) < 1e-8
 
 
@@ -171,10 +171,23 @@ def test_composite_simpson_rows_integrate_like_single_calls():
         calls.append(v.size)
         return np.stack([v**4, np.cos(v)])
 
-    both = composite_simpson(rows, 0.0, 1.0, panels=63)
+    both = composite_simpson(rows, 0.0, 1.0)
     assert calls == [65]
-    assert both[0] == composite_simpson(lambda v: v**4, 0.0, 1.0, panels=64)
-    assert both[1] == composite_simpson(np.cos, 0.0, 1.0, panels=64)
+    assert both[0] == composite_simpson(lambda v: v**4, 0.0, 1.0)
+    assert both[1] == composite_simpson(np.cos, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)])
+def test_composite_simpson_empty_interval_is_zero(a, b):
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return np.ones_like(v)
+
+    value = composite_simpson(f, a, b)
+    assert value == 0.0 and type(value) is float
+    assert calls == []
 
 
 def test_central_diff_exponential():

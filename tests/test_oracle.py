@@ -1,5 +1,6 @@
 """Asymptotic bias/variance oracle built on quadrature."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -450,8 +451,9 @@ class TestAmse:
         for h in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 amse(spec, 1.0, 5.0, h, 200)
-        with pytest.raises(ValueError):
-            amse(spec, 1.0, 5.0, 10.0, 0)
+        for n in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite n >= 1"):
+                amse(spec, 1.0, 5.0, 10.0, n)
 
 
 class TestHAmise:
@@ -476,8 +478,16 @@ class TestHAmise:
 
     def test_validation(self):
         spec = model1()
-        with pytest.raises(ValueError):
-            h_amise(spec, 5.0, 0)
+        for n in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="n must be finite"):
+                h_amise(spec, 5.0, n)
+
+    def test_latency_never_reaching_the_level(self):
+        # the bracket's upper end must take the latency survival to 0.05
+        spec = dataclasses.replace(model1(), s0_upper=lambda x: 0.01)
+        with pytest.raises(ValueError,
+                           match="latency survival never reaches the level"):
+            h_amise(spec, 5.0, 200)
 
 
 class TestPopulationWiring:

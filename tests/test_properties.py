@@ -32,7 +32,6 @@ from npmixcure import (
 from npmixcure import bootstrap
 from npmixcure.bootstrap import BandwidthGrid, _ResamplingKit
 from npmixcure.cli import main
-from npmixcure.kernels import epanechnikov
 from npmixcure.models import trial_rng
 from npmixcure.survival import (
     StepSurvivalCurve,
@@ -43,6 +42,7 @@ from npmixcure.survival import (
 from helpers import (
     ReferenceKit,
     assert_same_outcomes,
+    epanechnikov_reference,
     grid_columns,
     mise_star_alone,
     mise_star_loop,
@@ -183,7 +183,7 @@ def test_stacked_covariate_rows_equal_separate_fits(sample, xs, hs, points):
     tgrid = np.linspace(0.0, 7.0, points)
 
     def fit(points_x):
-        raw = epanechnikov(
+        raw = epanechnikov_reference(
             (np.array(points_x)[:, None, None] - x_sorted) / hs[:, None])
         return _beran_rows(delta, raw.reshape(-1, sample.n),
                            grid_columns(t, tgrid))
@@ -386,7 +386,7 @@ def test_lattice_examples_cover_their_cases():
     steps_apart = np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
     for step, rounded in ((1.0, False), (0.1, True)):
         xs = step * np.arange(8)
-        weights = epanechnikov((xs[:, None] - xs) / step)
+        weights = epanechnikov_reference((xs[:, None] - xs) / step)
         assert np.any(weights[steps_apart == 1] > 0.0) == rounded
 
 

@@ -16,12 +16,12 @@ from npmixcure import (
     kaplan_meier,
     nw_weights,
 )
-from npmixcure.kernels import epanechnikov
 from npmixcure.survival import _at_event_times, _beran_rows, _product_limit
 
 from helpers import (
     beran_brute,
     beran_rows_reference,
+    epanechnikov_reference,
     grid_columns,
     km_grouped,
     product_limit_reference,
@@ -39,6 +39,8 @@ class TestCensoredSample:
             CensoredSample(np.array([0.0]), np.array([1.0]), np.array([2]))
         with pytest.raises(ValueError):
             CensoredSample(np.array([]), np.array([]), np.array([]))
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            CensoredSample(np.array([0.0, np.nan]), np.ones(2), np.ones(2))
 
     def test_t_max_uncensored(self):
         s = CensoredSample(np.zeros(3), np.array([1.0, 5.0, 2.0]), np.array([1, 0, 1]))
@@ -81,8 +83,12 @@ class TestStepSurvivalCurve:
         assert c.evaluate(1e9) == 1.0
 
     def test_nonincreasing_times_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             StepSurvivalCurve(np.array([1.0, 1.0]), np.array([0.5, 0.25]))
+
+    def test_infinite_jump_time_rejected(self):
+        with pytest.raises(ValueError, match="jump times must be finite"):
+            StepSurvivalCurve(np.array([1.0, np.inf]), np.array([0.5, 0.25]))
 
 
 class TestKaplanMeier:
@@ -146,6 +152,16 @@ class TestKaplanMeier:
         assert_allclose(curve.jump_times, ref_times)
         assert_allclose(curve.values, ref_values, atol=1e-15)
 
+    @pytest.mark.parametrize("flags, message", [
+        ([1, 0, 1], "identical shapes"),
+        ([1, 0, 2, 0], "only 0 and 1"),
+    ], ids=["wrong-length", "flag-of-2"])
+    def test_bad_event_flags_rejected(self, flags, message):
+        sample = CensoredSample(np.zeros(4), np.arange(1.0, 5.0),
+                                np.array([1, 0, 1, 0]))
+        with pytest.raises(ValueError, match=message):
+            kaplan_meier(sample, event_flags=np.array(flags))
+
 
 class TestBeran:
     def test_hand_computed_three_points(self):
@@ -187,7 +203,7 @@ class TestBeran:
             except EmptyNeighborhoodError:
                 continue
             ref_times, ref_values = beran_brute(
-                xs, ts, deltas, x, h, epanechnikov
+                xs, ts, deltas, x, h, epanechnikov_reference
             )
             assert_allclose(
                 curve.evaluate(ref_times), ref_values, atol=1e-12
@@ -248,7 +264,8 @@ class TestBatchedProductLimit:
         assert not weights.flags.c_contiguous
         times, values = _at_event_times(ordered.t, ordered.delta, weights)
         tgrid = np.linspace(0.0, 5.0, 23)
-        raw = np.asfortranarray(epanechnikov((x - ordered.x) / hs[:, None]))
+        raw = np.asfortranarray(
+            epanechnikov_reference((x - ordered.x) / hs[:, None]))
         on_grid, final, fitted = _beran_rows(
             ordered.delta, raw, grid_columns(ordered.t, tgrid))
         assert fitted.all()
@@ -269,7 +286,8 @@ class TestBatchedProductLimit:
         sample = self._tied_sample(seed)
         ordered = sample.sort_by_time()
         hs = np.array([0.05, 0.3, 2.5, 40.0])
-        raw = epanechnikov((float(sample.x[0]) - ordered.x) / hs[:, None])
+        raw = epanechnikov_reference(
+            (float(sample.x[0]) - ordered.x) / hs[:, None])
         raw[:, -1] = 0.0
         raw = np.vstack([raw, np.zeros(sample.n)])
         total = raw.sum(axis=1)
@@ -312,8 +330,9 @@ class TestBatchedProductLimit:
         t = np.stack([o.t for o in orders])
         delta = np.stack([o.delta for o in orders])
         hs = np.array([0.05, 0.3, 2.5])
-        raw = np.stack([epanechnikov((float(s.x[0]) - o.x) / hs[:, None])
-                        for s, o in zip(samples, orders)])
+        raw = np.stack([
+            epanechnikov_reference((float(s.x[0]) - o.x) / hs[:, None])
+            for s, o in zip(samples, orders)])
         tgrid = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 9.0])
         for args in ((t, delta, raw), (t[0], delta[0], raw[0])):
             new = _beran_rows(args[1], args[2], grid_columns(args[0], tgrid))
@@ -325,8 +344,8 @@ class TestBatchedProductLimit:
         sample = self._tied_sample(3)
         ordered = sample.sort_by_time()
         hs = np.array([0.5, 1e-3, 3.0])
-        raw = epanechnikov((10.0 - ordered.x) / hs[:, None])
-        raw[0] = epanechnikov((0.0 - ordered.x) / hs[0])
+        raw = epanechnikov_reference((10.0 - ordered.x) / hs[:, None])
+        raw[0] = epanechnikov_reference((0.0 - ordered.x) / hs[0])
         on_grid, final, fitted = _beran_rows(
             ordered.delta, raw, grid_columns(ordered.t, np.array([0.0, 2.0])))
         assert fitted.tolist() == [True, False, False]
