@@ -144,16 +144,12 @@ def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,
     return float(total) if total.ndim == 0 else total
 
 
-def central_diff(f: Callable[[float], float], y: float, step: float):
-    """First and second central difference of ``f`` at ``y``.
-
-    Returns ``(d1, d2)`` using the three-point stencils
-    ``(f(y+d) - f(y-d)) / (2d)`` and
-    ``(f(y+d) - 2 f(y) + f(y-d)) / d^2``.  ``f`` may return arrays.
-    """
-    f_plus = f(y + step)
-    f_minus = f(y - step)
-    f_mid = f(y)
+def central_diff(values, step):
+    """Central differences ``(d1, d2)`` of stencil values: ``values``
+    stacks ``f(y+d)``, ``f(y-d)``, ``f(y)`` (each may be an array) along
+    its first axis, ``d = step``, and ``d1 = (f(y+d) - f(y-d)) / (2d)``,
+    ``d2 = (f(y+d) - 2 f(y) + f(y-d)) / d^2``."""
+    f_plus, f_minus, f_mid = values
     d1 = (f_plus - f_minus) / (2.0 * step)
     d2 = (f_plus - 2.0 * f_mid + f_minus) / (step * step)
     return d1, d2

@@ -145,18 +145,22 @@ def _diagonal_integrands(spec, x, step):
     the integral sign: the y-dependence sits in closed-form population
     functions, so the differences are taken on the integrand and a
     single quadrature follows, which keeps quadrature noise out of the
-    difference quotients.  ``x`` is a column against the points, so
-    every row is evaluated at every point: one call, C = 3 len(x) rows.
+    difference quotients.  Each level evaluates ``h1`` and ``S`` once on
+    the stencil ``x + step, x - step, x`` as columns against the points,
+    whose ``x`` rows serve as ``h1(v|x)`` and ``S(v|x)``: C = 3 len(x) rows.
     """
     x = np.asarray(x, dtype=float)[:, None]
     step = np.asarray(step, dtype=float)[:, None]
+    stencil = np.stack([x + step, x - step, x])
 
     def rows(v):
-        d1_h1, d2_h1 = central_diff(lambda y: spec.h1_density(v, y), x, step)
-        d1_s, d2_s = central_diff(lambda y: spec.survival(v, y), x, step)
+        # broadcast, as a covariate-free population gives one row
+        h1, s = (np.broadcast_to(f(v, stencil), (3, x.shape[0], v.size))
+                 for f in (spec.h1_density, spec.survival))
+        d1_h1, d2_h1 = central_diff(h1, step)
+        d1_s, d2_s = central_diff(s, step)
         g_sf = spec.censoring.sf(v)
-        r = spec.one_minus_h(v, x)
-        h1x = spec.h1_density(v, x)
+        h1x, r = h1[2], s[2] * g_sf  # r: spec.one_minus_h(v, x)
         first = (d1_h1 + -g_sf * d1_s * h1x / r) / r
         second = (d2_h1 + -g_sf * d2_s * h1x / r) / r
         out = np.empty((x.shape[0], 3, v.size))

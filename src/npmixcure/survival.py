@@ -38,8 +38,8 @@ class CensoredSample:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.t = np.asarray(self.t, dtype=float)
-        self.delta = np.asarray(self.delta, dtype=np.int64)
-        if not (self.x.shape == self.t.shape == self.delta.shape):
+        delta = np.asarray(self.delta)
+        if not (self.x.shape == self.t.shape == delta.shape):
             raise ValueError("x, t, delta must have identical shapes")
         if self.x.ndim != 1 or self.x.size == 0:
             raise ValueError("sample must be one-dimensional and nonempty")
@@ -47,8 +47,9 @@ class CensoredSample:
             raise ValueError("covariates must be finite")
         if not np.all(np.isfinite(self.t)) or np.any(self.t < 0.0):
             raise ValueError("observed times must be finite and nonnegative")
-        if not np.all((self.delta == 0) | (self.delta == 1)):
+        if not np.all((delta == 0) | (delta == 1)):
             raise ValueError("delta must contain only 0 and 1")
+        self.delta = delta.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:
@@ -102,6 +103,7 @@ class StepSurvivalCurve:
         # the number of jumps at or before t indexes the values after 1.0
         out = np.concatenate(([1.0], self.values))[
             np.searchsorted(self.jump_times, t, side="right")]
+        out = np.where(np.isnan(t), np.nan, out)  # NaN sorts after all jumps
         return float(out) if np.ndim(t) == 0 else out
 
 

@@ -33,6 +33,9 @@ decompositions of ``Phi1``/``Phi2`` collapse to the same single
 integral there.  Both call the quadrature as
 ``numerics.adaptive_simpson``, so the benchmark's tracer, which rebinds
 names inside the package only, still counts their integrand calls.
+``diagonal_integrands_reference`` builds the oracle's integrand rows
+with eight population calls per level, each stencil covariate on its
+own, where the package evaluates the stacked stencil once.
 """
 
 import importlib.util
@@ -519,3 +522,30 @@ def phi2_terms(spec: ModelSpec, t: float, x: float):
     term_d = numerics.adaptive_simpson(d_outer, 0.0, t_eff, _TOL_OUTER, max_depth=14)
 
     return term_a, term_b, term_c, term_d
+
+
+def diagonal_integrands_reference(spec, x, step):
+    """``oracle._diagonal_integrands`` by one population call per
+    stencil covariate: ``h1`` and ``S`` at ``x + step``, ``x - step``
+    and ``x``, then ``1 - H`` and ``h1`` again at ``x``."""
+    x = np.asarray(x, dtype=float)[:, None]
+    step = np.asarray(step, dtype=float)[:, None]
+
+    def differences(f):
+        f_plus, f_minus, f_mid = f(x + step), f(x - step), f(x)
+        return ((f_plus - f_minus) / (2.0 * step),
+                (f_plus - 2.0 * f_mid + f_minus) / (step * step))
+
+    def rows(v):
+        d1_h1, d2_h1 = differences(lambda y: spec.h1_density(v, y))
+        d1_s, d2_s = differences(lambda y: spec.survival(v, y))
+        g_sf = spec.censoring.sf(v)
+        r = spec.one_minus_h(v, x)
+        h1x = spec.h1_density(v, x)
+        first = (d1_h1 + -g_sf * d1_s * h1x / r) / r
+        second = (d2_h1 + -g_sf * d2_s * h1x / r) / r
+        out = np.empty((x.shape[0], 3, v.size))
+        out[:, 0], out[:, 1], out[:, 2] = first, second, h1x / (r * r)
+        return out.reshape(-1, v.size)
+
+    return rows

@@ -26,7 +26,13 @@ from npmixcure.oracle import (
     phi_y_derivatives,
 )
 
-from helpers import draw_conditional, load_benchmark_tracing, phi, phi2_terms
+from helpers import (
+    diagonal_integrands_reference,
+    draw_conditional,
+    load_benchmark_tracing,
+    phi,
+    phi2_terms,
+)
 
 
 def _exponential_population(p_value=1.0, cens_rate=0.0):
@@ -424,6 +430,49 @@ def test_broadcast_points_equal_scalar_calls(data):
             assert np.shape(getattr(batch, name)) == t.shape
             assert np.ravel(getattr(batch, name)).tolist() == [
                 getattr(one, name) for one in ones]
+
+
+# populations of the stencil property and times none of them refuses
+# on x in [-10, 15]; the covariate-free exponential ones return one row
+# for the whole stencil, and without cure mass they take no inf
+_STENCIL_POPULATIONS = {
+    "model1": (model1, (0.3, 1.0, 2.5, math.inf)),
+    "model2": (model2, (0.2, 0.5, 0.8, math.inf)),
+    "exponential": (lambda: _exponential_population(1.0, 0.3), (0.3, 1.0, 2.5)),
+    "exponential-cured": (lambda: _exponential_population(0.6, 0.3),
+                          (0.3, 1.0, 2.5, math.inf)),
+}
+
+
+@pytest.mark.parametrize("population", sorted(_STENCIL_POPULATIONS))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_stacked_stencil_equals_one_call_per_covariate(population, data):
+    # the integrand rows evaluate the population once on the stacked
+    # stencil; swapping in the reference, which calls it at x + step,
+    # x - step and x in turn, changes no bit.  Up to 12 distinct x
+    # cross the 8 of one quadrature call
+    factory, pool = _STENCIL_POPULATIONS[population]
+    spec = factory()
+    size = data.draw(st.integers(1, 12))
+    xs = data.draw(st.lists(st.floats(-10.0, 15.0), min_size=size,
+                            max_size=size, unique=True))
+    points = [(tv, xv) for xv in xs for tv in data.draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3))]
+    t, x = np.array(points).T
+
+    def outputs():
+        terms = bias_variance_terms(spec, t, x)
+        derivatives = phi_y_derivatives(spec, t[x == xs[0]], xs[0])
+        return [np.asarray(getattr(out, field.name)).tolist()
+                for out in (terms, derivatives)
+                for field in dataclasses.fields(out)]
+
+    got = outputs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_diagonal_integrands",
+                      diagonal_integrands_reference)
+        assert outputs() == got
 
 
 class TestAmse:

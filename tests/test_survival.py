@@ -37,10 +37,18 @@ class TestCensoredSample:
             CensoredSample(np.array([0.0]), np.array([-1.0]), np.array([1]))
         with pytest.raises(ValueError):
             CensoredSample(np.array([0.0]), np.array([1.0]), np.array([2]))
+        # checked before the int64 cast, which would read 0.7 as 0
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            CensoredSample(np.zeros(3), np.ones(3), np.array([0.7, 1.9, 1.0]))
         with pytest.raises(ValueError):
             CensoredSample(np.array([]), np.array([]), np.array([]))
         with pytest.raises(ValueError, match="covariates must be finite"):
             CensoredSample(np.array([0.0, np.nan]), np.ones(2), np.ones(2))
+
+    def test_flags_stored_as_int64(self):
+        for flags in ([0.0, 1.0, 1.0], [False, True, True]):
+            s = CensoredSample(np.zeros(3), np.ones(3), np.array(flags))
+            assert s.delta.dtype == np.int64 and s.delta.tolist() == [0, 1, 1]
 
     def test_t_max_uncensored(self):
         s = CensoredSample(np.zeros(3), np.array([1.0, 5.0, 2.0]), np.array([1, 0, 1]))
@@ -76,6 +84,9 @@ class TestStepSurvivalCurve:
         assert_allclose(
             c.evaluate(np.array([0.0, 2.5])), [1.0, 0.25]
         )
+        # NaN sorts after every jump, where the last value sits
+        assert np.isnan(c.evaluate(np.nan))
+        assert_allclose(c.evaluate(np.array([np.nan, np.inf])), [np.nan, 0.25])
 
     def test_empty_curve_is_constant(self):
         c = StepSurvivalCurve(np.array([]), np.array([]))
@@ -155,7 +166,8 @@ class TestKaplanMeier:
     @pytest.mark.parametrize("flags, message", [
         ([1, 0, 1], "identical shapes"),
         ([1, 0, 2, 0], "only 0 and 1"),
-    ], ids=["wrong-length", "flag-of-2"])
+        ([1.5, 0.2, 1.0, 0.0], "only 0 and 1"),
+    ], ids=["wrong-length", "flag-of-2", "fractional-flags"])
     def test_bad_event_flags_rejected(self, flags, message):
         sample = CensoredSample(np.zeros(4), np.arange(1.0, 5.0),
                                 np.array([1, 0, 1, 0]))
