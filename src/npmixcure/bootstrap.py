@@ -178,7 +178,8 @@ def _mise_curve(grid, sums, used, count, noun, **fields) -> MiseCurve:
     )
 
 
-def pilot_bandwidth(xs: np.ndarray, c: float = 0.75) -> float:
+def pilot_bandwidth(xs: np.ndarray,
+                    c: float = BootstrapConfig.pilot_c) -> float:
     """Rule-of-thumb pilot bandwidth ``c (x_(n) - x_(1)) n^(-1/9)``.
 
     The ``n^(-1/9)`` rate decays slower than the estimation-optimal

@@ -82,9 +82,13 @@ def _checked(convert, ok, rule):
     return check
 
 
-def _at_least(low):
-    """Converter to an integer no smaller than ``low``."""
-    return _checked(_as_int, lambda out: out >= low, f"at least {low}")
+_SIZE_MAX = int(np.iinfo(np.intp).max)  # the longest array numpy can index
+
+
+def _size(low):
+    """Converter to an integer from ``low`` to ``_SIZE_MAX``."""
+    return _checked(_as_int, lambda out: low <= out <= _SIZE_MAX,
+                    f"from {low} to {_SIZE_MAX}")
 
 
 _finite = _checked(_as_float, math.isfinite, "finite")
@@ -93,6 +97,8 @@ _time = _checked(_as_float, lambda out: out > -math.inf, "a number or inf")
 _positive = _checked(_as_float, lambda out: 0.0 < out < math.inf,
                      "positive and finite")
 _model_id = _checked(_as_int, _MODELS.__contains__, "1 or 2")
+# SeedSequence takes any nonnegative integer, however large
+_seed = _checked(_as_int, lambda out: out >= 0, "at least 0")
 
 
 def _text(value, flag):
@@ -181,9 +187,9 @@ _OPTIONS = {option.key: option for option in (
             "(repeatable)", repeat=True),
     _Option("--model", _model_id, help="model 1 or 2 (estimate, selectbw: "
             "generate the sample from it instead of reading --data)"),
-    _Option("--n", _at_least(1), help="sample size (mise: per trial; "
+    _Option("--n", _size(1), help="sample size (mise: per trial; "
             "oracle: in the variance term)"),
-    _Option("--m", _at_least(1), help="number of trials"),
+    _Option("--m", _size(1), help="number of trials"),
     _Option("--x", _finite, help="covariate value (repeatable)",
             repeat=True),
     _Option("--t", _time, help="time point (repeatable; inf means the "
@@ -200,16 +206,17 @@ _OPTIONS = {option.key: option for option in (
             "surface (defaults to --grid)"),
     _Option("--surface", _switch, False,
             "compute the two-bandwidth MISE surface"),
-    _Option("--B", _at_least(1), 100, "bootstrap resamples (default 100)"),
-    _Option("--pilot-c", _positive, 0.75,
-            "pilot bandwidth constant (default 0.75)"),
-    _Option("--time-points", _at_least(2), 200,
+    _Option("--B", _size(1), 100, "bootstrap resamples (default 100)"),
+    _Option("--pilot-c", _positive, BootstrapConfig.pilot_c,
+            f"pilot bandwidth constant (default {BootstrapConfig.pilot_c})"),
+    _Option("--time-points", _size(2), 200,
             "curve export grid size (default 200)"),
     _Option("--weight-upper", _positive,
             help="upper end of the MISE integration window"),
-    _Option("--time-grid-size", _at_least(2), 100,
-            "integration grid size (default 100)"),
-    _Option("--seed", _at_least(0), 1, "master random seed (default 1)"),
+    _Option("--time-grid-size", _size(2), ExperimentConfig.time_grid_size,
+            "integration grid size (default "
+            f"{ExperimentConfig.time_grid_size})"),
+    _Option("--seed", _seed, 1, "master random seed (default 1)"),
     _Option("--out", _text, help="output file (relative paths resolve "
             f"against ${_OUTDIR_ENV} or the working directory)"),
     _Option("--format", _checked(_text, ("csv", "json").__contains__,

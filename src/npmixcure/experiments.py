@@ -56,7 +56,7 @@ class ExperimentConfig:
 
     seed: int
     weight_upper: float | None = None
-    time_grid_size: int = 100
+    time_grid_size: int = BootstrapConfig.time_grid_size
 
     def __post_init__(self):
         _check_scoring(self)
@@ -253,7 +253,7 @@ def bootstrap_vs_optimal(
     grid: BandwidthGrid,
     B: int,
     config: ExperimentConfig,
-    pilot_c: float = 0.75,
+    pilot_c: float = BootstrapConfig.pilot_c,
 ) -> SelectorStudy:
     """Compare the bootstrap bandwidth selector with the grid optimum.
 

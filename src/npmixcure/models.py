@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .numerics import bisect_level
 from .survival import CensoredSample
 
 __all__ = [
@@ -70,15 +71,12 @@ class ModelSpec:
     """A fully specified mixture cure data-generating process.
 
     ``p(x)`` is the probability of being uncured, ``s0(t, x)`` the
-    latency survival.  ``latency_quantile(u, x, sizes=None)`` must
-    invert ``s0(., x)`` at level ``u`` so that plugging a standard
-    uniform yields a draw of the susceptible survival time.  ``p`` and
-    ``latency_quantile`` work element by element, so :func:`generate`
-    can pass the rows of several samples in one call.  ``sizes``, when
-    given, splits a one-dimensional ``u`` into consecutive groups, one
-    per sample, and each group's values must equal those of a call on
-    that group alone bit for bit: an iterative inversion stops each
-    group where its own call would stop.  A closed form ignores it.
+    latency survival.  ``latency_quantile(u, x)`` must invert
+    ``s0(., x)`` at level ``u`` so that plugging a standard uniform
+    yields a draw of the susceptible survival time.  ``p`` and
+    ``latency_quantile`` work element by element, each value equal bit
+    for bit to that of a call on its element alone, so :func:`generate`
+    can pass the rows of several samples in one call.
 
     The model also supplies the population identities of the asymptotic
     quadrature oracle.  ``latency_density`` is ``-d s0/dt`` and
@@ -94,7 +92,7 @@ class ModelSpec:
     model_id: str
     p: Callable[[np.ndarray], np.ndarray]
     s0: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    latency_quantile: Callable[..., np.ndarray]
+    latency_quantile: Callable[[np.ndarray, np.ndarray], np.ndarray]
     censoring: object
     covariate: object
     latency_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -154,7 +152,7 @@ def model1() -> ModelSpec:
         raw = (np.exp(-lam * np.minimum(t, MODEL1_TAU0)) - tail) / (1.0 - tail)
         return np.where(t >= MODEL1_TAU0, 0.0, np.where(t < 0.0, 1.0, raw))
 
-    def latency_quantile(u, x, sizes=None):
+    def latency_quantile(u, x):
         # s0(t) = u  <=>  t = -log(tail + u (1 - tail)) / lam
         u = np.asarray(u, dtype=float)
         lam, tail = _model1_rate(x)
@@ -213,7 +211,7 @@ def model2() -> ModelSpec:
         w = np.where(t < 0.0, 0.0, t) ** 5
         return _model2_s0_of_w(w, _model2_alpha(x))
 
-    def latency_quantile(u, x, sizes=None):
+    def latency_quantile(u, x):
         u = np.clip(np.asarray(u, dtype=float), 2.0**-53, 1.0)
         shape = u.shape
         alpha = np.broadcast_to(_model2_alpha(x), shape).astype(float).ravel()
@@ -228,34 +226,7 @@ def model2() -> ModelSpec:
         u = u.ravel()
         # bracket: 0.5 exp(-alpha w) <= u  once  w >= log(1/(2u))/alpha
         hi = np.maximum(np.log(1.0 / (2.0 * u)) / alpha, 1.0)
-        lo = np.zeros_like(hi)
-        w = np.empty_like(hi)
-        # the rows still bisecting and the sizes of their groups; a group
-        # leaves after the first iteration at which all its rows meet the
-        # test, as its own call would break there.  An empty group is
-        # dropped: reduceat over it would read the next group's first row
-        rows = np.arange(u.size)
-        sizes = np.array([u.size] if sizes is None else sizes, dtype=np.int64)
-        sizes = sizes[sizes > 0]
-        starts = np.cumsum(sizes) - sizes
-        for _ in range(200):
-            if not sizes.size:
-                break
-            mid = 0.5 * (lo + hi)
-            too_high = _model2_s0_of_w(mid, alpha) > u
-            lo = np.where(too_high, mid, lo)
-            hi = np.where(too_high, hi, mid)
-            met = hi - lo <= 1e-10 * np.maximum(hi, 1.0)
-            stop = np.logical_and.reduceat(met, starts)
-            if stop.any():
-                done = np.repeat(stop, sizes)
-                w[rows[done]] = 0.5 * (lo[done] + hi[done])
-                keep = ~done
-                rows, u, alpha, lo, hi = (
-                    a[keep] for a in (rows, u, alpha, lo, hi))
-                sizes = sizes[~stop]
-                starts = np.cumsum(sizes) - sizes
-        w[rows] = 0.5 * (lo + hi)
+        w = bisect_level(_model2_s0_of_w, hi, u, alpha, 1e-10)
         # [()] makes a 0-d result a numpy scalar, so a scalar level takes
         # the scalar power; it differs in the last bit from the array
         # loop on about one value in twenty
@@ -298,7 +269,7 @@ def generate(
     stream draws covariates, cure uniforms, latency levels and censoring
     times, in that fixed order, so a given generator state always yields
     the same sample; the latency levels of all streams are then inverted
-    in one grouped ``latency_quantile`` call.  Cured subjects have an
+    in one ``latency_quantile`` call.  Cured subjects have an
     infinite survival time and are therefore always censored.
     """
     if n <= 0:
@@ -313,8 +284,7 @@ def generate(
         c[k] = spec.censoring.sample(stream, n)
     uncured = cure < spec.p(xs)
     y = np.full(xs.shape, np.inf)
-    y[uncured] = spec.latency_quantile(levels[uncured], xs[uncured],
-                                       np.count_nonzero(uncured, axis=1))
+    y[uncured] = spec.latency_quantile(levels[uncured], xs[uncured])
     t = np.minimum(y, c)
     delta = (y <= c).astype(np.int64)
     if not np.all(np.isfinite(t)):

@@ -1,4 +1,4 @@
-"""Small numerical routines: quadrature and finite differences.
+"""Small numerical routines: quadrature, finite differences and bisection.
 
 Deterministic by construction; every routine visits points in a fixed
 order so repeated calls give bit-identical results.
@@ -13,6 +13,7 @@ __all__ = [
     "adaptive_simpson",
     "composite_simpson",
     "central_diff",
+    "bisect_level",
 ]
 
 
@@ -153,3 +154,36 @@ def central_diff(values, step):
     d1 = (f_plus - f_minus) / (2.0 * step)
     d2 = (f_plus - 2.0 * f_mid + f_minus) / (step * step)
     return d1, d2
+
+
+def bisect_level(f, hi, level, param, rtol):
+    """Where each decreasing ``f(., param[i])`` falls to ``level[i]``.
+
+    Row ``i`` of the 1-d ``hi`` bisects ``[0, hi[i]]``: the midpoint
+    replaces the lower end where ``f(mid, param) > level`` and the upper
+    end elsewhere.  ``level`` and ``param`` broadcast to ``hi``'s shape,
+    and ``f`` maps arrays of points and parameters to values element by
+    element.  A row leaves after the first halving at which ``hi - lo
+    <= rtol * max(hi, 1)``, or after 200, and returns its bracket's
+    midpoint, so each value equals that of a call on its row alone, bit
+    for bit.
+    """
+    hi = np.asarray(hi, dtype=float)
+    level, param = (np.broadcast_to(a, hi.shape) for a in (level, param))
+    lo = np.zeros_like(hi)
+    out = np.empty_like(hi)
+    rows = np.arange(hi.size)
+    for _ in range(200):
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        too_high = f(mid, param) > level
+        lo = np.where(too_high, mid, lo)
+        hi = np.where(too_high, hi, mid)
+        done = hi - lo <= rtol * np.maximum(hi, 1.0)
+        if done.any():
+            out[rows[done]] = 0.5 * (lo[done] + hi[done])
+            rows, level, param, lo, hi = (
+                a[~done] for a in (rows, level, param, lo, hi))
+    out[rows] = 0.5 * (lo + hi)
+    return out

@@ -31,7 +31,8 @@ import numpy as np
 from .exceptions import SupportGuardError
 from .kernels import SECOND_MOMENT, SQUARE_INTEGRAL
 from .models import ModelSpec
-from .numerics import adaptive_simpson, central_diff, composite_simpson
+from .numerics import (adaptive_simpson, bisect_level, central_diff,
+                       composite_simpson)
 
 __all__ = [
     "PhiDerivatives",
@@ -364,16 +365,7 @@ def _s0_quantile_time(spec, x: float, level: float) -> float:
     hi = spec.s0_upper(x)
     if float(spec.s0(hi, x)) > level:
         raise ValueError("latency survival never reaches the level")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(spec.s0(mid, x)) > level:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
+    return float(bisect_level(spec.s0, [hi], level, x, 1e-12)[0])
 
 
 def h_amise(spec: ModelSpec, x: float, n: int) -> float:

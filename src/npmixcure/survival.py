@@ -150,9 +150,9 @@ def _event_columns(t_sorted, delta_sorted):
 
 
 def _at_event_times(t_sorted, delta_sorted, weights):
-    """The distinct event times, shape (E,), and a C-contiguous (K, E)
-    matrix of the product-limit curves of the (K, n) ``weights`` there,
-    each computed over the event columns only."""
+    """The distinct event times, shape (E,), and the product-limit curve
+    of the (n,) ``weights`` there, computed over the event columns
+    only."""
     events, last, times = _event_columns(t_sorted, delta_sorted)
     return times, _product_limit(delta_sorted, weights, events).take(
         last, axis=-1)
@@ -207,9 +207,8 @@ def kaplan_meier(sample: CensoredSample, event_flags=None) -> StepSurvivalCurve:
     if event_flags is None:
         event_flags = sample.delta
     ordered = CensoredSample(sample.x, sample.t, event_flags).sort_by_time()
-    times, values = _at_event_times(ordered.t, ordered.delta,
-                                    np.full((1, sample.n), 1.0 / sample.n))
-    return StepSurvivalCurve(times, values[0])
+    return StepSurvivalCurve(*_at_event_times(
+        ordered.t, ordered.delta, np.full(sample.n, 1.0 / sample.n)))
 
 
 def beran(
@@ -234,5 +233,5 @@ def beran(
     """
     ordered = sample.sort_by_time()
     weights = nw_weights(x, ordered.x, h)
-    times, values = _at_event_times(ordered.t, ordered.delta, weights[None])
-    return StepSurvivalCurve(times, values[0])
+    return StepSurvivalCurve(*_at_event_times(ordered.t, ordered.delta,
+                                              weights))

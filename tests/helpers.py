@@ -36,6 +36,14 @@ names inside the package only, still counts their integrand calls.
 ``diagonal_integrands_reference`` builds the oracle's integrand rows
 with eight population calls per level, each stencil covariate on its
 own, where the package evaluates the stacked stencil once.
+
+The two bisections the package's ``numerics.bisect_level`` replaced are
+kept as references of it.  ``model2_quantile_grouped`` is model 2's
+earlier latency quantile: consecutive groups of rows, one per sample,
+bisect together and a group leaves only after the first halving at
+which all its rows meet the stop test.  ``s0_quantile_time_scalar`` is
+the oracle's earlier scalar loop for the time where a latency survival
+falls to a level.
 """
 
 import importlib.util
@@ -58,7 +66,7 @@ from npmixcure.bootstrap import (
 from npmixcure.cure import latency_estimate
 from npmixcure.exceptions import EmptyNeighborhoodError, EstimationError
 from npmixcure.kernels import nw_weights
-from npmixcure.models import ModelSpec
+from npmixcure.models import ModelSpec, _model2_alpha, _model2_s0_of_w
 from npmixcure.oracle import _TOL, _guard, _pow2
 from npmixcure.survival import CensoredSample, _product_limit, kaplan_meier
 
@@ -549,3 +557,54 @@ def diagonal_integrands_reference(spec, x, step):
         return out.reshape(-1, v.size)
 
     return rows
+
+
+def model2_quantile_grouped(u, x, sizes=None):
+    """Model 2's latency quantile, each group of ``sizes`` rows of the
+    1-d ``u`` bisecting until all its rows meet the stop test."""
+    u = np.clip(np.asarray(u, dtype=float), 2.0**-53, 1.0)
+    shape = u.shape
+    alpha = np.broadcast_to(_model2_alpha(x), shape).astype(float).ravel()
+    u = u.ravel()
+    hi = np.maximum(np.log(1.0 / (2.0 * u)) / alpha, 1.0)
+    lo = np.zeros_like(hi)
+    w = np.empty_like(hi)
+    # an empty group is dropped: reduceat over it would read the next
+    # group's first row
+    rows = np.arange(u.size)
+    sizes = np.array([u.size] if sizes is None else sizes, dtype=np.int64)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    for _ in range(200):
+        if not sizes.size:
+            break
+        mid = 0.5 * (lo + hi)
+        too_high = _model2_s0_of_w(mid, alpha) > u
+        lo = np.where(too_high, mid, lo)
+        hi = np.where(too_high, hi, mid)
+        met = hi - lo <= 1e-10 * np.maximum(hi, 1.0)
+        stop = np.logical_and.reduceat(met, starts)
+        if stop.any():
+            done = np.repeat(stop, sizes)
+            w[rows[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            rows, u, alpha, lo, hi = (a[keep] for a in (rows, u, alpha, lo, hi))
+            sizes = sizes[~stop]
+            starts = np.cumsum(sizes) - sizes
+    w[rows] = 0.5 * (lo + hi)
+    return w.reshape(shape)[()] ** 0.2
+
+
+def s0_quantile_time_scalar(spec: ModelSpec, x: float, level: float) -> float:
+    """Time where the latency survival crosses ``level``, one Python
+    float at a time."""
+    lo, hi = 0.0, spec.s0_upper(x)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(spec.s0(mid, x)) > level:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(hi, 1.0):
+            break
+    return 0.5 * (lo + hi)

@@ -905,6 +905,53 @@ class TestConfigAndErrors:
                 in capsys.readouterr().err)
         assert not list(_outdir.glob("simulate*"))
 
+    @pytest.mark.parametrize("command, key, low", [
+        ("mise", "n", 1), ("mise", "m", 1), ("mise", "time_grid_size", 2),
+        ("estimate", "B", 1), ("estimate", "time_points", 2),
+    ])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_size_no_array_can_hold_is_a_config_error(self, tmp_path, where,
+                                                      command, key, low):
+        # checked by the parse alone: a run would draw chunk after chunk
+        flag, too_big = cli._OPTIONS[key].flag, cli._SIZE_MAX + 1
+        if where == "flag":
+            argv = [command, flag, str(too_big)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: too_big}))
+            argv = [command, "--config", str(cfg)]
+        args = cli._build_parser().parse_args(cli._joined(argv))
+        with pytest.raises(ConfigError) as refused:
+            cli._resolve(command, args)
+        assert str(refused.value) == (f"{flag} must be from {low} to "
+                                      f"{cli._SIZE_MAX}, got {too_big}")
+        args = cli._build_parser().parse_args(
+            cli._joined([command, flag, str(cli._SIZE_MAX)]))
+        assert cli._resolve(command, args)[key] == cli._SIZE_MAX
+
+    def test_config_size_1e20_exits_2(self, _outdir, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"model": 1, "n": 1e20}')
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert ("--n must be from 1 to 9223372036854775807, got "
+                "100000000000000000000\n") in capsys.readouterr().err
+
+    def test_huge_seed_is_accepted(self, _outdir, capsys):
+        assert main(["simulate", "--model", "1", "--n", "5", "--seed",
+                     str(2**100), "--out", "big.csv"]) == 0
+        assert _read_meta(_outdir / "big.csv")["config"]["seed"] == 2**100
+
+    def test_unexpected_exception_is_exit_1(self, _outdir, capsys,
+                                            monkeypatch):
+        def broken(opts):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate",
+                            cli._COMMANDS["simulate"]._replace(run=broken))
+        assert main(["simulate", "--model", "1", "--n", "5"]) == 1
+        assert (capsys.readouterr().err
+                == "unexpected error: RuntimeError('boom')\n")
+
     def test_outdir_env_resolves_relative_paths(self, _outdir, capsys,
                                                 monkeypatch, tmp_path):
         nested = tmp_path / "elsewhere"

@@ -247,12 +247,12 @@ class TestChunkedGeneration:
         _assert_samples_equal([listed], [sample])
         assert generate(model2(), 5, []) == []
 
-    def test_groups_stop_where_their_own_calls_stop(self, monkeypatch):
+    def test_rows_stop_where_their_own_calls_stop(self, monkeypatch):
         # inside the covariate window every level meets the stop test
         # after 34 iterations.  The largest double below 0.5 at x = -1500
         # takes more: there log(1 / (2u)) rounds to twice its value, so
-        # the bracket starts well above the root.  Each group must still
-        # get exactly the bits of its own call
+        # the bracket starts well above the root.  Each group of rows
+        # must still get exactly the bits of its own call
         calls = []
         inner = models._model2_s0_of_w
 
@@ -277,10 +277,9 @@ class TestChunkedGeneration:
         assert len(set(iterations)) > 1
         calls.clear()
         together = quantile(np.concatenate([u for u, _ in groups]),
-                            np.concatenate([x for _, x in groups]),
-                            [u.size for u, _ in groups])
+                            np.concatenate([x for _, x in groups]))
         assert np.all(together == np.concatenate(alone))
         assert len(calls) == max(iterations)
-        # groups that stopped are no longer bisected
+        # rows that stopped are no longer bisected
         assert calls[0] == together.size
         assert calls[-1] == groups[1][0].size

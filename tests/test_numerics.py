@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from npmixcure.numerics import adaptive_simpson, central_diff, composite_simpson
+from npmixcure.numerics import (
+    adaptive_simpson,
+    bisect_level,
+    central_diff,
+    composite_simpson,
+)
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -203,3 +208,65 @@ def test_central_diff_cubic():
     d1, d2 = central_diff([(y + d) ** 3, (y - d) ** 3, y**3], d)
     assert d1 == pytest.approx(12.0, rel=1e-8)
     assert d2 == pytest.approx(12.0, rel=1e-6)
+
+
+
+def _falling(calls):
+    """``f(t, slope) = 1 - t / slope``, appending each call's size to
+    ``calls``."""
+    def f(t, slope):
+        calls.append(t.size)
+        return 1.0 - t / slope
+    return f
+
+
+def test_bisect_level_finds_each_rows_level():
+    slope = np.array([1.0, 4.0, 1e6])
+    level = np.array([0.25, 0.5, 0.9])
+    root = bisect_level(_falling([]), slope, level, slope, 1e-12)
+    assert_allclose(root, slope * (1.0 - level), rtol=1e-11)
+    # a scalar level and parameter serve every row
+    assert_allclose(bisect_level(_falling([]), [2.0, 8.0], 0.5, 8.0, 1e-12),
+                    [2.0, 4.0], rtol=1e-11)
+
+
+def test_bisect_level_rows_stop_on_their_own():
+    # below 1 the test is absolute, so a narrower bracket meets it after
+    # fewer halvings; each row leaves after its own, with exactly the
+    # bits of a call on it alone
+    hi = np.array([1.0, 2.0**-30, 2.0**-10])
+    alone, halvings = [], []
+    for i in range(hi.size):
+        calls = []
+        alone.append(bisect_level(_falling(calls), hi[i:i + 1], 0.3,
+                                  hi[i:i + 1], 1e-10)[0])
+        halvings.append(len(calls))
+    assert halvings == [34, 4, 24]
+    calls = []
+    together = bisect_level(_falling(calls), hi, 0.3, hi, 1e-10)
+    assert np.all(together == alone)
+    assert calls == [3] * 4 + [2] * 20 + [1] * 10
+
+
+def test_bisect_level_stops_at_the_halving_cap():
+    # a negative tolerance is never met: 200 halvings, then the midpoint
+    calls = []
+    root = bisect_level(_falling(calls), [3.0], 0.5, 3.0, -1.0)
+    assert len(calls) == 200
+    assert_allclose(root, [1.5], rtol=1e-15)
+
+
+def test_bisect_level_moves_the_upper_end_on_the_level():
+    # where f equals the level the midpoint becomes the upper end, so the
+    # bracket closes on the left end of the level set
+    def step(t, param):
+        return np.where(t < param, 1.0, 0.5)
+
+    root = bisect_level(step, [8.0], 0.5, 2.0, 1e-12)[0]
+    assert abs(root - 2.0) <= 1e-11
+
+
+def test_bisect_level_without_rows():
+    calls = []
+    root = bisect_level(_falling(calls), np.empty(0), 0.5, 1.0, 1e-10)
+    assert root.shape == (0,) and calls == []

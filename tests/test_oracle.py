@@ -32,6 +32,7 @@ from helpers import (
     load_benchmark_tracing,
     phi,
     phi2_terms,
+    s0_quantile_time_scalar,
 )
 
 
@@ -525,11 +526,27 @@ class TestHAmise:
         q = _s0_quantile_time(spec, 5.0, 0.05)
         assert_allclose(float(spec.s0(q, 5.0)), 0.05, atol=1e-9)
 
+    @pytest.mark.parametrize("factory", [
+        model1, model2, lambda: _exponential_population(0.6, 0.3),
+    ], ids=["model1", "model2", "exponential"])
+    def test_quantile_time_equals_the_scalar_bisection(self, factory):
+        spec = factory()
+        for x in np.linspace(-20.0, 20.0, 9):
+            for level in (1e-6, 0.05, 0.3, 0.5, 0.9, 1.0 - 1e-9):
+                assert (oracle._s0_quantile_time(spec, x, level)
+                        == s0_quantile_time_scalar(spec, x, level))
+
     def test_validation(self):
         spec = model1()
         for n in (0, math.nan, math.inf):
             with pytest.raises(ValueError, match="n must be finite"):
                 h_amise(spec, 5.0, n)
+
+    def test_vanishing_bias_integral(self):
+        # nothing in this population depends on the covariate, so the
+        # finite-difference y-derivatives, and with them the bias, are 0
+        with pytest.raises(ValueError, match="bias integral vanished"):
+            h_amise(_exponential_population(), 5.0, 200)
 
     def test_latency_never_reaching_the_level(self):
         # the bracket's upper end must take the latency survival to 0.05

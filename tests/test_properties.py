@@ -1,5 +1,6 @@
 """Property-based checks of the conditional product-limit estimator, of
-the bootstrap's resample draw and of the command-line sample round trip."""
+the bootstrap's resample draw, of model 2's latency quantile and of the
+command-line sample round trip."""
 
 import contextlib
 import io
@@ -46,6 +47,7 @@ from helpers import (
     grid_columns,
     mise_star_alone,
     mise_star_loop,
+    model2_quantile_grouped,
 )
 
 # derandomized and without an example database: every run checks the
@@ -240,10 +242,10 @@ def test_resample_stack_equals_separate_fits(stack, points):
     rows = np.argwhere(fitted)
     for (r, k), curve, top in zip(rows, on_grid[fitted], cured[fitted]):
         weights = raw[r, k] / raw[r, k].sum()
-        times, values = _at_event_times(t[r], delta[r], weights[None])
-        step = StepSurvivalCurve(times, values[0])
+        times, values = _at_event_times(t[r], delta[r], weights)
+        step = StepSurvivalCurve(times, values)
         assert np.array_equal(curve, step.evaluate(tgrid))
-        assert top == values[0, -1]
+        assert top == values[-1]
 
 
 @st.composite
@@ -399,6 +401,40 @@ def test_tied_examples_cover_their_cases():
     assert np.sum(~events.any(axis=1)) == 2
     assert np.isin(kit.event_ranks, kit.censoring_ranks).all()
     assert np.any(events & (kit.atoms[ranks] == 2.0))
+
+
+# latency levels, with the clipped ends and the doubles next to 0.5, where
+# log(1 / (2u)) changes sign
+_LEVELS = st.sampled_from([2.0**-53, 1.0, 0.5 - 2.0**-54, 0.5,
+                           0.5 + 2.0**-54]) | st.floats(0.0, 1.0)
+
+
+def _rows(covariates, max_size):
+    return st.lists(st.tuples(_LEVELS, covariates), max_size=max_size)
+
+
+@_SETTINGS
+@given(st.lists(_rows(st.floats(-20.0, 20.0), 8), min_size=1, max_size=6))
+def test_model2_quantile_equals_the_grouped_bisection(groups):
+    # inside the covariate window every row takes the same number of
+    # halvings, so stopping row by row changes no bit of a group's values
+    u, x = (np.array([row[k] for group in groups for row in group],
+                     dtype=float) for k in (0, 1))
+    expect = model2_quantile_grouped(u, x, [len(group) for group in groups])
+    assert np.all(model2().latency_quantile(u, x) == expect)
+
+
+@_SETTINGS
+@given(_rows(st.sampled_from([-1500.0]) | st.floats(-28000.0, 20.0), 12))
+@example([(0.5 - 2.0**-54, -1500.0), (0.3, -1500.0), (0.7, -1500.0)])
+def test_model2_quantile_row_equals_its_own_call(rows):
+    # far below the covariate window rows need different numbers of
+    # halvings; each still stops where a call on it alone would
+    u, x = (np.array([row[k] for row in rows], dtype=float) for k in (0, 1))
+    together = model2().latency_quantile(u, x)
+    for i in range(u.size):
+        assert together[i] == model2().latency_quantile(u[i:i + 1],
+                                                         x[i:i + 1])[0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -101,6 +101,11 @@ class TestStepSurvivalCurve:
         with pytest.raises(ValueError, match="jump times must be finite"):
             StepSurvivalCurve(np.array([1.0, np.inf]), np.array([0.5, 0.25]))
 
+    def test_unequal_shapes_rejected(self):
+        for times, values in (([1.0, 2.0], [0.5]), ([[1.0]], [[0.5]])):
+            with pytest.raises(ValueError, match="1-d with equal length"):
+                StepSurvivalCurve(np.array(times), np.array(values))
+
 
 class TestKaplanMeier:
     def test_classic_six_subject_chain(self):
@@ -274,7 +279,6 @@ class TestBatchedProductLimit:
         hs = np.array([0.05, 0.3, 1.0, 2.5, 40.0])
         weights = np.asfortranarray(nw_weights(x, ordered.x, hs))
         assert not weights.flags.c_contiguous
-        times, values = _at_event_times(ordered.t, ordered.delta, weights)
         tgrid = np.linspace(0.0, 5.0, 23)
         raw = np.asfortranarray(
             epanechnikov_reference((x - ordered.x) / hs[:, None]))
@@ -283,8 +287,11 @@ class TestBatchedProductLimit:
         assert fitted.all()
         for k, h in enumerate(hs):
             curve = beran(sample, x, h)
+            # a row of a Fortran-order matrix is a strided 1-d array
+            times, values = _at_event_times(ordered.t, ordered.delta,
+                                            weights[k])
             assert np.array_equal(times, curve.jump_times)
-            assert np.array_equal(values[k], curve.values)
+            assert np.array_equal(values, curve.values)
             assert np.array_equal(on_grid[k], curve.evaluate(tgrid))
             assert final[k] == curve.evaluate(sample.t_max_uncensored())
 
