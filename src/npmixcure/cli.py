@@ -6,10 +6,10 @@ the package version, and a run summary.  The sidecar contains nothing
 volatile, so rerunning a subcommand with the same configuration and
 seed produces byte-identical files.
 
-Each option is declared once, in ``_OPTIONS``.  Its flag, the key a
-``--config`` file may give it, and the value the sidecar records all
-come from that declaration: a flag string and a JSON config value go
-through the same converter.
+Each option is declared once, in ``_OPTIONS``.  Its flag, the default
+``--help`` shows, the key a ``--config`` file may give it, and the value
+the sidecar records all come from that declaration: a flag string and a
+JSON config value go through the same converter.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 estimation failure, 1 anything unexpected.
@@ -82,7 +82,7 @@ def _checked(convert, ok, rule):
     return check
 
 
-_SIZE_MAX = int(np.iinfo(np.intp).max)  # the longest array numpy can index
+_SIZE_MAX = int(np.iinfo(np.intp).max) // 8  # the longest float64 array
 
 
 def _size(low):
@@ -131,7 +131,7 @@ def _grid_spec(value, flag):
         raise ConfigError(f"{flag} must look like lo:hi:count, got {value!r}")
     lo = _as_float(parts[0], flag)
     hi = _as_float(parts[1], flag)
-    count = _as_int(parts[2], flag)
+    count = _size(1)(parts[2], f"{flag} count")
     try:
         log_grid(lo, hi, count)
     except ValueError as exc:
@@ -174,13 +174,13 @@ class _Option(NamedTuple):
 
 _OPTIONS = {option.key: option for option in (
     _Option("--data", _text, help="delimited data file to ingest"),
-    _Option("--covariate-col", _text, "age",
-            "covariate column (default: age)"),
-    _Option("--time-col", _text, "time", "time column (default: time)"),
-    _Option("--delta-col", _text, "delta",
-            "event indicator column (default: delta)"),
+    _Option("--covariate-col", _text, DatasetSchema.covariate,
+            "covariate column"),
+    _Option("--time-col", _text, DatasetSchema.time, "time column"),
+    _Option("--delta-col", _text, DatasetSchema.delta,
+            "event indicator column"),
     _Option("--group-col", _text, help="grouping column used by --group"),
-    _Option("--delimiter", _text, ",", "field delimiter (default: comma)"),
+    _Option("--delimiter", _text, DatasetSchema.delimiter, "field delimiter"),
     _Option("--no-header", _switch, False,
             "file has no header; address columns by index"),
     _Option("--group", _text, help="keep only rows with this group label "
@@ -194,8 +194,8 @@ _OPTIONS = {option.key: option for option in (
             repeat=True),
     _Option("--t", _time, help="time point (repeatable; inf means the "
             "full support)", repeat=True),
-    _Option("--h", _bandwidth, "auto", "bandwidth (estimate: or 'auto', "
-            "the default, for the bootstrap selector)"),
+    _Option("--h", _bandwidth, "auto", "bandwidth; estimate also takes "
+            "'auto' for the bootstrap selector"),
     _Option("--h2", _positive,
             help="separate incidence bandwidth (fixed --h only)"),
     _Option("--clamp", _switch, False,
@@ -203,35 +203,34 @@ _OPTIONS = {option.key: option for option in (
     _Option("--grid", _grid_spec,
             help="bandwidth grid lo:hi:count (log spaced)"),
     _Option("--grid2", _grid_spec, help="second grid for the two-bandwidth "
-            "surface (defaults to --grid)"),
+            "surface, if not --grid"),
     _Option("--surface", _switch, False,
             "compute the two-bandwidth MISE surface"),
-    _Option("--B", _size(1), 100, "bootstrap resamples (default 100)"),
+    _Option("--B", _size(1), 100, "bootstrap resamples"),
     _Option("--pilot-c", _positive, BootstrapConfig.pilot_c,
-            f"pilot bandwidth constant (default {BootstrapConfig.pilot_c})"),
-    _Option("--time-points", _size(2), 200,
-            "curve export grid size (default 200)"),
+            "pilot bandwidth constant"),
+    _Option("--time-points", _size(2), 200, "curve export grid size"),
     _Option("--weight-upper", _positive,
             help="upper end of the MISE integration window"),
     _Option("--time-grid-size", _size(2), ExperimentConfig.time_grid_size,
-            "integration grid size (default "
-            f"{ExperimentConfig.time_grid_size})"),
-    _Option("--seed", _seed, 1, "master random seed (default 1)"),
+            "integration grid size"),
+    _Option("--seed", _seed, 1, "master random seed"),
     _Option("--out", _text, help="output file (relative paths resolve "
             f"against ${_OUTDIR_ENV} or the working directory)"),
     _Option("--format", _checked(_text, ("csv", "json").__contains__,
                                  "csv or json"),
-            "csv", "table format: csv or json (default csv)"),
+            "csv", "table format: csv or json"),
     _Option("--config", _text, help="flat JSON file with defaults for any "
             "flag of this subcommand (explicit flags win)"),
 )}
 
-# how estimate and selectbw get their sample; recorded as "source"
+# how estimate and selectbw get their sample, recorded as "source": a
+# --data file read through these options, or --n rows from --model
 _FILE_OPTIONS = (
     "covariate_col", "time_col", "delta_col", "group_col", "delimiter",
     "no_header", "group",
 )
-_SOURCE = ("data", *_FILE_OPTIONS, "model", "n")
+_BOOTSTRAP = ("grid", "B", "pilot_c", "seed")
 _OUTPUT = ("out", "format")
 
 
@@ -248,15 +247,13 @@ def _load_config(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a flat JSON object")
-    for key, value in raw.items():
-        if isinstance(value, dict):
-            raise ConfigError(f"config field {key!r}: nested objects not allowed")
     return raw
 
 
 def _resolve(name, args):
     """Each option of subcommand ``name``: flag, else config file, else default.
 
+    Every config value is converted, even one a flag overrides.
     ``given`` holds the keys set by a flag or the config file.
     """
     keys = _COMMANDS[name].keys
@@ -268,13 +265,11 @@ def _resolve(name, args):
         )
     opts = {"given": set()}
     for key in keys:
-        value = getattr(args, key)
-        if value is None:
-            value = config.get(key)
-        option = _OPTIONS[key]
-        opts[key] = option.default if value is None else option.resolve(value)
-        if value is not None:
-            opts["given"].add(key)
+        opts[key] = _OPTIONS[key].default
+        for value in (config.get(key), getattr(args, key)):
+            if value is not None:
+                opts[key] = _OPTIONS[key].resolve(value)
+                opts["given"].add(key)
     return opts
 
 
@@ -459,7 +454,7 @@ def _cmd_estimate(opts):
     rows, failures = _each_x(xs, rows_at, "estimation")
     # a fixed bandwidth runs no bootstrap: its settings are recorded as
     # null (a generated sample's seed is in source)
-    unused = {} if auto else dict.fromkeys(("grid", "B", "pilot_c", "seed"))
+    unused = {} if auto else dict.fromkeys(_BOOTSTRAP)
     out = _emit(
         "estimate", opts, "estimate",
         ("x", "h", "h2", "incidence", "t", "latency"), rows,
@@ -643,8 +638,9 @@ class _Command(NamedTuple):
     """A subcommand: what it runs and the options it takes.
 
     The sidecar records ``options``; a command that reads a sample also
-    takes the ``_SOURCE`` options and records them as ``source``.  Every
-    command takes ``--config``, whose keys are the command's ``keys``.
+    takes the options of its source and records them as ``source``.
+    Every command takes ``--config``, whose keys are the command's
+    ``keys``.
     """
 
     run: Callable[[dict], int]
@@ -654,14 +650,14 @@ class _Command(NamedTuple):
 
     @property
     def keys(self) -> tuple:
-        return (_SOURCE if self.reads_sample else ()) + self.options
+        source = ("data", *_FILE_OPTIONS, "model", "n")
+        return (source if self.reads_sample else ()) + self.options
 
 
 _COMMANDS = {
     "estimate": _Command(
         _cmd_estimate, "incidence and latency curves at covariate values",
-        ("x", "h", "h2", "clamp", "grid", "B", "pilot_c", "time_points",
-         "seed") + _OUTPUT,
+        ("x", "h", "h2", "clamp", "time_points", *_BOOTSTRAP, *_OUTPUT),
         reads_sample=True,
     ),
     "simulate": _Command(
@@ -670,7 +666,7 @@ _COMMANDS = {
     ),
     "selectbw": _Command(
         _cmd_selectbw, "bootstrap MISE curve and selected bandwidth",
-        ("x", "grid", "B", "pilot_c", "seed") + _OUTPUT,
+        ("x", *_BOOTSTRAP, *_OUTPUT),
         reads_sample=True,
     ),
     "mise": _Command(
@@ -712,7 +708,9 @@ def _build_parser():
                 extra = {"action": "store_true", "default": None}
             else:
                 extra = {}
-            cmd.add_argument(option.flag, dest=key, help=option.help, **extra)
+            show = option.default is not None and option.convert is not _switch
+            cmd.add_argument(option.flag, dest=key, help=option.help + (
+                f" (default: {option.default})" if show else ""), **extra)
     return parser
 
 

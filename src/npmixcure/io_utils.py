@@ -63,14 +63,19 @@ def _column_index(name: str, fieldnames: list[str] | None, label: str) -> int:
         ) from None
 
 
-def _number(text: str, what: str, path, line: int) -> float:
-    """The float in cell ``text``, the ``what`` of line ``line``."""
+def _number(text: str, what: str, path, line: int, ok, rule: str) -> float:
+    """The float in cell ``text``, the ``what`` of line ``line``; a
+    DataError unless it is a number for which ``ok`` holds."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(
             f"{path} line {line}: {what} {text!r} is not a number"
         ) from None
+    if not ok(value):
+        raise DataError(f"{path} line {line}: {what} must be {rule}, "
+                        f"got {text!r}")
+    return value
 
 
 def _rows(reader, path, encoding: str):
@@ -174,21 +179,16 @@ def ingest(
                 )
             if wanted is not None and row[i_g].strip() not in wanted:
                 continue
-            t = _number(row[i_t], "time", path, line)
-            if not math.isfinite(t) or t < 0.0:
-                raise DataError(
-                    f"{path} line {line}: time must be finite and nonnegative, "
-                    f"got {row[i_t]!r}"
-                )
+            t = _number(row[i_t], "time", path, line,
+                        lambda t: 0.0 <= t < math.inf,
+                        "finite and nonnegative")
             d_text = row[i_d].strip()
             if d_text not in ("0", "1"):
                 raise DataError(
                     f"{path} line {line}: delta must be 0 or 1, got {d_text!r}"
                 )
-            x = _number(row[i_x], "covariate", path, line)
-            if not math.isfinite(x):
-                raise DataError(f"{path} line {line}: covariate must be finite")
-            xs.append(x)
+            xs.append(_number(row[i_x], "covariate", path, line,
+                              math.isfinite, "finite"))
             ts.append(t)
             deltas.append(int(d_text))
 

@@ -7,6 +7,7 @@ takes a kernel or an integration range.
 """
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -19,6 +20,7 @@ import npmixcure
 from npmixcure import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 PUBLIC_NAMES = [
     "AmseReport", "BandwidthGrid", "BiasVarianceTerms", "BootstrapConfig",
@@ -85,6 +87,22 @@ def test_every_module_level_definition_is_used():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in named]
     assert not unused
+
+
+def test_no_help_text_restates_a_default():
+    # the parser appends each option's default from its declaration
+    assert [option.flag for option in cli._OPTIONS.values()
+            if "(default" in option.help] == []
+
+
+def test_console_script_is_cli_main():
+    # read without tomllib, which Python 3.10 lacks
+    scripts = re.search(
+        r'^\[project\.scripts\]\nnpmixcure = "([\w.]+):(\w+)"$',
+        PYPROJECT.read_text(encoding="utf-8"), re.MULTILINE)
+    assert scripts
+    module, name = scripts.groups()
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 def test_readme_python_examples_run():

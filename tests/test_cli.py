@@ -639,6 +639,19 @@ class TestConfigAndErrors:
         cfg.write_text(json.dumps({"model": {"id": 1}}))
         assert main(["simulate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "--n must be an integer, got 'abc'"),
+        ({"a": 1}, "--n must be an integer, got {'a': 1}"),
+    ], ids=["text", "object"])
+    def test_config_value_a_flag_overrides_is_still_checked(
+            self, _outdir, capsys, tmp_path, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": 1, "n": value}))
+        assert main(["simulate", "--config", str(cfg), "--n", "5",
+                     "--out", "o.csv"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (_outdir / "o.csv").exists()
+
     def test_invalid_json_config(self, _outdir, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -661,7 +674,8 @@ class TestConfigAndErrors:
         ("m", math.inf, "--m must be an integer, got inf"),
         ("seed", -math.inf, "--seed must be an integer, got -inf"),
         ("model", math.inf, "--model must be an integer, got inf"),
-        ("grid", [10, 40, math.inf], "--grid must be an integer, got inf"),
+        ("grid", [10, 40, math.inf],
+         "--grid count must be an integer, got inf"),
         ("weight_upper", 10**400, "--weight-upper must be a number, got 1"),
     ], ids=["n", "m", "seed", "model", "grid-count", "huge-float"])
     def test_overflowing_config_number_is_exit_2(self, _outdir, capsys,
@@ -933,8 +947,46 @@ class TestConfigAndErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"model": 1, "n": 1e20}')
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert ("--n must be from 1 to 9223372036854775807, got "
+        assert ("--n must be from 1 to 1152921504606846975, got "
                 "100000000000000000000\n") in capsys.readouterr().err
+
+    def test_size_no_float64_array_can_hold_exits_2(self, _outdir, capsys):
+        # 2**62 is a valid numpy dimension, but 2**65 bytes of float64
+        assert main(["simulate", "--model", "1", "--n", str(2**62)]) == 2
+        assert (f"--n must be from 1 to {cli._SIZE_MAX}, got {2**62}\n"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", ["grid", "grid2"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_grid_count_beyond_the_size_bound_exits_2(self, _outdir, capsys,
+                                                      tmp_path, key, where):
+        argv = ["mise", "--model", "1", "--n", "5", "--m", "1", "--x", "5",
+                "--grid", "1:2:3", "--out", "o.csv"]
+        count = 10**20
+        if where == "flag":
+            argv += [f"--{key}", f"1:2:{count}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: [1, 2, count]}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert (f"--{key} count must be from 1 to {cli._SIZE_MAX}, "
+                f"got {count}\n") in capsys.readouterr().err
+        assert not (_outdir / "o.csv").exists()
+
+    def test_help_shows_each_default(self, capsys):
+        with pytest.raises(SystemExit) as shown:
+            main(["estimate", "--help"])
+        assert shown.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for shown_default in ("covariate column (default: age)",
+                              "field delimiter (default: ,)",
+                              "bootstrap resamples (default: 100)",
+                              "pilot bandwidth constant (default: 0.75)"):
+            assert shown_default in text
+        # a switch and an option with no default show none
+        assert "monotone --time-points" in text
+        assert "(log spaced) --B" in text
 
     def test_huge_seed_is_accepted(self, _outdir, capsys):
         assert main(["simulate", "--model", "1", "--n", "5", "--seed",

@@ -136,7 +136,16 @@ class TestIngest:
         path = _write(tmp_path, "t.csv", "age,time,delta\n50,1.0,1\ninf,2,0\n")
         with pytest.raises(DataError) as raised:
             ingest(path, DatasetSchema())
-        assert str(raised.value) == f"{path} line 3: covariate must be finite"
+        assert str(raised.value) == (
+            f"{path} line 3: covariate must be finite, got 'inf'")
+
+    def test_nan_covariate_message_names_the_cell(self, tmp_path):
+        path = _write(tmp_path, "t.csv",
+                      "age,time,delta\n50,1.0,1\n NaN,2,0\n")
+        with pytest.raises(DataError) as raised:
+            ingest(path, DatasetSchema())
+        assert str(raised.value) == (
+            f"{path} line 3: covariate must be finite, got ' NaN'")
 
     def test_bad_delta_rejected(self, tmp_path):
         path = _write(tmp_path, "t.csv", "age,time,delta\n50,1.0,2\n")
