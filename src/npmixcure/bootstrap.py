@@ -157,18 +157,22 @@ class MiseCurve:
         return float(self.grid.values[self.argmin_index])
 
 
-def _mise_curve(grid, sums, used, count, noun, **fields) -> MiseCurve:
-    """The MISE curve of error ``sums`` over ``used`` of ``count`` samples.
+def _mise_mean(sums, used, bandwidths, noun):
+    """The mean error ``sums / used`` at each of ``bandwidths``.
 
     ``noun`` names a sample ("resample" or "trial") in the error raised
-    when none was used at some bandwidth; ``fields`` fill in the rest.
+    when none was used at some bandwidths, which it lists.
     """
     if np.any(used == 0):
-        bad = grid.values[used == 0]
-        raise EstimationError(
-            f"every {noun} failed at bandwidth(s) {bad.tolist()}"
-        )
-    values = sums / used
+        raise EstimationError(f"every {noun} failed at bandwidth(s) "
+                              f"{bandwidths[used == 0].tolist()}")
+    return sums / used
+
+
+def _mise_curve(grid, sums, used, count, noun, **fields) -> MiseCurve:
+    """The MISE curve of error ``sums`` over ``used`` of ``count`` samples;
+    ``fields`` fill in the rest."""
+    values = _mise_mean(sums, used, grid.values, noun)
     return MiseCurve(
         grid=grid,
         values=values,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, _raised, log_grid, mise_star
-from .cure import latency_estimate, latency_estimate_two_bw
+from .cure import _latency_fit
 from .exceptions import ConfigError, DataError, EstimationError
 from .experiments import ExperimentConfig, true_mise, true_mise_two_bw
 from .io_utils import DatasetSchema, ingest, write_meta, write_table
@@ -199,7 +199,7 @@ _OPTIONS = {option.key: option for option in (
     _Option("--h2", _positive,
             help="separate incidence bandwidth (fixed --h only)"),
     _Option("--clamp", _switch, False,
-            "clip two-bandwidth latency into [0, 1], monotone"),
+            "clip the latency into [0, 1], monotone"),
     _Option("--grid", _grid_spec,
             help="bandwidth grid lo:hi:count (log spaced)"),
     _Option("--grid2", _grid_spec, help="second grid for the two-bandwidth "
@@ -440,15 +440,10 @@ def _cmd_estimate(opts):
             h_used = curve.selected
             selections.append(_selection(
                 xv, curve, resample_failures=int(curve.failures.sum())))
-        if h2 is not None:
-            fit = latency_estimate_two_bw(
-                sample, xv, h_used, h2, clamp=opts["clamp"])
-        else:
-            fit = latency_estimate(sample, xv, h_used)
+        fit = _latency_fit(sample, xv, h_used, h2, opts["clamp"])
         tgrid = np.linspace(0.0, fit.t_max_uncensored, opts["time_points"])
         latency = fit.latency.evaluate(tgrid)
-        h2_used = fit.h2 if fit.h2 is not None else h_used
-        return [(xv, h_used, h2_used, fit.incidence, tv, lv)
+        return [(xv, h_used, h2 or h_used, fit.incidence, tv, lv)
                 for tv, lv in zip(tgrid, latency)]
 
     rows, failures = _each_x(xs, rows_at, "estimation")
@@ -688,8 +683,9 @@ _COMMANDS = {
 
 @functools.cache  # parse_args leaves the parser as it was
 def _build_parser():
+    # allow_abbrev=False: a flag matches only in full, as a config key does
     parser = argparse.ArgumentParser(
-        prog="npmixcure",
+        prog="npmixcure", allow_abbrev=False,
         description="Nonparametric mixture cure model estimation: "
         "kernel incidence and latency estimators, bootstrap bandwidth "
         "selection, Monte Carlo MISE experiments, and the asymptotic "
@@ -697,7 +693,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=command.help)
+        cmd = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key in (*command.keys, "config"):
             option = _OPTIONS[key]
             # every value stays a string until _resolve converts it;

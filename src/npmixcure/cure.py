@@ -115,12 +115,6 @@ def _latency_ise(curves, plateaus, fitted, truth, tgrid, rows1, rows2):
     return ise
 
 
-def _clamp_monotone(curve: StepSurvivalCurve) -> StepSurvivalCurve:
-    """Clip values into [0, 1], then enforce monotonicity by running minimum."""
-    values = np.minimum.accumulate(np.clip(curve.values, 0.0, 1.0))
-    return StepSurvivalCurve(curve.jump_times.copy(), values)
-
-
 def _latency_fit(sample, x, h1, h2, clamp):
     """The latency estimate at ``x`` of both public estimators: the
     curve at ``h1``, the incidence read off it (``h2`` None) or off a
@@ -129,8 +123,9 @@ def _latency_fit(sample, x, h1, h2, clamp):
     curve = beran(sample, x, h1)
     cured = (curve if h2 is None else beran(sample, x, h2)).evaluate(t_top)
     latency = _latency_from_curve(curve, cured)
-    if clamp:
-        latency = _clamp_monotone(latency)
+    if clamp:  # clip into [0, 1], then restore monotonicity by running minimum
+        values = latency.values
+        np.minimum.accumulate(np.clip(values, 0.0, 1.0, out=values), out=values)
     return CureFit(
         x=x, h=h1, h2=h2, incidence=cured, latency=latency,
         t_max_uncensored=t_top, clamped=clamp,

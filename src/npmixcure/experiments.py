@@ -19,6 +19,7 @@ from .bootstrap import (
     _check_scoring,
     _covariates,
     _mise_curve,
+    _mise_mean,
     _time_grid,
     mise_star,
 )
@@ -198,8 +199,6 @@ def true_mise_two_bw(
     shape = (len(grid1), len(grid2))
     surfaces = []
     for xv, s, u in zip(xs, sums, used):
-        if np.any(u == 0):
-            raise EstimationError("every trial failed at some bandwidth pair")
         surfaces.append(MiseSurface(
             model_id=spec.model_id,
             n=n,
@@ -207,7 +206,9 @@ def true_mise_two_bw(
             x=xv,
             h1=grid1,
             h2=grid2,
-            values=(s / u).reshape(shape),
+            # an error names the (h1, h2) pairs that no trial fitted
+            values=_mise_mean(s, u, np.column_stack((hs[rows1], hs[rows2])),
+                              "trial").reshape(shape),
             trials_used=u.reshape(shape),
         ))
     return surfaces[0] if single else surfaces

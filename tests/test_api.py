@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import npmixcure
 from npmixcure import cli
 
@@ -93,6 +95,33 @@ def test_no_help_text_restates_a_default():
     # the parser appends each option's default from its declaration
     assert [option.flag for option in cli._OPTIONS.values()
             if "(default" in option.help] == []
+
+
+def test_a_flag_matches_only_in_full(capsys):
+    # as a config key does: no strict prefix of a flag stands for it, so
+    # oracle --m is not --model, simulate --se not --seed and selectbw
+    # --h not --help
+    for name, command in cli._COMMANDS.items():
+        flags = {cli._OPTIONS[key].flag for key in (*command.keys, "config")}
+        for flag in flags | {"--help"}:
+            for prefix in {flag[:k] for k in range(3, len(flag))} - flags:
+                with pytest.raises(SystemExit) as stop:
+                    cli.main([name, prefix, "1"])
+                assert stop.value.code == 2, (name, prefix)
+                # _joined writes a prefix that is some other flag as --t=1
+                assert re.search(
+                    rf"unrecognized arguments: {prefix}[ =]1$",
+                    capsys.readouterr().err, re.MULTILINE), (name, prefix)
+        for flag in ("-h", "--help"):
+            with pytest.raises(SystemExit) as stop:
+                cli.main([name, flag])
+            assert stop.value.code == 0
+            assert capsys.readouterr().out.startswith(
+                f"usage: npmixcure {name} ")
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["--he"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --he" in capsys.readouterr().err
 
 
 def test_console_script_is_cli_main():

@@ -211,6 +211,24 @@ class TestEstimate:
         assert np.all((latency >= 0.0) & (latency <= 1.0))
         assert all(float(r[2]) == 40.0 for r in rows)
 
+    @pytest.mark.parametrize("source", [
+        ["--model", "1", "--n", "100", "--x", "2", "--x", "5"],
+        ["--data", "SYNTH", "--x", "40", "--x", "70"],  # tied ages
+    ], ids=["model-1", "tied-ages"])
+    def test_clamp_leaves_a_one_bandwidth_table_unchanged(
+            self, _outdir, capsys, source):
+        # the one-bandwidth curve is already in [0, 1] and nonincreasing
+        assert main(["synth-data", "--seed", "1", "--out", "synth.csv"]) == 0
+        argv = ["estimate", *source, "--h", "8", "--time-points", "30"]
+        argv = [str(_outdir / "synth.csv") if a == "SYNTH" else a
+                for a in argv]
+        assert main([*argv, "--out", "plain.csv"]) == 0
+        assert main([*argv, "--clamp", "--out", "clamped.csv"]) == 0
+        assert ((_outdir / "clamped.csv").read_bytes()
+                == (_outdir / "plain.csv").read_bytes())
+        assert _read_meta(_outdir / "plain.csv")["config"]["clamp"] is False
+        assert _read_meta(_outdir / "clamped.csv")["config"]["clamp"] is True
+
     def test_h2_with_auto_is_config_error(self, _outdir, capsys, tmp_path):
         path, _ = _sample_csv(tmp_path)
         rc = main(["estimate", "--data", str(path), "--x", "5",

@@ -1,5 +1,7 @@
 """Monte Carlo MISE experiments."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -195,8 +197,15 @@ class TestSeveralCovariates:
             true_mise(model1(), 40, 2, [5.0, *xs], grid, cfg)
         assert str(alone.value).endswith(bad)
         assert str(together.value) == str(alone.value)
-        with pytest.raises(EstimationError, match="some bandwidth pair"):
+        # the surface names the (h1, h2) pairs of that x with either
+        # bandwidth failing, in lattice order
+        hs, failed = grid.values.tolist(), json.loads(bad)
+        pairs = [[h1, h2] for h1 in hs for h2 in hs
+                 if h1 in failed or h2 in failed]
+        with pytest.raises(EstimationError) as surface:
             true_mise_two_bw(model1(), 40, 2, [5.0, *xs], grid, grid, cfg)
+        assert str(surface.value) == (
+            f"every trial failed at bandwidth(s) {pairs}")
 
 
 def _two_pass_study(spec, n, m, x, grid, B, config):

@@ -33,6 +33,7 @@ from npmixcure import (
 from npmixcure import bootstrap
 from npmixcure.bootstrap import BandwidthGrid, _ResamplingKit
 from npmixcure.cli import main
+from npmixcure.cure import _latency_fit
 from npmixcure.models import trial_rng
 from npmixcure.survival import (
     StepSurvivalCurve,
@@ -169,6 +170,21 @@ def test_one_bandwidth_latency_is_a_proper_survival_curve(sample, x, h):
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert np.all(np.diff(values) <= 0.0)
     assert fit.latency.evaluate(fit.t_max_uncensored) == 0.0
+
+
+@_SETTINGS
+@given(_samples() | _samples(st.integers(-5, 5)), st.floats(-5.0, 5.0),
+       st.floats(0.1, 12.0))
+def test_clamping_a_one_bandwidth_latency_changes_no_bit(sample, x, h):
+    # the curve is already in [0, 1] and nonincreasing (above), so the
+    # clip and the running minimum of estimate --clamp leave it alone
+    try:
+        fit = latency_estimate(sample, x, h)
+    except (NoUncensoredError, EmptyNeighborhoodError, DegenerateCureError):
+        return
+    clamped = _latency_fit(sample, x, h, None, True)
+    assert clamped.clamped
+    assert clamped.latency.values.tobytes() == fit.latency.values.tobytes()
 
 
 @_SETTINGS
